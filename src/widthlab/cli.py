@@ -86,7 +86,6 @@ def cmd_width(args, cfg):
     from . import dmap as dmod
     from . import sweepout as sw
     from . import varifold as vf
-    from .manifold import round_sphere
     out = _out_dir(cfg, args)
     _write_manifest(out, cfg, {"command": "width", "fixture": args.fixture})
     dom = cfg.sphere_domain()
@@ -98,7 +97,6 @@ def cmd_width(args, cfg):
     if s3.dim != 3 or s3.kind != "sphere":
         print("width fixtures need a round 3-sphere target", file=sys.stderr)
         return EXIT_CONFIG
-    radius = s3.radius
     fixture = args.fixture.lower()
     try:
         swp = sw.standard_sweepout(fixture, s3, dom,
@@ -110,13 +108,7 @@ def cmd_width(args, cfg):
     w0 = sw.width_estimate(swp)
     print(f"initial W_E {w0.w_energy:.6f}  W_A {w0.w_area:.6f}  "
           f"argmax t-index {w0.argmax_t}")
-    vals = []
-    for ch in (0, 1):
-        p = dom.points[ch]
-        vals.append(radius * np.concatenate(
-            [p, np.zeros(p.shape[:2] + (1,))], axis=-1))
-    equator = dmod.DiscreteMap(dom, s3, vals)
-    ref = vf.varifold_of_map(equator)
+    ref = vf.varifold_of_map(dmod.equator_map(dom, s3))
     from . import dirichlet as dirich
     log_fh = open(os.path.join(out, "solves.csv"), "w")
     dirich.set_solve_log(log_fh)
@@ -272,6 +264,7 @@ def _retighten_along_flow(r0, sample_fracs=(0.0, 0.4, 0.8)):
 def cmd_calibrate(args, cfg):
     from . import dirichlet as dr
     from . import dmap as dmod
+    from .domains import bump_weight
     from .manifold import round_sphere
     out = _out_dir(cfg, args)
     _write_manifest(out, cfg, {"command": "calibrate"})
@@ -292,10 +285,7 @@ def cmd_calibrate(args, cfg):
             vec = rng.normal(size=3)
 
             def fn(p):
-                x, y = dom.sphere_to_chart(0, p)
-                x = np.where(np.isfinite(x), x, 1e6)
-                d2 = ((x - cx) ** 2 + (np.where(np.isfinite(y), y, 1e6) - cy) ** 2) / b.radius**2
-                w = np.where(d2 < 1, (1 - np.minimum(d2, 1)) ** 3, 0.0)
+                w = bump_weight(*dom.sphere_to_chart(0, p), b.center, b.radius)
                 return np.array([0.0, 0.0, -1.0]) + amp * w[..., None] * vec
 
             u = dmod.sphere_map(dom, s2, fn)

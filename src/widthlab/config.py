@@ -22,10 +22,8 @@ DEFAULTS = {
     "dmap.n": 129,
     "dmap.half_width": 1.25,
     "dmap.band": 0.12,
-    "dmap.overlap_tol": 1e-6,
     "dirichlet.residual_tol": 1e-8,
     "dirichlet.max_sweeps": 10_000,
-    "dirichlet.schwarz_overlap": 0.25,
     "dirichlet.small_energy": 2.0,      # the replacement small-energy bound
     "sampler.center_stride": 12,
     "sampler.radii": [0.22, 0.16, 0.11, 0.08, 0.055],
@@ -33,14 +31,12 @@ DEFAULTS = {
     "sampler.max_balls": 4,
     "sampler.excess_seeds": 3,
     "sweepout.n_slices": 64,
-    "sweepout.cont_tol": 0.5,
     "sweepout.max_iters": 30,
     "sweepout.plateau_tol": 1e-4,
     "sweepout.mollify_radius": 0.03,
     "sweepout.mollify_threshold": 0.1,
     "sweepout.amp": 0.3,
     "varifold.n_terms": 64,
-    "varifold.j_cut": 1e-12,
     "certlab.eps2": 0.25,
     "certlab.eps_su": 4.0,
     "ricci.r0": 1.0,
@@ -75,14 +71,11 @@ class ExperimentConfig:
         blob = json.dumps(self.semantic_values(), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
-    def solver_settings(self, **kw):
+    def solver_settings(self):
         from .dirichlet import SolverSettings
-        base = dict(residual_tol=self["dirichlet.residual_tol"],
-                    max_sweeps=int(self["dirichlet.max_sweeps"]),
-                    schwarz_overlap=self["dirichlet.schwarz_overlap"],
-                    small_energy=self["dirichlet.small_energy"])
-        base.update(kw)
-        return SolverSettings(**base)
+        return SolverSettings(residual_tol=self["dirichlet.residual_tol"],
+                              max_sweeps=int(self["dirichlet.max_sweeps"]),
+                              small_energy=self["dirichlet.small_energy"])
 
     def sampler_budget(self):
         from .dirichlet import SamplerBudget

@@ -54,7 +54,6 @@ def _log_solve(info):
 class SolverSettings:
     residual_tol: float = 1e-8      # relative energy change per sweep
     max_sweeps: int = 10_000
-    schwarz_overlap: float = 0.25
     small_energy: float = 2.0       # admissible region energy (curved targets)
     strict: bool = False            # raise NoConvergence instead of flagging
     overrelax: float = 1.0          # >1: SOR; same fixed point, no per-sweep
@@ -206,6 +205,16 @@ def _ball_box(dom, b: Ball):
     return i0, i1, j0, j1
 
 
+def _ball_block(dom, b: Ball):
+    """The ball's bounding box (i0, i1, j0, j1) and its interior mask on that
+    box, with the box edges cleared so no interior node sits on them."""
+    i0, i1, j0, j1 = box = _ball_box(dom, b)
+    sub = ball_mask(dom, b)[i0:i1, j0:j1].copy()
+    sub[0, :] = sub[-1, :] = False
+    sub[:, 0] = sub[:, -1] = False
+    return box, sub
+
+
 def _linear_init(block, interior, settings, target, wx=1.0, wy=1.0, periodic_y=False):
     """Componentwise discrete harmonic extension of the boundary data, then
     projected to the target."""
@@ -269,12 +278,8 @@ def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None,
 
 def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):
     """Solve one chart ball in place on u, then refresh the other chart."""
-    dom = u.domain
-    i0, i1, j0, j1 = _ball_box(dom, b)
+    (i0, i1, j0, j1), sub = _ball_block(u.domain, b)
     block = u.values[b.chart][i0:i1, j0:j1]
-    sub = ball_mask(dom, b)[i0:i1, j0:j1].copy()
-    sub[0, :] = sub[-1, :] = False
-    sub[:, 0] = sub[:, -1] = False
     if init == "linear":
         _linear_init(block, sub, s, u.target)
     info = relax(block, sub, u.target, s)
@@ -343,10 +348,7 @@ def _region_entries(u: DiscreteMap, v: DiscreteMap, region):
     fam = region if isinstance(region, (list, BallFamily)) else [region]
     entries = []
     for b in fam:
-        i0, i1, j0, j1 = _ball_box(dom, b)
-        sub = ball_mask(dom, b)[i0:i1, j0:j1].copy()
-        sub[0, :] = sub[-1, :] = False
-        sub[:, 0] = sub[:, -1] = False
+        (i0, i1, j0, j1), sub = _ball_block(dom, b)
         entries.append((u.values[b.chart][i0:i1, j0:j1],
                         v.values[b.chart][i0:i1, j0:j1], sub))
     return entries

@@ -80,6 +80,14 @@ def identity_sphere_map(dom: SphereDomain, target=None) -> DiscreteMap:
     return sync_owner(u)
 
 
+def equator_map(dom: SphereDomain, target) -> DiscreteMap:
+    """The 2-sphere as the equator x -> R (x, 0) of a round 3-sphere target."""
+    scale = getattr(target, "radius", 1.0)
+    vals = [scale * np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=-1)
+            for p in dom.points]
+    return DiscreteMap(dom, target, vals)
+
+
 def constant_sphere_map(dom: SphereDomain, target, point) -> DiscreteMap:
     p = np.asarray(point, float)
     vals = [np.broadcast_to(p, dom.points[c].shape[:2] + p.shape).copy() for c in (0, 1)]
@@ -293,11 +301,9 @@ def _homog(pts):
     """Chart-0 homogeneous coordinates (a : b), w = a/b, robust at both poles."""
     pts = np.asarray(pts, float)
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
-    use0 = (1.0 - z) >= np.abs(1.0 + z) * 0  # prefer (x+iy, 1-z) unless near north
     near_north = z > 0.5
     a = np.where(near_north, 1.0 + z, x + 1j * y)
     b = np.where(near_north, x - 1j * y, 1.0 - z)
-    del use0
     return a, b
 
 

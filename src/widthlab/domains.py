@@ -47,6 +47,14 @@ def d_axis_periodic(values, h, axis):
     return np.moveaxis(out, 0, axis)
 
 
+def bump_weight(X, Y, center, width):
+    """Compact bump (1 - d^2)^3, d the distance to `center` in units of
+    `width`, at chart coordinates (X, Y); zero at non-finite coordinates."""
+    cx, cy = center
+    d2 = ((X - cx) ** 2 + (Y - cy) ** 2) / width ** 2
+    return np.where(d2 < 1, (1 - np.minimum(d2, 1)) ** 3, 0.0)
+
+
 def _cr_weights(t):
     """Catmull-Rom cubic kernel weights for offsets -1, 0, 1, 2."""
     t2 = t * t
@@ -75,23 +83,6 @@ def catmullrom(grid, xs0, h, px, py):
             row = row + flat[i + a - 1, j + b - 1] * wy[b]
         acc = acc + row * wx[a]
     return acc.reshape(np.shape(px) + g.shape[2:])
-
-
-def bilinear(grid, xs0, h, px, py):
-    """Sample grid (n, n, ...) at points (px, py); grid[i, j] sits at
-    (xs0 + i*h, xs0 + j*h).  Points must be inside the grid rectangle."""
-    g = np.asarray(grid)
-    n = g.shape[0]
-    fx = np.clip((np.asarray(px) - xs0) / h, 0.0, n - 1.000001)
-    fy = np.clip((np.asarray(py) - xs0) / h, 0.0, n - 1.000001)
-    i = fx.astype(int)
-    j = fy.astype(int)
-    tx = (fx - i)[..., None]
-    ty = (fy - j)[..., None]
-    flat = g.reshape(n, n, -1)
-    v = (flat[i, j] * (1 - tx) * (1 - ty) + flat[i + 1, j] * tx * (1 - ty)
-         + flat[i, j + 1] * (1 - tx) * ty + flat[i + 1, j + 1] * tx * ty)
-    return v.reshape(np.shape(px) + g.shape[2:])
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,5 @@ class PreconditionFail(WidthlabError):
     pass
 
 
-class MissingInput(WidthlabError):
-    pass
-
-
 class ConfigError(WidthlabError):
     pass

@@ -8,7 +8,7 @@ scalar curvature is 6; the round flow scales as r^2(t) = r0^2 - 4t.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,13 +64,6 @@ class ModelFlow:
             return (2.0 / r2) * proj
 
         return q
-
-
-@dataclass
-class WidthBoundState:
-    t: float
-    w_upper: float
-    c: float
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +209,7 @@ def round_extinction_demo(r0: float, n_steps: int = 256,
         from . import dmap as dmod
         from .domains import SphereDomain
         from .manifold import round_sphere
-        dom = SphereDomain()
-        tgt = round_sphere(3, r0)
-        vals = []
-        for ch in (0, 1):
-            p = dom.points[ch]
-            vals.append(r0 * np.concatenate(
-                [p, np.zeros(p.shape[:2] + (1,))], axis=-1))
-        equator = dmod.DiscreteMap(dom, tgt, vals)
+        equator = dmod.equator_map(SphereDomain(), round_sphere(3, r0))
         measured = area_rate(equator, flow, 0.0)
         pairing_residual = float(abs(measured - (-16.0 * np.pi)))
     return RoundExtinctionReport(

@@ -18,7 +18,7 @@ import numpy as np
 from . import dirichlet as dr
 from . import dmap as dm
 from .dmap import BallFamily, DiscreteMap
-from .domains import SphereDomain
+from .domains import SphereDomain, bump_weight
 from .errors import EnergyTooLarge, KindUnknown, ScheduleEmpty
 from .manifold import round_sphere
 
@@ -121,7 +121,6 @@ def _latitude_values(dom, t, radius, warp=None):
 
 def _chart0_bump_warp(center, rho, direction, amp_of_t):
     """Compactly supported chart-0 shear, a diffeomorphism for small amplitudes."""
-    cx, cy = center
     dx, dy = direction
 
     def warp(p, t):
@@ -129,15 +128,12 @@ def _chart0_bump_warp(center, rho, direction, amp_of_t):
         if a == 0.0:
             return p
         X, Y = SphereDomain.sphere_to_chart(0, p)
-        bad = ~np.isfinite(X) | ~np.isfinite(Y)
-        Xs = np.where(bad, 10.0 + cx + rho, X)
-        Ys = np.where(bad, 10.0 + cy + rho, Y)
-        d2 = ((Xs - cx) ** 2 + (Ys - cy) ** 2) / rho**2
-        amp = a * np.where(d2 < 1.0, (1.0 - np.minimum(d2, 1.0)) ** 3, 0.0)
-        Xn = Xs + amp * dx
-        Yn = Ys + amp * dy
-        moved = SphereDomain.chart_to_sphere(0, Xn, Yn)
-        return np.where((amp > 0)[..., None], moved, p)
+        amp = a * bump_weight(X, Y, center, rho)
+        on = amp > 0
+        moved = p.copy()
+        moved[on] = SphereDomain.chart_to_sphere(0, X[on] + amp[on] * dx,
+                                                 Y[on] + amp[on] * dy)
+        return moved
 
     return warp
 
@@ -296,9 +292,6 @@ def _prune_cover(intervals):
     only the extreme overlapper on each side."""
     items = [list(iv) for iv in intervals]
     alive = [True] * len(items)
-    order = sorted(range(len(items)),
-                   key=lambda k: (items[k][1], -items[k][0]), reverse=True)
-    del order
     k = 0
     while k < len(items):
         if not alive[k]:
@@ -432,7 +425,7 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
             eps1: float = 2.0, budget: dr.SamplerBudget = None,
             settings: dr.SolverSettings = None, mollify_radius: float = 0.03,
             mollify_threshold: float = 0.1, jobs: int = 1,
-            reference_varifold=None, harmonic_check_budget=None) -> tuple:
+            reference_varifold=None) -> tuple:
     """Iterate schedule selection and replacement until the width plateaus.
 
     Returns (tightened sweepout, TighteningReport).  Endpoint slices are
@@ -476,7 +469,7 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     for i in range(cur.n_slices):
         if final.per_slice_energy[i] >= 0.95 * final.w_energy:
             chk = almost_harmonic_check(cur.slices[i], eps0=eps1 / 2,
-                                        budget=harmonic_check_budget or budget,
+                                        budget=budget,
                                         settings=settings)
             report.harmonic_checks.append((i, chk))
     if reference_varifold is not None:

@@ -47,14 +47,8 @@ class VarifoldMeasure:
             np.concatenate([m.planes for m in measures]),
             np.concatenate([m.weights for m in measures]), n)
 
-    def flipped_planes(self) -> "VarifoldMeasure":
-        """Same measure; projectors are orientation-free already, so this is
-        the identity (kept as an explicit check of unorientedness)."""
-        return VarifoldMeasure(self.points.copy(), self.planes.copy(),
-                               self.weights.copy(), self.ambient_dim)
 
-
-def varifold_of_map(u: DiscreteMap, j_cut: float = J_CUT) -> VarifoldMeasure:
+def varifold_of_map(u: DiscreteMap) -> VarifoldMeasure:
     """One sample per node carrying positive Jacobian mass."""
     dom = u.domain
     pts, planes, wts = [], [], []
@@ -64,7 +58,7 @@ def varifold_of_map(u: DiscreteMap, j_cut: float = J_CUT) -> VarifoldMeasure:
         ux, uy = dm.chart_differential(u, c)
         jac = dm.jacobian_density(u, c)
         mass = jac * w
-        keep = (jac > j_cut) & (w > 0)
+        keep = (jac > J_CUT) & (w > 0)
         if not np.any(keep):
             continue
         a = ux[keep]

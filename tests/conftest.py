@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from widthlab import dmap as dm
-from widthlab.domains import SphereDomain
+from widthlab.domains import SphereDomain, bump_weight
 from widthlab.manifold import round_sphere
 
 
@@ -29,15 +29,10 @@ def identity_map(dom, s2):
 def chart0_bump_map(dom, s2, center=(0.1, -0.05), width=0.06, amp=0.25,
                     direction=(0.3, -0.2, 0.9), sync=True):
     """Identity plus a compactly supported chart-0 bump, projected back."""
-    cx, cy = center
     vec = np.asarray(direction, float)
 
     def fn(p):
-        x, y = SphereDomain.sphere_to_chart(0, p)
-        x = np.where(np.isfinite(x), x, 1e9)
-        y = np.where(np.isfinite(y), y, 1e9)
-        d2 = ((x - cx) ** 2 + (y - cy) ** 2) / width**2
-        w = np.where(d2 < 1, (1 - np.minimum(d2, 1)) ** 3, 0.0)
+        w = bump_weight(*SphereDomain.sphere_to_chart(0, p), center, width)
         return p + amp * w[..., None] * vec
 
     return dm.sphere_map(dom, s2, fn, sync=sync)

@@ -16,6 +16,7 @@ from widthlab import ricci as rc
 from widthlab import sweepout as sw
 from widthlab import varifold as vf
 from widthlab.domains import SphereDomain
+from widthlab.errors import WidthlabError
 from widthlab.manifold import round_sphere
 
 FOUR_PI = 4 * np.pi
@@ -87,11 +88,7 @@ def test_criterion_04_tightening_recovery(adom):
         pert = sw.standard_sweepout("perturbed-latitude-s3", s3, adom,
                                     n_slices=64, amp=0.3)
         w0 = sw.width_estimate(pert).w_energy
-        vals = []
-        for c in (0, 1):
-            p = adom.points[c]
-            vals.append(np.concatenate([p, np.zeros(p.shape[:2] + (1,))], -1))
-        ref = vf.varifold_of_map(dm.DiscreteMap(adom, s3, vals))
+        ref = vf.varifold_of_map(dm.equator_map(adom, s3))
         out, rep = sw.tighten(pert, max_iters=30, eps1=EPS1,
                               budget=dr.SamplerBudget(),
                               settings=dr.SolverSettings(small_energy=EPS1),
@@ -214,8 +211,9 @@ def test_criterion_12_collar_interpolation():
         th = np.arange(m) * 2 * np.pi / m
         worst_ratio = 0.0
         exact_bd = True
-        done = 0
-        while done < 40:
+        done = attempts = 0
+        while done < 40 and attempts < 200:
+            attempts += 1
             coef = rng.normal(size=(3, 3)) * np.array([[1.0], [0.25], [0.1]])
             loop = (np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], -1)
                     + coef[0] * 0.1)
@@ -231,7 +229,7 @@ def test_criterion_12_collar_interpolation():
             g = f @ rot.T
             try:
                 res = dm.collar_interpolate(f, g, 1.0, s2)
-            except Exception:
+            except WidthlabError:
                 continue
             done += 1
             exact_bd &= np.array_equal(res.values[0], f)

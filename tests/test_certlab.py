@@ -198,3 +198,33 @@ def test_report_json_stable():
     r1 = cl.wirtinger_suite(seed=9, instances=20).to_json()
     r2 = cl.wirtinger_suite(seed=9, instances=20).to_json()
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# suites that evaluate nothing fail
+
+@pytest.mark.parametrize("suite", [cl.wente_hardy_suite, cl.ode_comparison_suite,
+                                   cl.wirtinger_suite, cl.convexity_suite,
+                                   cl.harmonic_hardy_suite])
+def test_suite_with_no_instances_fails(suite):
+    rep = suite(seed=0, instances=0)
+    assert not rep.passed
+    assert rep.instances == 0
+
+
+def test_ode_suite_gives_up_when_every_draw_is_rejected(monkeypatch):
+    def reject(*args, **kwargs):
+        raise PreconditionFail("rejected")
+
+    monkeypatch.setattr(cl, "ode_comparison_check", reject)
+    rep = cl.ode_comparison_suite(seed=0, instances=3)
+    assert not rep.passed
+    assert rep.instances == 0
+    assert rep.skipped == 3 * cl.MAX_DRAWS_PER_INSTANCE
+
+
+def test_convexity_suite_counts_skips(monkeypatch):
+    monkeypatch.setattr(dm, "ball_fits_chart", lambda dom, b: False)
+    rep = cl.convexity_suite(seed=0, instances=3)
+    assert not rep.passed
+    assert rep.instances == 0 and rep.skipped == 3

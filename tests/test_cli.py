@@ -125,3 +125,28 @@ def test_varifold_csv_export(tmp_path):
     assert len(lines) == 1 + len(v.weights)
     row = np.array([float(x) for x in lines[1].split(",")])
     assert len(row) == 3 + 9 + 1
+
+
+def test_config_keys_read_and_documented():
+    """Every default is read somewhere in the package, and the docs table
+    lists exactly the defaults."""
+    import ast
+    import re
+    from pathlib import Path
+
+    import widthlab
+    from widthlab import config
+
+    pkg = Path(widthlab.__file__).parent
+    cfg_src = Path(config.__file__).read_text().splitlines()
+    literal = next(node for node in ast.parse("\n".join(cfg_src)).body
+                   if isinstance(node, ast.Assign)
+                   and getattr(node.targets[0], "id", None) == "DEFAULTS")
+    del cfg_src[literal.lineno - 1:literal.end_lineno]
+    readers = "\n".join(cfg_src) + "".join(
+        p.read_text() for p in sorted(pkg.glob("*.py")) if p.name != "config.py")
+    unread = [k for k in DEFAULTS if f'"{k}"' not in readers]
+    assert unread == []
+    docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    documented = re.findall(r"^\| `([a-z_]+\.[a-z_0-9]+)` \|", docs, re.M)
+    assert sorted(documented) == sorted(DEFAULTS)

@@ -4,7 +4,7 @@ import pytest
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab.dmap import Ball, BallFamily
-from widthlab.domains import DiskDomain
+from widthlab.domains import DiskDomain, bump_weight
 from widthlab.errors import BoundaryMismatch, EnergyTooLarge, OverlapViolation
 from widthlab.manifold import affine_subspace
 
@@ -156,8 +156,7 @@ def test_convexity_gap_randomized(dom, s2, bump_map):
     for trial in range(40):
         h = (0.01, 0.05)[trial % 2]
         pert = v.copy()
-        d2 = ((dom.X - 0.1) ** 2 + (dom.Y + 0.05) ** 2) / 0.07**2
-        shape = np.where(d2 < 1, (1 - np.minimum(d2, 1)) ** 3, 0.0)
+        shape = bump_weight(dom.X, dom.Y, (0.1, -0.05), 0.07)
         vec = rng.normal(size=3)
         pert.values[0] = s2.project(v.values[0] + h * shape[..., None] * vec)
         inside = dm.ball_mask(dom, BALL)

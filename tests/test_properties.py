@@ -1,0 +1,52 @@
+"""Property tests of the invariants tightening rests on, on a coarse domain."""
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import chart0_bump_map
+from widthlab import dirichlet as dr
+from widthlab import sweepout as sw
+from widthlab.dmap import Ball, BallFamily
+from widthlab.domains import SphereDomain
+from widthlab.errors import EnergyTooLarge
+from widthlab.manifold import round_sphere
+
+DOM = SphereDomain(n=33)
+S2 = round_sphere(2, 1.0)
+S3 = round_sphere(3, 1.0)
+PROPERTY = settings(max_examples=10, deadline=None)
+
+coord = st.floats(-0.4, 0.4)
+# every such ball fits its chart; most stay under the replacement energy gate
+chart_ball = st.builds(Ball, st.integers(0, 1), st.tuples(coord, coord),
+                       st.floats(0.12, 0.22))
+
+
+@PROPERTY
+@given(center=st.tuples(coord, coord), width=st.floats(0.1, 0.5),
+       amp=st.floats(0.0, 0.3), ball=chart_ball)
+def test_replacement_never_raises_solver_energy(center, width, amp, ball):
+    u = chart0_bump_map(DOM, S2, center=center, width=width, amp=amp)
+    try:
+        res = dr.harmonic_replace(u, ball, s=dr.SolverSettings())
+    except EnergyTooLarge:
+        assume(False)
+    assert res.energy_drop >= -1e-12
+    c = ball.chart
+    assert (dr.edge_energy(res.map.values[c])
+            <= dr.edge_energy(u.values[c]) + 1e-12)
+
+
+@PROPERTY
+@given(ball=chart_ball, ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       plateau=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_tighten_once_leaves_unscheduled_slices_alone(ball, ends, plateau):
+    s0, a, b, s1 = sorted(ends + plateau)
+    sched = sw.BallSchedule([BallFamily([ball])],
+                            [sw.Envelope(support=(s0, s1), plateau=(a, b))], [0.0])
+    swp = sw.standard_sweepout("perturbed-latitude-s3", S3, DOM, n_slices=8)
+    out, _, _ = sw.tighten_once(swp, sched)
+    for t, before, after in zip(swp.times, swp.slices, out.slices):
+        if sched.envelopes[0](t) == 0.0:
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(before.values, after.values))

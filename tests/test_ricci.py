@@ -43,18 +43,12 @@ def test_round_rate_sharpness():
 
 def test_area_rate_via_pairing(dom):
     flow = rc.ModelFlow.round_s3(1.0)
-    tgt = round_sphere(3, 1.0)
-    vals = []
-    for c in (0, 1):
-        p = dom.points[c]
-        vals.append(np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=-1))
-    eq = dm.DiscreteMap(dom, tgt, vals)
+    eq = dm.equator_map(dom, round_sphere(3, 1.0))
     rate = rc.area_rate(eq, flow, 0.0)
     assert abs(rate - (-16 * np.pi)) <= 0.01 * 16 * np.pi
     # scaling: the rate is radius-independent
     flow2 = rc.ModelFlow.round_s3(2.0)
-    tgt2 = round_sphere(3, 2.0)
-    eq2 = dm.DiscreteMap(dom, tgt2, [2.0 * v for v in vals])
+    eq2 = dm.equator_map(dom, round_sphere(3, 2.0))
     rate2 = rc.area_rate(eq2, flow2, 0.0)
     assert abs(rate2 - (-16 * np.pi)) <= 0.01 * 16 * np.pi
 
@@ -68,12 +62,7 @@ def test_area_rate_dimension_gate(identity_map):
 def test_flat_curvature_rate_zero(dom):
     # zero quadratic form pairs to zero: flat metric rate is the Gauss floor
     from widthlab import varifold as vf
-    tgt = round_sphere(3, 1.0)
-    vals = []
-    for c in (0, 1):
-        p = dom.points[c]
-        vals.append(np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=-1))
-    eq = dm.DiscreteMap(dom, tgt, vals)
+    eq = dm.equator_map(dom, round_sphere(3, 1.0))
     z = lambda pts: np.zeros(pts.shape[:-1] + (4, 4))
     assert vf.quadratic_form_pairing(eq, z) == 0.0
 

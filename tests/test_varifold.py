@@ -13,14 +13,6 @@ def fam2(s2):
     return vf.TestFunctionFamily.for_manifold(s2)
 
 
-def _equator_in_s3(dom, s3):
-    vals = []
-    for c in (0, 1):
-        p = dom.points[c]
-        vals.append(np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=-1))
-    return dm.DiscreteMap(dom, s3, vals)
-
-
 # ---------------------------------------------------------------------------
 # measures
 
@@ -45,7 +37,7 @@ def test_identity_measure_weight_and_planes(dom, s2, identity_map):
 
 
 def test_equator_measure_normals(dom, s3):
-    eq = _equator_in_s3(dom, s3)
+    eq = dm.equator_map(dom, s3)
     v = vf.varifold_of_map(eq)
     assert abs(v.total_weight() - FOUR_PI) <= 0.005 * FOUR_PI
     # within the 3-sphere tangent space, the normal to every plane is e4
@@ -93,12 +85,15 @@ def test_distance_triangle_inequality(s2, fam2):
 
 
 def test_distance_unoriented(dom, s2, identity_map, fam2):
-    v = vf.varifold_of_map(identity_map)
-    assert vf.varifold_distance(v, v.flipped_planes(), fam2) == 0.0
+    # the reflection y -> -y reverses orientation but not the image planes
+    flip = dm.sphere_map(dom, s2, lambda p: p @ np.diag([1.0, -1.0, 1.0]))
+    d = vf.varifold_distance(vf.varifold_of_map(identity_map),
+                             vf.varifold_of_map(flip), fam2)
+    assert d <= 1e-12
 
 
 def test_distance_dimension_mismatch(dom, s2, s3, identity_map, fam2):
-    eq = _equator_in_s3(dom, s3)
+    eq = dm.equator_map(dom, s3)
     with pytest.raises(DimensionMismatch):
         vf.varifold_distance(vf.varifold_of_map(identity_map),
                              vf.varifold_of_map(eq), fam2)
@@ -116,13 +111,13 @@ def test_family_deterministic(s2):
 # quadratic-form pairing
 
 def test_pairing_zero_form(dom, s3):
-    eq = _equator_in_s3(dom, s3)
+    eq = dm.equator_map(dom, s3)
     z = lambda pts: np.zeros(pts.shape[:-1] + (4, 4))
     assert vf.quadratic_form_pairing(eq, z) == 0.0
 
 
 def test_pairing_metric_and_ricci(dom, s3):
-    eq = _equator_in_s3(dom, s3)
+    eq = dm.equator_map(dom, s3)
     metric = lambda pts: np.broadcast_to(np.eye(4), pts.shape[:-1] + (4, 4)) \
         - pts[..., :, None] * pts[..., None, :]
     got = vf.quadratic_form_pairing(eq, metric)
