@@ -119,8 +119,6 @@ def cmd_width(args, cfg):
             eps1=cfg["dirichlet.small_energy"],
             budget=cfg.sampler_budget(),
             settings=cfg.solver_settings(),
-            mollify_radius=cfg["sweepout.mollify_radius"],
-            mollify_threshold=cfg["sweepout.mollify_threshold"],
             jobs=int(cfg["run.jobs"]),
             reference_varifold=ref)
     finally:

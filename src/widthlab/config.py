@@ -33,8 +33,6 @@ DEFAULTS = {
     "sweepout.n_slices": 64,
     "sweepout.max_iters": 30,
     "sweepout.plateau_tol": 1e-4,
-    "sweepout.mollify_radius": 0.03,
-    "sweepout.mollify_threshold": 0.1,
     "sweepout.amp": 0.3,
     "varifold.n_terms": 64,
     "certlab.eps2": 0.25,

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dmap as dm
-from .dmap import Ball, BallFamily, DiscreteMap, ball_mask
+from .dmap import Ball, BallFamily, DiscreteMap, ball_box
 from .domains import CylinderDomain, DiskDomain, SphereDomain
-from .errors import (BoundaryMismatch, EnergyTooLarge, NoConvergence)
+from .errors import BoundaryMismatch, EnergyTooLarge
 
 _SOLVE_LOG = {"fh": None, "lock": threading.Lock()}
 
@@ -55,7 +55,6 @@ class SolverSettings:
     residual_tol: float = 1e-8      # relative energy change per sweep
     max_sweeps: int = 10_000
     small_energy: float = 2.0       # admissible region energy (curved targets)
-    strict: bool = False            # raise NoConvergence instead of flagging
     overrelax: float = 1.0          # >1: SOR; same fixed point, no per-sweep
                                     # monotonicity, so replacement paths keep 1.0
     residual_stop: float = 0.0      # >0: also stop once the tangential
@@ -157,8 +156,6 @@ def relax(values, interior, target, settings: SolverSettings,
                 converged = True
         e_prev = e_now
     res = _tangential_residual(v, interior, target, wx, wy)
-    if not converged and settings.strict:
-        raise NoConvergence(sweeps, res)
     return SolveInfo(sweeps, converged, res, e_prev, e0 - e_prev)
 
 
@@ -194,22 +191,10 @@ def _interior_mask_disk(dom: DiskDomain):
     return m
 
 
-def _ball_box(dom, b: Ball):
-    cx, cy = b.center
-    r = b.radius
-    x0 = dom.axis[0]
-    i0 = max(int(np.floor((cx - r - x0) / dom.h)) - 1, 0)
-    i1 = min(int(np.ceil((cx + r - x0) / dom.h)) + 2, len(dom.axis))
-    j0 = max(int(np.floor((cy - r - x0) / dom.h)) - 1, 0)
-    j1 = min(int(np.ceil((cy + r - x0) / dom.h)) + 2, len(dom.axis))
-    return i0, i1, j0, j1
-
-
 def _ball_block(dom, b: Ball):
-    """The ball's bounding box (i0, i1, j0, j1) and its interior mask on that
-    box, with the box edges cleared so no interior node sits on them."""
-    i0, i1, j0, j1 = box = _ball_box(dom, b)
-    sub = ball_mask(dom, b)[i0:i1, j0:j1].copy()
+    """The ball's box and its interior mask on that box, with the box edges
+    cleared so no interior node sits on them."""
+    box, sub = ball_box(dom, b)
     sub[0, :] = sub[-1, :] = False
     sub[:, 0] = sub[:, -1] = False
     return box, sub
@@ -232,8 +217,7 @@ def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None,
     """Energy-minimizing map with the region's boundary values.
 
     Returns a new DiscreteMap; per the non-convergence policy the best
-    iterate is returned with a flag on the info object unless the settings
-    are strict.
+    iterate is returned with a flag on the info object.
     """
     s = s or SolverSettings()
     u = p.map.copy()
@@ -278,8 +262,8 @@ def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None,
 
 def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):
     """Solve one chart ball in place on u, then refresh the other chart."""
-    (i0, i1, j0, j1), sub = _ball_block(u.domain, b)
-    block = u.values[b.chart][i0:i1, j0:j1]
+    box, sub = _ball_block(u.domain, b)
+    block = u.values[b.chart][box]
     if init == "linear":
         _linear_init(block, sub, s, u.target)
     info = relax(block, sub, u.target, s)
@@ -289,14 +273,20 @@ def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):
 
 
 def _sync_cap(u: DiscreteMap, b: Ball):
+    """Refresh the other chart inside the ball's cap, and where the ball's
+    chart owns a node whose interpolation stencil reaches the ball's box."""
     dom = u.domain
     if not isinstance(dom, SphereDomain):
         return
     axis, theta = b.cap(dom)
-    other = 1 - b.chart
-    inside = np.tensordot(dom.points[other], axis, axes=(-1, -1)) >= np.cos(theta)
-    if np.any(inside):
-        dm.sync_overlap(u, chart=b.chart, mask=inside)
+    pts = dom.points[1 - b.chart]
+    reach = dom.owner_chart(pts) == b.chart
+    for coord, s in zip(dom.sphere_to_chart(b.chart, pts), ball_box(dom, b)[0]):
+        # catmullrom reads rows floor(f) - 1 .. floor(f) + 2
+        f = (coord - dom.axis[0]) / dom.h
+        reach &= (f >= s.start - 2) & (f < s.stop + 1)
+    refresh = reach | (np.tensordot(pts, axis, axes=(-1, -1)) >= np.cos(theta))
+    dm.sync_overlap(u, chart=b.chart, mask=refresh)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +295,7 @@ def _sync_cap(u: DiscreteMap, b: Ball):
 def harmonic_replace(u: DiscreteMap, fam, rho: float = 1.0,
                      s: SolverSettings = None) -> ReplacementResult:
     """Replace u inside rho * fam by the energy minimizer with u's boundary
-    values; the map is untouched outside."""
+    values; outside, only other-chart nodes interpolating the balls change."""
     s = s or SolverSettings()
     fam = BallFamily(fam if isinstance(fam, (list, BallFamily)) else [fam])
     fam.validate(u.domain)
@@ -348,9 +338,8 @@ def _region_entries(u: DiscreteMap, v: DiscreteMap, region):
     fam = region if isinstance(region, (list, BallFamily)) else [region]
     entries = []
     for b in fam:
-        (i0, i1, j0, j1), sub = _ball_block(dom, b)
-        entries.append((u.values[b.chart][i0:i1, j0:j1],
-                        v.values[b.chart][i0:i1, j0:j1], sub))
+        box, sub = _ball_block(dom, b)
+        entries.append((u.values[b.chart][box], v.values[b.chart][box], sub))
     return entries
 
 
@@ -426,9 +415,10 @@ def replacement_gap_report(u: DiscreteMap, f1: BallFamily, f2: BallFamily,
 # Schwarz alternating method
 
 def _union_mask(dom, cover):
-    union = np.zeros((len(dom.axis), len(dom.axis)), bool)
+    union = np.zeros(dom.X.shape, bool)
     for b in cover:
-        union |= ball_mask(dom, b)
+        box, mask = ball_box(dom, b)
+        union[box] |= mask
     union[0, :] = union[-1, :] = False
     union[:, 0] = union[:, -1] = False
     return union
@@ -454,9 +444,6 @@ def schwarz_alternating(u: DiscreteMap, cover, s: SolverSettings = None,
         history.append(res)
         if res <= stop:
             break
-    converged = bool(history) and history[-1] <= stop
-    if not converged and s.strict:
-        raise NoConvergence(len(history), history[-1] if history else np.inf)
     if return_history:
         return out, history
     return out
@@ -513,8 +500,9 @@ def candidate_balls(u: DiscreteMap, budget: SamplerBudget):
                     continue
                 if not dm.ball_in_pure_region(dom, b):
                     continue
-                m = ball_mask(dom, b)
-                cands.append((float(np.sum(excess[m])), float(np.sum(dens[m])), b))
+                box, m = ball_box(dom, b)
+                cands.append((float(np.sum(excess[box][m])),
+                               float(np.sum(dens[box][m])), b))
     cands.sort(key=lambda t: (-t[0], t[2].chart, t[2].center, -t[2].radius))
     return cands
 
@@ -547,20 +535,18 @@ def propose_families(u: DiscreteMap, eps: float, budget: SamplerBudget):
 def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
                        s: SolverSettings = None, full: bool = False):
     """Largest measured energy drop from replacement on half-scaled sampled
-    families whose contained energy is at most eps."""
+    families with contained energy at most eps; `full` adds the family."""
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
     best = 0.0
     best_fam = None
-    evaluated = []
     for e_f, fam in propose_families(u, eps, budget):
         try:
             r = harmonic_replace(u, fam, rho=0.5, s=s)
         except EnergyTooLarge:
             continue
-        evaluated.append((float(r.energy_drop), fam))
         if r.energy_drop > best:
             best, best_fam = float(r.energy_drop), fam
     if full:
-        return best, best_fam, evaluated
+        return best, best_fam
     return best

@@ -9,6 +9,7 @@ of unity that splits the sphere between the two charts.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,11 +165,21 @@ def energy(u: DiscreteMap, region=None) -> float:
 
 def _region_energy(u: DiscreteMap, fam) -> float:
     dom = u.domain
+    n = len(dom.axis)
     total = 0.0
     for b in fam:
-        ux, uy = chart_differential(u, b.chart)
+        box, mask = ball_box(dom, b)
+        if not mask.any():
+            continue
+        # differentiate two nodes past the box, so every ball node gets the
+        # stencil it gets on the whole chart
+        wide = tuple(slice(max(s.start - 2, 0), min(s.stop + 2, n)) for s in box)
+        v = u.values[b.chart][wide]
+        ux, uy = d_axis(v, dom.h, 0), d_axis(v, dom.h, 1)
         dens = 0.5 * (np.sum(ux * ux, -1) + np.sum(uy * uy, -1))
-        total += float(np.sum(dens[ball_mask(dom, b)])) * dom.h**2
+        inner = tuple(slice(s.start - w.start, s.stop - w.start)
+                      for s, w in zip(box, wide))
+        total += float(np.sum(dens[inner][mask])) * dom.h**2
     return total
 
 
@@ -271,10 +282,22 @@ class BallFamily(list):
         return BallFamily(b.scaled(rho) for b in self)
 
 
-def ball_mask(dom, b: Ball, rho: float = 1.0):
-    cx, cy = b.center
-    r = b.radius * rho
-    return (dom.X - cx) ** 2 + (dom.Y - cy) ** 2 <= r * r
+def ball_box(dom, b: Ball):
+    """The ball's grid footprint: a box (a pair of index slices) reaching one
+    node past the ball, clipped to the grid, and the ball's nodes on it."""
+    (cx, cy), r, x0, n = b.center, b.radius, dom.axis[0], len(dom.axis)
+    box = tuple(slice(max(math.floor((c - r - x0) / dom.h) - 1, 0),
+                      min(max(math.ceil((c + r - x0) / dom.h) + 2, 0), n))
+                for c in (cx, cy))
+    return box, (dom.X[box] - cx) ** 2 + (dom.Y[box] - cy) ** 2 <= r * r
+
+
+def ball_mask(dom, b: Ball):
+    """The ball's nodes on the whole grid."""
+    box, mask = ball_box(dom, b)
+    full = np.zeros(dom.X.shape, bool)
+    full[box] = mask
+    return full
 
 
 def ball_fits_chart(dom: SphereDomain, b: Ball, margin_cells: int = 3) -> bool:
@@ -356,9 +379,6 @@ class ConformalDilation:
 
     def apply(self, pts):
         return self.mob.apply(pts)
-
-    def inverse_apply(self, pts):
-        return self.mob.inverse().apply(pts)
 
 
 def conformal_dilation(dom: SphereDomain, b: Ball) -> ConformalDilation:

@@ -41,13 +41,6 @@ class EnergyTooLarge(WidthlabError):
     """Region energy exceeds the small-energy threshold of the solver."""
 
 
-class NoConvergence(WidthlabError):
-    def __init__(self, sweeps, residual):
-        super().__init__(f"no convergence after {sweeps} sweeps (residual {residual:.3e})")
-        self.sweeps = sweeps
-        self.residual = residual
-
-
 class ScheduleEmpty(WidthlabError):
     """No improving ball family was found on the high-energy slices."""
 

@@ -50,10 +50,19 @@ def read_map(fh) -> dm.DiscreteMap:
         raise ValueError("not a map record")
     dom = _domain_from_descriptor(header["domain"])
     target = mf.from_descriptor(header["target"])
+    grid = (dom.n_t, dom.n_theta) if isinstance(dom, CylinderDomain) else (dom.n, dom.n)
+    want = [grid + (target.ambient_dim,)] * (2 if isinstance(dom, SphereDomain) else 1)
+    blocks = [tuple(shape) for shape in header["blocks"]]
+    if blocks != want:
+        raise ValueError(f"map blocks {blocks} do not fit the domain and target, "
+                         f"expected {want}")
     vals = []
-    for shape in header["blocks"]:
+    for k, shape in enumerate(blocks):
         count = int(np.prod(shape))
         buf = fh.read(count * 8)
+        if len(buf) != count * 8:
+            raise ValueError(f"map block {k} is truncated: {len(buf)} of "
+                             f"{count * 8} bytes")
         vals.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
     return dm.DiscreteMap(dom, target, vals)
 

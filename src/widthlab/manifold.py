@@ -44,10 +44,6 @@ class EmbeddedManifold:
         raise NotImplementedError
 
     # -- shared helpers ------------------------------------------------
-    def contains(self, x, tol=None):
-        tol = self.on_tol if tol is None else tol
-        return np.asarray(self.distance(x)) <= tol
-
     def normal_part(self, x, y):
         """Component of (x - y) normal to the tangent space at x; x, y on M."""
         x = np.asarray(x, float)

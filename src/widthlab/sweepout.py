@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dirichlet as dr
 from . import dmap as dm
-from .dmap import BallFamily, DiscreteMap
+from .dmap import DiscreteMap
 from .domains import SphereDomain, bump_weight
 from .errors import EnergyTooLarge, KindUnknown, ScheduleEmpty
 from .manifold import round_sphere
@@ -74,9 +74,6 @@ class BallSchedule:
     families: list           # BallFamily per stage
     envelopes: list          # Envelope per stage
     improvements: list       # measured half-family drop at the seed slice
-
-    def radii_at(self, t):
-        return [env(t) for env in self.envelopes]
 
 
 @dataclass
@@ -247,8 +244,8 @@ def select_ball_schedule(s: Sweepout, eps1: float = 2.0,
     for i in high:
         if covered[i]:
             continue
-        drop, fam, _ = dr.energy_improvement(s.slices[i], eps1 / 4.0, budget,
-                                             settings, full=True)
+        drop, fam = dr.energy_improvement(s.slices[i], eps1 / 4.0, budget,
+                                          settings, full=True)
         if fam is None or drop <= tol:
             continue  # harmonic at tolerance: exempt
         a = b = i
@@ -383,6 +380,11 @@ def _build_envelopes(kept, s, eps1, ts, T):
 # ---------------------------------------------------------------------------
 # tightening
 
+# slices rougher than the threshold are mollified at this radius
+_MOLLIFY_RADIUS = 0.03
+_MOLLIFY_THRESHOLD = 0.1
+
+
 def tighten_once(s: Sweepout, sched: BallSchedule,
                  settings: dr.SolverSettings = None, jobs: int = 1):
     """Apply the schedule's replacement stages in order; per-slice energy is
@@ -423,8 +425,7 @@ def tighten_once(s: Sweepout, sched: BallSchedule,
 
 def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
             eps1: float = 2.0, budget: dr.SamplerBudget = None,
-            settings: dr.SolverSettings = None, mollify_radius: float = 0.03,
-            mollify_threshold: float = 0.1, jobs: int = 1,
+            settings: dr.SolverSettings = None, jobs: int = 1,
             reference_varifold=None) -> tuple:
     """Iterate schedule selection and replacement until the width plateaus.
 
@@ -441,8 +442,8 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     for it in range(1, max_iters + 1):
         mollified = 0
         for i in range(1, cur.n_slices - 1):
-            if _roughness(cur.slices[i]) > mollify_threshold:
-                cur.slices[i] = dm.mollify(cur.slices[i], mollify_radius)
+            if _roughness(cur.slices[i]) > _MOLLIFY_THRESHOLD:
+                cur.slices[i] = dm.mollify(cur.slices[i], _MOLLIFY_RADIUS)
                 mollified += 1
         try:
             sched = select_ball_schedule(cur, eps1, budget, settings)
@@ -530,10 +531,8 @@ def almost_harmonic_check(u: DiscreteMap, eps0: float = 0.25,
             continue
         gap = 0.0
         for b in fam.scaled(0.125):
-            i0, i1, j0, j1 = dr._ball_box(dom, b)
-            sub = dm.ball_mask(dom, b)[i0:i1, j0:j1]
-            diff = (u.values[b.chart][i0:i1, j0:j1]
-                    - res.map.values[b.chart][i0:i1, j0:j1])
+            box, sub = dm.ball_box(dom, b)
+            diff = u.values[b.chart][box] - res.map.values[b.chart][box]
             gap += dr.masked_grad_square(diff, sub)
         pairs.append((float(res.energy_drop), float(gap)))
         if gap > worst:

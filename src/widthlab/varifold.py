@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import dmap as dm
-from .dmap import Ball, DiscreteMap, Mobius, ball_mask
+from .dmap import Ball, DiscreteMap, Mobius, ball_box
 from .domains import SphereDomain
 from .errors import DimensionMismatch, NotConcentrated
 from .manifold import round_sphere
@@ -233,7 +233,8 @@ def _chart_energy_density(u: DiscreteMap, chart: int):
 
 
 def _disk_energy(dens, dom, center, radius):
-    return float(np.sum(dens[ball_mask(dom, Ball(0, center, radius))]))
+    box, mask = ball_box(dom, Ball(0, center, radius))
+    return float(np.sum(dens[box][mask]))
 
 
 def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float,

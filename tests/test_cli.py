@@ -98,18 +98,21 @@ def test_width_cli_light(tmp_path):
     cfgfile = tmp_path / "light.cfg"
     cfgfile.write_text("dmap.n = 65\nsweepout.n_slices = 8\n"
                        "sweepout.max_iters = 1\nrun.jobs = 2\n")
-    out = tmp_path / "w"
-    code = run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
-                "--out", str(out)])
-    assert code == 0
+    out, again = tmp_path / "w", tmp_path / "w2"
+    for o in (out, again):
+        code = run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
+                    "--out", str(o)])
+        assert code == 0
     summary = json.loads((out / "width-summary.json").read_text())
     assert abs(summary["final_over_4pi"] - 1.0) <= 0.005
-    assert (out / "width-iterations.csv").exists()
     assert (out / "solves.csv").read_text().startswith("sweeps,")
-    assert (out / "tightened.sweepout").exists()
     from widthlab import io as wio
     back = wio.load_sweepout(out / "tightened.sweepout")
     assert back.n_slices == 9
+    # the same (config, seed) gives the same bytes
+    for name in ("width-iterations.csv", "width-summary.json", "manifest.json",
+                 "solves.csv", "tightened.sweepout"):
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_varifold_csv_export(tmp_path):

@@ -1,10 +1,13 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
 from conftest import chart0_bump_map
 from widthlab import dmap as dm
 from widthlab import io as wio
-from widthlab.domains import SphereDomain, DiskDomain
+from widthlab.domains import CylinderDomain, DiskDomain, SphereDomain
 from widthlab.errors import (DomainMismatch, NoCommonPoint, TraceTooFar,
                              TubeEscape)
 from widthlab.manifold import affine_subspace
@@ -327,6 +330,35 @@ def test_map_serialization_roundtrip(identity_map, tmp_path, bump_map):
         assert v.target.descriptor() == u.target.descriptor()
         for a, b in zip(u.values, v.values):
             assert np.array_equal(a, b)
+
+
+def _record(u, blocks, data):
+    header = {"format": wio.MAP_FORMAT, "domain": u.domain.descriptor(),
+              "target": u.target.descriptor(), "blocks": blocks}
+    return io.BytesIO((json.dumps(header) + "\n").encode() + data)
+
+
+@pytest.mark.parametrize("case", ["one-block sphere", "block shape",
+                                  "cylinder block shape", "truncated"])
+def test_read_map_rejects_records_that_do_not_fit(s2, case):
+    u = dm.identity_sphere_map(SphereDomain(n=9), s2)
+    if case == "one-block sphere":
+        rec = _record(u, [[9, 9, 3]], u.values[0].tobytes())
+        match = r"blocks \[\(9, 9, 3\)\] do not fit"
+    elif case == "block shape":
+        rec = _record(u, [[3, 3, 3]] * 2, bytes(2 * 27 * 8))
+        match = r"\(3, 3, 3\)\] do not fit .* expected \[\(9, 9, 3\), \(9, 9, 3\)\]"
+    elif case == "cylinder block shape":
+        cyl = dm.DiscreteMap(CylinderDomain(0.0, 1.0, 5, 8), s2, [np.zeros((5, 8, 3))])
+        rec = _record(cyl, [[8, 5, 3]], bytes(8 * 5 * 3 * 8))
+        match = r"expected \[\(5, 8, 3\)\]"
+    else:
+        buf = io.BytesIO()
+        wio.write_map(buf, u)
+        rec = io.BytesIO(buf.getvalue()[:-8])
+        match = "block 1 is truncated"
+    with pytest.raises(ValueError, match=match):
+        wio.read_map(rec)
 
 
 def test_energy_density_csv(identity_map, tmp_path):

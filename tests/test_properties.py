@@ -1,10 +1,11 @@
 """Property tests of the invariants tightening rests on, on a coarse domain."""
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chart0_bump_map
 from widthlab import dirichlet as dr
+from widthlab import dmap as dm
 from widthlab import sweepout as sw
 from widthlab.dmap import Ball, BallFamily
 from widthlab.domains import SphereDomain
@@ -50,3 +51,26 @@ def test_tighten_once_leaves_unscheduled_slices_alone(ball, ends, plateau):
         if sched.envelopes[0](t) == 0.0:
             assert all(np.array_equal(x, y)
                        for x, y in zip(before.values, after.values))
+
+
+@settings(max_examples=50, deadline=None)
+@given(center=st.tuples(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6)),
+       radius=st.floats(0.0, 0.8), chart=st.integers(0, 1))
+def test_ball_mask_is_the_direct_grid_test(center, radius, chart):
+    # centres reach past the chart edge at 1.25, so balls get clipped
+    cx, cy = center
+    direct = (DOM.X - cx) ** 2 + (DOM.Y - cy) ** 2 <= radius * radius
+    assert np.array_equal(dm.ball_mask(DOM, Ball(chart, center, radius)), direct)
+
+
+@settings(max_examples=25, deadline=None)
+@given(center=st.tuples(coord, coord), width=st.floats(0.1, 0.5),
+       amp=st.floats(0.0, 0.3), ball=chart_ball)
+@example(center=(0.0, 0.0), width=0.5, amp=0.0, ball=Ball(0, (0.25, 0.375), 0.1875))
+def test_replacement_keeps_owner_charts_authoritative(center, width, amp, ball):
+    u = chart0_bump_map(DOM, S2, center=center, width=width, amp=amp)
+    try:
+        res = dr.harmonic_replace(u, ball, s=dr.SolverSettings())
+    except EnergyTooLarge:
+        assume(False)
+    assert dm.overlap_disagreement(res.map) <= dm.overlap_disagreement(u)
