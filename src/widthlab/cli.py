@@ -119,15 +119,15 @@ def cmd_width(args, cfg):
             eps1=cfg["dirichlet.small_energy"],
             budget=cfg.sampler_budget(),
             settings=cfg.solver_settings(),
-            jobs=int(cfg["run.jobs"]),
             reference_varifold=ref)
     finally:
         dirich.set_solve_log(None)
         log_fh.close()
-    rows = [(r.iteration, r.w_energy, r.w_area, r.argmax_t, r.total_drop)
-            for r in report.rows]
+    rows = [(r.iteration, r.w_energy, r.w_area, r.argmax_t, r.total_drop,
+             r.max_improvement, r.stages, r.flagged) for r in report.rows]
     io.table_csv(os.path.join(out, "width-iterations.csv"),
-                 ["iter", "w_energy", "w_area", "argmax_t", "total_drop"], rows)
+                 ["iter", "w_energy", "w_area", "argmax_t", "total_drop",
+                  "max_improvement", "stages", "flagged"], rows)
     final = report.final_width
     flagged = sum(r.flagged for r in report.rows)
     summary = {
@@ -342,7 +342,6 @@ def make_parser():
     common.add_argument("--config", help="key-value config file")
     common.add_argument("--seed", type=int, help="override run.seed")
     common.add_argument("--out", help="override run.out_dir")
-    common.add_argument("--jobs", type=int, help="worker budget (advisory)")
     p = argparse.ArgumentParser(prog="widthlab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -388,8 +387,6 @@ def main(argv=None) -> int:
         overrides["run.seed"] = args.seed
     if args.out is not None:
         overrides["run.out_dir"] = args.out
-    if args.jobs is not None:
-        overrides["run.jobs"] = args.jobs
     try:
         cfg = load_config(args.config, overrides)
     except (ConfigError, OSError) as e:

@@ -42,7 +42,6 @@ DEFAULTS = {
     "ricci.c": 1.0,
     "run.seed": 0,
     "run.out_dir": "out",
-    "run.jobs": 1,
 }
 
 

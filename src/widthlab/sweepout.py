@@ -85,7 +85,7 @@ class IterationRow:
     total_drop: float
     max_improvement: float
     stages: int
-    mollified: int
+    mollified: int  # always 0; kept while perfbench/workloads.py still reads it
     flagged: int
 
 
@@ -380,11 +380,6 @@ def _build_envelopes(kept, s, eps1, ts, T):
 # ---------------------------------------------------------------------------
 # tightening
 
-# slices rougher than the threshold are mollified at this radius
-_MOLLIFY_RADIUS = 0.03
-_MOLLIFY_THRESHOLD = 0.1
-
-
 def tighten_once(s: Sweepout, sched: BallSchedule,
                  settings: dr.SolverSettings = None, jobs: int = 1):
     """Apply the schedule's replacement stages in order; per-slice energy is
@@ -429,9 +424,10 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
             reference_varifold=None) -> tuple:
     """Iterate schedule selection and replacement until the width plateaus.
 
-    Returns (tightened sweepout, TighteningReport).  Endpoint slices are
-    never touched.  Slices are smoothed only when their second differences
-    are rough at grid scale, so a converged sweepout is left alone.
+    Each iteration selects a ball schedule, applies it with `tighten_once`
+    and measures the width; nothing else changes a slice.  Returns
+    (tightened sweepout, TighteningReport).  Endpoint slices are never
+    touched.
     """
     budget = budget or dr.SamplerBudget()
     settings = settings or dr.SolverSettings(small_energy=eps1)
@@ -440,11 +436,6 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     w_prev = None
     stall = 0
     for it in range(1, max_iters + 1):
-        mollified = 0
-        for i in range(1, cur.n_slices - 1):
-            if _roughness(cur.slices[i]) > _MOLLIFY_THRESHOLD:
-                cur.slices[i] = dm.mollify(cur.slices[i], _MOLLIFY_RADIUS)
-                mollified += 1
         try:
             sched = select_ball_schedule(cur, eps1, budget, settings)
         except ScheduleEmpty:
@@ -456,7 +447,7 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
             iteration=it, w_energy=west.w_energy, w_area=west.w_area,
             argmax_t=west.argmax_t, total_drop=float(drop),
             max_improvement=float(max(sched.improvements)),
-            stages=len(sched.families), mollified=mollified, flagged=flagged))
+            stages=len(sched.families), mollified=0, flagged=flagged))
         if w_prev is not None and abs(w_prev - west.w_energy) < plateau_tol * west.w_energy:
             stall += 1
             if stall >= 3:
@@ -482,21 +473,6 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     if not report.stopped:
         report.stopped = "max-iters"
     return cur, report
-
-
-def _roughness(u: DiscreteMap) -> float:
-    """Largest second-difference norm relative to the local gradient scale."""
-    worst = 0.0
-    dom = u.domain
-    for c in (0, 1):
-        v = u.values[c]
-        lap = (v[2:, 1:-1] + v[:-2, 1:-1] + v[1:-1, 2:] + v[1:-1, :-2]
-               - 4.0 * v[1:-1, 1:-1])
-        mag = np.linalg.norm(lap, axis=-1)
-        act = dom.flat_weights[c][1:-1, 1:-1] > 0
-        if np.any(act):
-            worst = max(worst, float(np.max(mag[act])))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_plots_missing_input(tmp_path):
 def test_width_cli_light(tmp_path):
     cfgfile = tmp_path / "light.cfg"
     cfgfile.write_text("dmap.n = 65\nsweepout.n_slices = 8\n"
-                       "sweepout.max_iters = 1\nrun.jobs = 2\n")
+                       "sweepout.max_iters = 1\n")
     out, again = tmp_path / "w", tmp_path / "w2"
     for o in (out, again):
         code = run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
@@ -106,6 +106,8 @@ def test_width_cli_light(tmp_path):
     summary = json.loads((out / "width-summary.json").read_text())
     assert abs(summary["final_over_4pi"] - 1.0) <= 0.005
     assert (out / "solves.csv").read_text().startswith("sweeps,")
+    assert (out / "width-iterations.csv").read_text().splitlines()[0] == (
+        "iter,w_energy,w_area,argmax_t,total_drop,max_improvement,stages,flagged")
     from widthlab import io as wio
     back = wio.load_sweepout(out / "tightened.sweepout")
     assert back.n_slices == 9

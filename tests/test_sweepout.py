@@ -4,6 +4,7 @@ import pytest
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import sweepout as sw
+from widthlab.domains import SphereDomain
 from widthlab.errors import KindUnknown, ScheduleEmpty
 
 FOUR_PI = 4 * np.pi
@@ -162,6 +163,30 @@ def test_tighten_loop_reduces_width(dom, s3):
                                   pert.slices[idx].values[c])
     # the degree proxy is invariant under tightening
     assert abs(sw.numerical_degree(out) - deg0) <= 0.01
+
+
+def test_tighten_changes_slices_only_by_replacement(monkeypatch, s3):
+    """Each iteration hands tighten_once exactly what the previous one
+    returned, so slices no replacement touches stay bit-identical across the
+    whole loop."""
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                               n_slices=8, amp=0.3)
+    expected = [swp.copy()]
+    handed_over_intact = []
+    tighten_once = sw.tighten_once
+
+    def spy(cur, *args, **kwargs):
+        handed_over_intact.append(all(
+            np.array_equal(x, y)
+            for a, b in zip(cur.slices, expected[-1].slices)
+            for x, y in zip(a.values, b.values)))
+        res = tighten_once(cur, *args, **kwargs)
+        expected.append(res[0].copy())
+        return res
+
+    monkeypatch.setattr(sw, "tighten_once", spy)
+    sw.tighten(swp, max_iters=3, eps1=2.0, budget=BUDGET, settings=SETTINGS)
+    assert handed_over_intact == [True, True, True]
 
 
 def test_tighten_once_parallel_matches_serial(dom, s3):
