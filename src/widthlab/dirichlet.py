@@ -19,6 +19,7 @@ classical scalar test problems exceed the curved-target threshold).
 """
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -112,11 +113,27 @@ def masked_grad_square(block, interior, wx=1.0, wy=1.0, periodic_y=False):
     return float(total)
 
 
-def _neighbor_sums(v, wx, wy):
-    # np.roll wraps; wrapped values are only read at periodic seams or at
-    # array edges, which are never interior nodes for non-periodic blocks
-    return (wx * (np.roll(v, 1, 0) + np.roll(v, -1, 0))
-            + wy * (np.roll(v, 1, 1) + np.roll(v, -1, 1)))
+def _interior_nodes(interior, periodic_y):
+    """Row and column indices of the interior nodes; none may sit on rows 0
+    and -1, nor on columns 0 and -1 unless the y axis is periodic."""
+    ii, jj = np.nonzero(interior)
+    rows, cols = interior.shape
+    edge = (ii == 0) | (ii == rows - 1)
+    if not periodic_y:
+        edge |= (jj == 0) | (jj == cols - 1)
+    if np.any(edge):
+        raise ValueError("interior nodes on a non-periodic edge of the block")
+    return ii, jj
+
+
+def _inner_neighbor_sums(v, wx, wy, periodic_y):
+    """wx*(up + down) + wy*(left + right) on rows 1..-2 of v, over every
+    column when the y axis is periodic (wrapping at the seam), else over
+    columns 1..-2; node (i, j) of v sits at (i - 1, j - (not periodic_y))."""
+    if periodic_y:
+        w = np.concatenate([v[:, -1:], v, v[:, :1]], axis=1)
+        return wx * (v[:-2] + v[2:]) + wy * (w[1:-1, :-2] + w[1:-1, 2:])
+    return wx * (v[:-2, 1:-1] + v[2:, 1:-1]) + wy * (v[1:-1, :-2] + v[1:-1, 2:])
 
 
 def relax(values, interior, target, settings: SolverSettings,
@@ -124,12 +141,13 @@ def relax(values, interior, target, settings: SolverSettings,
     """In-place projected Gauss-Seidel on one value block.
 
     interior: boolean mask of nodes to solve for; everything else is data.
-    Interior nodes must not sit on a non-periodic array edge.
+    Interior nodes must not sit on a non-periodic array edge (ValueError).
     """
     v = values
-    ii, jj = np.nonzero(interior)
+    ii, jj = _interior_nodes(interior, periodic_y)
     red = ((ii + jj) % 2) == 0
-    colors = [(ii[red], jj[red]), (ii[~red], jj[~red])]
+    off = 0 if periodic_y else 1
+    colors = [(ii[m], jj[m], ii[m] - 1, jj[m] - off) for m in (red, ~red)]
     denom = 2.0 * (wx + wy)
     e_prev = edge_energy(v, wx, wy, periodic_y)
     e0 = e_prev
@@ -137,11 +155,11 @@ def relax(values, interior, target, settings: SolverSettings,
     converged = len(ii) == 0
     om = settings.overrelax
     while sweeps < settings.max_sweeps and not converged:
-        for ci, cj in colors:
+        for ci, cj, si, sj in colors:
             if len(ci) == 0:
                 continue
-            s = _neighbor_sums(v, wx, wy)
-            upd = s[ci, cj] / denom
+            s = _inner_neighbor_sums(v, wx, wy, periodic_y)
+            upd = s[si, sj] / denom
             if om != 1.0:
                 upd = (1.0 - om) * v[ci, cj] + om * upd
             v[ci, cj] = target.project(upd)
@@ -151,21 +169,21 @@ def relax(values, interior, target, settings: SolverSettings,
             if settings.residual_stop <= 0.0:
                 converged = True
             elif (sweeps % 10 == 0 or abs(e_prev - e_now) == 0.0) and \
-                    _tangential_residual(v, interior, target, wx, wy) \
+                    _tangential_residual(v, interior, target, wx, wy, periodic_y) \
                     <= settings.residual_stop:
                 converged = True
         e_prev = e_now
-    res = _tangential_residual(v, interior, target, wx, wy)
+    res = _tangential_residual(v, interior, target, wx, wy, periodic_y)
     return SolveInfo(sweeps, converged, res, e_prev, e0 - e_prev)
 
 
-def _tangential_residual(v, interior, target, wx=1.0, wy=1.0):
-    if not np.any(interior):
+def _tangential_residual(v, interior, target, wx=1.0, wy=1.0, periodic_y=False):
+    ii, jj = _interior_nodes(interior, periodic_y)
+    if len(ii) == 0:
         return 0.0
-    s = _neighbor_sums(v, wx, wy)
-    lap = s - 2.0 * (wx + wy) * v
-    l_int = lap[interior]
-    pn = target.normal_space_projector(v[interior])
+    s = _inner_neighbor_sums(v, wx, wy, periodic_y)
+    l_int = s[ii - 1, jj - (0 if periodic_y else 1)] - 2.0 * (wx + wy) * v[ii, jj]
+    pn = target.normal_space_projector(v[ii, jj])
     tang = l_int - np.einsum("kij,kj->ki", pn, l_int)
     return float(np.max(np.linalg.norm(tang, axis=-1)))
 
@@ -280,8 +298,8 @@ def _sync_cap(u: DiscreteMap, b: Ball):
         return
     axis, theta = b.cap(dom)
     pts = dom.points[1 - b.chart]
-    reach = dom.owner_chart(pts) == b.chart
-    for coord, s in zip(dom.sphere_to_chart(b.chart, pts), ball_box(dom, b)[0]):
+    reach = dom.node_owner[1 - b.chart] == b.chart
+    for coord, s in zip(dom.cross_coords[1 - b.chart], ball_box(dom, b)[0]):
         # catmullrom reads rows floor(f) - 1 .. floor(f) + 2
         f = (coord - dom.axis[0]) / dom.h
         reach &= (f >= s.start - 2) & (f < s.stop + 1)
@@ -474,35 +492,53 @@ class SamplerBudget:
     excess_seeds: int = 3
 
 
+def _centre_balls(dom, c, i, j, radii):
+    """Balls of the given radii centred on node (i, j) of chart c that fit
+    the chart and whose caps avoid the partition blending band, each with
+    the flat grid indices of its nodes (row-major, as `ball_box` orders
+    them)."""
+    cx, cy = float(dom.axis[i]), float(dom.axis[j])
+    out = []
+    for r in radii:
+        b = Ball(c, (cx, cy), float(r))
+        if dm.ball_fits_chart(dom, b) and dm.ball_in_pure_region(dom, b):
+            idx = np.flatnonzero(dm.ball_mask(dom, b))
+            idx.flags.writeable = False
+            out.append((b, idx))
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _candidate_lattice(n, half_width, band, center_stride, radii):
+    """Per chart, the center-lattice balls that pass the `_centre_balls`
+    filter; depends only on the domain's grid and the budget's lattice."""
+    dom = SphereDomain(n, half_width, band)
+    idx = range(0, n, center_stride)
+    return tuple(tuple(bi for i in idx for j in idx
+                       for bi in _centre_balls(dom, c, i, j, radii))
+                 for c in (0, 1))
+
+
 def candidate_balls(u: DiscreteMap, budget: SamplerBudget):
     """Deterministic center-lattice plus proposals seeded at the peaks of the
     energy-minus-area density (the removable, non-conformal part); returns
     (excess, energy, ball) sorted by decreasing contained excess."""
     dom = u.domain
+    stride, radii = budget.center_stride, tuple(budget.radii)
+    lattice = _candidate_lattice(dom.n, dom.half_width, dom.band, stride, radii)
     cands = []
     for c in (0, 1):
         dens = dm.energy_density(u, c) * dom.h**2
         excess = dens - dm.jacobian_density(u, c) * dom.h**2
-        idx = np.arange(0, dom.n, budget.center_stride)
-        centers = [(int(i), int(j)) for i in idx for j in idx]
         order = np.argsort(-excess, axis=None)
         hot = np.unravel_index(order[: budget.excess_seeds], excess.shape)
-        centers += list(zip(hot[0].tolist(), hot[1].tolist()))
-        seen = set()
-        for (i, j) in centers:
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            cx, cy = float(dom.axis[i]), float(dom.axis[j])
-            for r in budget.radii:
-                b = Ball(c, (cx, cy), float(r))
-                if not dm.ball_fits_chart(dom, b):
-                    continue
-                if not dm.ball_in_pure_region(dom, b):
-                    continue
-                box, m = ball_box(dom, b)
-                cands.append((float(np.sum(excess[box][m])),
-                               float(np.sum(dens[box][m])), b))
+        balls = list(lattice[c])
+        for i, j in zip(hot[0].tolist(), hot[1].tolist()):
+            if i % stride or j % stride:  # lattice centres are covered
+                balls += _centre_balls(dom, c, i, j, radii)
+        x_flat, e_flat = excess.ravel(), dens.ravel()
+        cands += [(float(np.sum(x_flat[idx])), float(np.sum(e_flat[idx])), b)
+                  for b, idx in balls]
     cands.sort(key=lambda t: (-t[0], t[2].chart, t[2].center, -t[2].radius))
     return cands
 

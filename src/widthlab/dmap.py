@@ -69,7 +69,7 @@ def sync_owner(u: DiscreteMap):
     that owns its sphere point."""
     dom = u.domain
     for c in (0, 1):
-        sync_overlap(u, chart=c, mask=dom.owner_chart(dom.points[1 - c]) == c)
+        sync_overlap(u, chart=c, mask=dom.node_owner[1 - c] == c)
     return u
 
 
@@ -99,13 +99,10 @@ def overlap_disagreement(u: DiscreteMap) -> float:
     """Max distance between non-owner node values and the owner-chart samples."""
     dom = u.domain
     worst = 0.0
-    safe = dom.interp_safe_radius()
     for c in (0, 1):
-        pts = dom.points[c]
-        own = dom.owner_chart(pts)
         other = 1 - c
-        Xo, Yo = dom.sphere_to_chart(other, pts)
-        m = (own == other) & (np.hypot(Xo, Yo) <= safe)
+        Xo, Yo = dom.cross_coords[c]
+        m = (dom.node_owner[c] == other) & dom.cross_safe[c]
         if not np.any(m):
             continue
         ref = u.target.project(
@@ -122,11 +119,8 @@ def sync_overlap(u: DiscreteMap, chart: int, mask=None):
     """
     dom = u.domain
     other = 1 - chart
-    pts = dom.points[other]
-    Xs, Ys = dom.sphere_to_chart(chart, pts)
-    m = np.hypot(Xs, Ys) <= dom.interp_safe_radius()
-    if mask is not None:
-        m &= mask
+    Xs, Ys = dom.cross_coords[other]
+    m = dom.cross_safe[other] if mask is None else dom.cross_safe[other] & mask
     if not np.any(m):
         return
     vals = domains.catmullrom(u.values[chart], dom.axis[0], dom.h, Xs[m], Ys[m])

@@ -12,6 +12,7 @@ coordinates weighted by the partition alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -85,6 +86,12 @@ def catmullrom(grid, xs0, h, px, py):
     return acc.reshape(np.shape(px) + g.shape[2:])
 
 
+def _frozen(a):
+    """`a`, made read-only so a cached array cannot be changed through it."""
+    a.flags.writeable = False
+    return a
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -150,6 +157,24 @@ class SphereDomain:
     def owner_chart(p):
         """Chart whose projection pole is farther from p (0 south, 1 north)."""
         return (np.asarray(p)[..., 2] > 0.0).astype(int)
+
+    # -- cross-chart geometry, computed on first use --------------------
+    @cached_property
+    def node_owner(self):
+        """Per chart c: the owner chart of each of its nodes."""
+        return tuple(_frozen(self.owner_chart(p)) for p in self.points)
+
+    @cached_property
+    def cross_coords(self):
+        """Per chart c: the coordinates (X, Y) of its nodes in chart 1 - c."""
+        return tuple(tuple(_frozen(a) for a in self.sphere_to_chart(1 - c, self.points[c]))
+                     for c in (0, 1))
+
+    @cached_property
+    def cross_safe(self):
+        """Per chart c: the nodes that chart 1 - c can interpolate safely."""
+        safe = self.interp_safe_radius()
+        return tuple(_frozen(np.hypot(X, Y) <= safe) for X, Y in self.cross_coords)
 
     def sample_chart(self, values_c, px, py):
         return catmullrom(values_c, self.axis[0], self.h, px, py)

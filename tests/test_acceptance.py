@@ -109,7 +109,7 @@ def test_criterion_04_tightening_recovery(adom):
     report(4, "tightening recovery", ok,
            f"W_E {w0/FOUR_PI:.4f} -> {final/FOUR_PI:.4f} x4pi in "
            f"{len(series)} iters, monotone {monotone}, "
-           f"d_V(argmax, equator) {rep.varifold_distance:.4f} vs 0.05",
+           f"d_V(argmax, equator) {rep.varifold_distance:.2e} vs 0.05",
            t.seconds, 1800)
 
 

@@ -1,12 +1,15 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from conftest import chart0_bump_map
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab.dmap import Ball, BallFamily
-from widthlab.domains import DiskDomain, bump_weight
+from widthlab.domains import CylinderDomain, DiskDomain, SphereDomain, bump_weight
 from widthlab.errors import BoundaryMismatch, EnergyTooLarge, OverlapViolation
-from widthlab.manifold import affine_subspace
+from widthlab.manifold import affine_subspace, round_sphere
 
 BALL = Ball(0, (0.1, -0.05), 0.1)
 
@@ -286,3 +289,201 @@ def test_improvement_monotone_in_eps(dom, s2, bump_map):
     lo = dr.energy_improvement(bump_map, 0.25, budget)
     hi = dr.energy_improvement(bump_map, 0.5, budget)
     assert hi >= lo - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# oracles: the precomputed lattice and the slice kernel against reference
+# copies of the per-ball candidate loop and the np.roll relaxation kernel,
+# compared bit for bit
+
+def _reference_candidate_balls(u, budget):
+    dom = u.domain
+    cands = []
+    for c in (0, 1):
+        dens = dm.energy_density(u, c) * dom.h**2
+        excess = dens - dm.jacobian_density(u, c) * dom.h**2
+        idx = np.arange(0, dom.n, budget.center_stride)
+        centers = [(int(i), int(j)) for i in idx for j in idx]
+        order = np.argsort(-excess, axis=None)
+        hot = np.unravel_index(order[: budget.excess_seeds], excess.shape)
+        centers += list(zip(hot[0].tolist(), hot[1].tolist()))
+        seen = set()
+        for (i, j) in centers:
+            if (i, j) in seen:
+                continue
+            seen.add((i, j))
+            cx, cy = float(dom.axis[i]), float(dom.axis[j])
+            for r in budget.radii:
+                b = Ball(c, (cx, cy), float(r))
+                if not dm.ball_fits_chart(dom, b):
+                    continue
+                if not dm.ball_in_pure_region(dom, b):
+                    continue
+                box, m = dm.ball_box(dom, b)
+                cands.append((float(np.sum(excess[box][m])),
+                              float(np.sum(dens[box][m])), b))
+    cands.sort(key=lambda t: (-t[0], t[2].chart, t[2].center, -t[2].radius))
+    return cands
+
+
+def _roll_neighbor_sums(v, wx, wy):
+    return (wx * (np.roll(v, 1, 0) + np.roll(v, -1, 0))
+            + wy * (np.roll(v, 1, 1) + np.roll(v, -1, 1)))
+
+
+def _reference_residual(v, interior, target, wx=1.0, wy=1.0):
+    if not np.any(interior):
+        return 0.0
+    lap = _roll_neighbor_sums(v, wx, wy) - 2.0 * (wx + wy) * v
+    l_int = lap[interior]
+    pn = target.normal_space_projector(v[interior])
+    tang = l_int - np.einsum("kij,kj->ki", pn, l_int)
+    return float(np.max(np.linalg.norm(tang, axis=-1)))
+
+
+def _reference_relax(v, interior, target, settings, wx=1.0, wy=1.0, periodic_y=False):
+    ii, jj = np.nonzero(interior)
+    red = ((ii + jj) % 2) == 0
+    colors = [(ii[red], jj[red]), (ii[~red], jj[~red])]
+    denom = 2.0 * (wx + wy)
+    e_prev = dr.edge_energy(v, wx, wy, periodic_y)
+    e0 = e_prev
+    sweeps = 0
+    converged = len(ii) == 0
+    om = settings.overrelax
+    while sweeps < settings.max_sweeps and not converged:
+        for ci, cj in colors:
+            if len(ci) == 0:
+                continue
+            upd = _roll_neighbor_sums(v, wx, wy)[ci, cj] / denom
+            if om != 1.0:
+                upd = (1.0 - om) * v[ci, cj] + om * upd
+            v[ci, cj] = target.project(upd)
+        sweeps += 1
+        e_now = dr.edge_energy(v, wx, wy, periodic_y)
+        if abs(e_prev - e_now) <= settings.scaled_tol(max(e_now, e0)):
+            if settings.residual_stop <= 0.0:
+                converged = True
+            elif (sweeps % 10 == 0 or abs(e_prev - e_now) == 0.0) and \
+                    _reference_residual(v, interior, target, wx, wy) \
+                    <= settings.residual_stop:
+                converged = True
+        e_prev = e_now
+    res = _reference_residual(v, interior, target, wx, wy)
+    return dr.SolveInfo(sweeps, converged, res, e_prev, e0 - e_prev)
+
+
+def _bits(x):
+    """repr keeps every bit of a float, and tells -0.0 from 0.0."""
+    return repr(astuple(x) if isinstance(x, dr.SolveInfo) else x)
+
+
+def _lattice_peak_map(dom, s2, stride):
+    """Identity map whose non-conformal excess peaks on a lattice centre:
+    the chart-0 neighbours at rows i -/+ 1 of lattice node (i, j) move by
+    -/+ d, which makes the x-derivative jump twice as much at (i, j) as at
+    any other node."""
+    i = j = stride * max(round((dom.n // 2) / stride), 1)
+    vals = [p.copy() for p in dom.points]
+    d = np.array([0.0, 0.05, 0.0])
+    vals[0][i - 1, j] -= d
+    vals[0][i + 1, j] += d
+    return dm.DiscreteMap(dom, s2, [s2.project(v) for v in vals]), (i, j)
+
+
+BUDGETS = [dr.SamplerBudget(), dr.SamplerBudget(center_stride=24, radii=(0.16, 0.11))]
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("budget", BUDGETS, ids=["default", "stride24"])
+def test_candidate_balls_equal_the_per_ball_loop(n, budget, s2):
+    dom = SphereDomain(n=n)
+    bump = chart0_bump_map(dom, s2)
+    peak, node = _lattice_peak_map(dom, s2, budget.center_stride)
+    excess = dm.energy_density(peak, 0) - dm.jacobian_density(peak, 0)
+    assert np.unravel_index(np.argmax(excess), excess.shape) == node
+    assert dr.candidate_balls(bump, budget)
+    for u in (bump, peak):
+        got = dr.candidate_balls(u, budget)
+        assert _bits(got) == _bits(_reference_candidate_balls(u, budget))
+    # an equal domain built apart gives the same list
+    twin = dm.DiscreteMap(SphereDomain(n=n), s2, [v.copy() for v in bump.values])
+    assert twin.domain is not dom
+    assert _bits(dr.candidate_balls(twin, budget)) == _bits(dr.candidate_balls(bump, budget))
+
+
+def _cylinder_map(n_t=17, n_theta=12, seed=0):
+    dom = CylinderDomain(0.0, 1.5, n_t, n_theta)
+    s2 = round_sphere(2, 1.0)
+    rng = np.random.default_rng(seed)
+    th = dom.theta[None, :]
+    base = np.stack([np.cos(th) + 0 * dom.t[:, None], np.sin(th) + 0 * dom.t[:, None],
+                     0.3 * dom.t[:, None] + 0 * th], axis=-1)
+    vals = s2.project(base + 0.2 * rng.standard_normal(base.shape))
+    interior = np.ones((n_t, n_theta), bool)
+    interior[0, :] = interior[-1, :] = False
+    return dom, s2, vals, interior
+
+
+CYLINDER_SETTINGS = {
+    "gauss-seidel": dr.SolverSettings(residual_tol=1e-10, max_sweeps=400),
+    "sor-1.9": dr.SolverSettings(residual_tol=1e-10, max_sweeps=400, overrelax=1.9),
+    # stops on a residual check (every 10th sweep), not on a stalled energy
+    "residual-stop": dr.SolverSettings(residual_tol=1e-6, max_sweeps=2000,
+                                       residual_stop=1e-5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYLINDER_SETTINGS))
+@pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "walled"])
+def test_relax_weighted_cylinder_equals_roll_kernel(name, periodic):
+    dom, s2, vals, interior = _cylinder_map()
+    if not periodic:
+        interior[:, 0] = interior[:, -1] = False
+    wx, wy = 1.0 / dom.h_t**2, 1.0 / dom.h_theta**2
+    assert wx != wy
+    s = CYLINDER_SETTINGS[name]
+    got, ref = vals.copy(), vals.copy()
+    info = dr.relax(got, interior, s2, s, wx, wy, periodic)
+    ref_info = _reference_relax(ref, interior, s2, s, wx, wy, periodic)
+    assert 1 < info.sweeps
+    assert not np.array_equal(got, vals)
+    assert np.array_equal(got, ref)
+    assert _bits(info) == _bits(ref_info)
+
+
+@pytest.mark.parametrize("settings", [
+    dr.SolverSettings(),
+    dr.SolverSettings(overrelax=1.9, max_sweeps=300),
+    dr.SolverSettings(residual_tol=1e-12, residual_stop=1e-8, max_sweeps=5000),
+], ids=["default", "sor-1.9", "residual-stop"])
+def test_relax_ball_view_equals_roll_kernel(dom, bump_map, settings):
+    box, sub = dr._ball_block(dom, BALL)
+    got, ref = bump_map.values[0].copy(), bump_map.values[0].copy()
+    info = dr.relax(got[box], sub, bump_map.target, settings)
+    ref_info = _reference_relax(ref[box], sub, bump_map.target, settings)
+    assert info.sweeps > 1
+    outside = ~dm.ball_mask(dom, BALL)
+    assert np.array_equal(got[outside], bump_map.values[0][outside])
+    assert not np.array_equal(got[box][sub], bump_map.values[0][box][sub])
+    assert np.array_equal(got, ref)
+    assert _bits(info) == _bits(ref_info)
+
+
+def test_relax_rejects_interior_on_a_non_periodic_edge():
+    tgt = affine_subspace(1, 1)
+    s = dr.SolverSettings(max_sweeps=5)
+    for k, periodic in ((0, False), (0, True), (-1, True)):
+        inter = np.zeros((6, 5), bool)
+        inter[2:4, 2:4] = True
+        inter[k, 2] = True
+        with pytest.raises(ValueError):
+            dr.relax(np.zeros((6, 5, 1)), inter, tgt, s, periodic_y=periodic)
+    for k in (0, -1):
+        inter = np.zeros((6, 5), bool)
+        inter[2, k] = True
+        with pytest.raises(ValueError):
+            dr.relax(np.zeros((6, 5, 1)), inter, tgt, s)
+        # the y axis of a periodic block has no edge
+        info = dr.relax(np.zeros((6, 5, 1)), inter, tgt, s, periodic_y=True)
+        assert info.converged
