@@ -225,8 +225,7 @@ def theta_energy_profile(u: DiscreteMap, sff_bound: float = None) -> dict:
     of  f'' >= 1.5 f - 2 sup|A|^2 * int |grad u|^4  at interior levels."""
     dom = u.domain
     sff = u.target.sff_bound if sff_bound is None else sff_bound
-    ut = d_axis(u.values[0], dom.h_t, 0)
-    uth = d_axis_periodic(u.values[0], dom.h_theta, 1)
+    ut, uth = dm.chart_differential(u, 0)
     f = np.sum(uth**2, axis=(1, 2)) * dom.h_theta
     grad2 = np.sum(ut**2, axis=-1) + np.sum(uth**2, axis=-1)
     quart = np.sum(grad2**2, axis=1) * dom.h_theta
@@ -244,8 +243,7 @@ def theta_energy_decay_check(u: DiscreteMap, ell: float, delta: float,
     energy = dm.energy(u)
     if energy > eps2:
         return {"applicable": False, "energy": float(energy), "eps2": eps2}
-    ut = d_axis(u.values[0], dom.h_t, 0)
-    uth = d_axis_periodic(u.values[0], dom.h_theta, 1)
+    ut, uth = dm.chart_differential(u, 0)
     w = dom.flat_weights
     inner = np.abs(dom.t) <= ell + 1e-12
     double = np.abs(dom.t) <= 2 * ell + 1e-12
@@ -260,8 +258,7 @@ def hopf_constancy(u: DiscreteMap) -> dict:
     """Deviation of c(t) = int_t (|u_t|^2 - |u_theta|^2) from constancy, plus
     the complex Hopf field and its discrete dbar residual."""
     dom = u.domain
-    ut = d_axis(u.values[0], dom.h_t, 0)
-    uth = d_axis_periodic(u.values[0], dom.h_theta, 1)
+    ut, uth = dm.chart_differential(u, 0)
     integrand = np.sum(ut**2, -1) - np.sum(uth**2, -1)
     c = integrand.sum(axis=1) * dom.h_theta
     interior = slice(2, -2)
@@ -292,6 +289,7 @@ def cylinder_decomposition_report(u: DiscreteMap, ell: float, mu: float,
     n_sub = max(int((dom.t1 - dom.t0) / ell) - 2, 1)
     good, bad = [], []
     inner_theta = 0.0
+    uth = dm.chart_differential(u, 0)[1]
     for k in range(n_sub):
         a = dom.t0 + k * ell
         b = a + 3 * ell
@@ -307,7 +305,6 @@ def cylinder_decomposition_report(u: DiscreteMap, ell: float, mu: float,
                                     1.0 / dom.h_t**2, 1.0 / dom.h_theta**2,
                                     periodic_y=True) * dom.h_t * dom.h_theta
         mid = (np.abs(dom.t - (a + 1.5 * ell)) <= 0.5 * ell)
-        uth = d_axis_periodic(u.values[0], dom.h_theta, 1)
         th_energy = float(np.sum((uth[mid] ** 2).sum(-1) * dom.flat_weights[mid]))
         entry = {"window": (float(a), float(b)), "gap": float(gap),
                  "theta_energy": th_energy}

@@ -78,8 +78,6 @@ class SolveInfo:
 class ReplacementResult:
     map: DiscreteMap
     energy_drop: float
-    residual: float
-    sweeps_used: int
     converged: bool = True
 
 
@@ -328,8 +326,6 @@ def harmonic_replace(u: DiscreteMap, fam, rho: float = 1.0,
     return ReplacementResult(
         map=out,
         energy_drop=sum(i.energy_drop for i in infos),
-        residual=max((i.residual for i in infos), default=0.0),
-        sweeps_used=sum(i.sweeps for i in infos),
         converged=all(i.converged for i in infos),
     )
 
@@ -528,8 +524,9 @@ def candidate_balls(u: DiscreteMap, budget: SamplerBudget):
     lattice = _candidate_lattice(dom.n, dom.half_width, dom.band, stride, radii)
     cands = []
     for c in (0, 1):
-        dens = dm.energy_density(u, c) * dom.h**2
-        excess = dens - dm.jacobian_density(u, c) * dom.h**2
+        du = dm.chart_differential(u, c)
+        dens = dm.energy_density(*du) * dom.h**2
+        excess = dens - dm.jacobian_density(*du) * dom.h**2
         order = np.argsort(-excess, axis=None)
         hot = np.unravel_index(order[: budget.excess_seeds], excess.shape)
         balls = list(lattice[c])

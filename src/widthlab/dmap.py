@@ -144,8 +144,8 @@ def _weights(dom):
     return [dom.flat_weights]
 
 
-def energy_density(u: DiscreteMap, c: int):
-    ux, uy = chart_differential(u, c)
+def energy_density(ux, uy):
+    """Pointwise energy density 1/2 |du|^2 of a chart differential."""
     return 0.5 * (np.sum(ux * ux, -1) + np.sum(uy * uy, -1))
 
 
@@ -153,7 +153,7 @@ def energy(u: DiscreteMap, region=None) -> float:
     """Dirichlet energy; restricted to a BallFamily region when given."""
     if region is not None:
         return _region_energy(u, region)
-    return float(sum(np.sum(w * energy_density(u, c))
+    return float(sum(np.sum(w * energy_density(*chart_differential(u, c)))
                      for c, w in enumerate(_weights(u.domain))))
 
 
@@ -169,16 +169,16 @@ def _region_energy(u: DiscreteMap, fam) -> float:
         # stencil it gets on the whole chart
         wide = tuple(slice(max(s.start - 2, 0), min(s.stop + 2, n)) for s in box)
         v = u.values[b.chart][wide]
-        ux, uy = d_axis(v, dom.h, 0), d_axis(v, dom.h, 1)
-        dens = 0.5 * (np.sum(ux * ux, -1) + np.sum(uy * uy, -1))
+        dens = energy_density(d_axis(v, dom.h, 0), d_axis(v, dom.h, 1))
         inner = tuple(slice(s.start - w.start, s.stop - w.start)
                       for s, w in zip(box, wide))
         total += float(np.sum(dens[inner][mask])) * dom.h**2
     return total
 
 
-def jacobian_density(u: DiscreteMap, c: int):
-    ux, uy = chart_differential(u, c)
+def jacobian_density(ux, uy):
+    """Pointwise Jacobian |du/dX ^ du/dY| of a chart differential; at most
+    the energy density, with equality exactly where du is conformal."""
     a = np.sum(ux * ux, -1)
     b = np.sum(uy * uy, -1)
     cc = np.sum(ux * uy, -1)
@@ -186,7 +186,7 @@ def jacobian_density(u: DiscreteMap, c: int):
 
 
 def area(u: DiscreteMap) -> float:
-    return float(sum(np.sum(w * jacobian_density(u, c))
+    return float(sum(np.sum(w * jacobian_density(*chart_differential(u, c)))
                      for c, w in enumerate(_weights(u.domain))))
 
 
@@ -204,7 +204,8 @@ def conformality_defect(u: DiscreteMap) -> float:
 def jacobian_l1_distance(u: DiscreteMap, v: DiscreteMap) -> float:
     if u.domain is not v.domain and u.domain.descriptor() != v.domain.descriptor():
         raise DomainMismatch("maps live on different domains")
-    return float(sum(np.sum(w * np.abs(jacobian_density(u, c) - jacobian_density(v, c)))
+    return float(sum(np.sum(w * np.abs(jacobian_density(*chart_differential(u, c))
+                                       - jacobian_density(*chart_differential(v, c))))
                      for c, w in enumerate(_weights(u.domain))))
 
 

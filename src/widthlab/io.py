@@ -108,7 +108,7 @@ def energy_density_csv(path, u: dm.DiscreteMap):
     with open(path, "w") as fh:
         fh.write("chart,i,j,x,y,density\n")
         for c in range(u.n_charts):
-            dens = dm.energy_density(u, c)
+            dens = dm.energy_density(*dm.chart_differential(u, c))
             for i in range(dens.shape[0]):
                 for j in range(dens.shape[1]):
                     fh.write(f"{c},{i},{j},{fmt(dom.X[i, j])},{fmt(dom.Y[i, j])},"

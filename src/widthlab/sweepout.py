@@ -265,7 +265,8 @@ def select_ball_schedule(s: Sweepout, eps1: float = 2.0,
 
 def _slice_density(s: Sweepout, dens, i):
     if dens[i] is None:
-        dens[i] = [dm.energy_density(s.slices[i], c) for c in (0, 1)]
+        dens[i] = [dm.energy_density(*dm.chart_differential(s.slices[i], c))
+                   for c in (0, 1)]
     return dens[i]
 
 
@@ -433,7 +434,7 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     settings = settings or dr.SolverSettings(small_energy=eps1)
     report = TighteningReport()
     cur = s.copy()
-    w_prev = None
+    w_prev = west = None
     stall = 0
     for it in range(1, max_iters + 1):
         try:
@@ -456,8 +457,8 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
         else:
             stall = 0
         w_prev = west.w_energy
-    final = width_estimate(cur)
-    report.final_width = final
+    # the last iteration, if any ran, measured the returned sweepout already
+    final = report.final_width = west if west is not None else width_estimate(cur)
     for i in range(cur.n_slices):
         if final.per_slice_energy[i] >= 0.95 * final.w_energy:
             chk = almost_harmonic_check(cur.slices[i], eps0=eps1 / 2,

@@ -56,7 +56,7 @@ def varifold_of_map(u: DiscreteMap) -> VarifoldMeasure:
     weights = dom.flat_weights if isinstance(dom, SphereDomain) else [dom.flat_weights]
     for c, w in enumerate(weights):
         ux, uy = dm.chart_differential(u, c)
-        jac = dm.jacobian_density(u, c)
+        jac = dm.jacobian_density(ux, uy)
         mass = jac * w
         keep = (jac > J_CUT) & (w > 0)
         if not np.any(keep):
@@ -228,10 +228,6 @@ def inversion_map(dom: SphereDomain = None) -> DiscreteMap:
 # ---------------------------------------------------------------------------
 # conformal renormalization and concentration detection
 
-def _chart_energy_density(u: DiscreteMap, chart: int):
-    return dm.energy_density(u, chart) * u.domain.h**2
-
-
 def _disk_energy(dens, dom, center, radius):
     box, mask = ball_box(dom, Ball(0, center, radius))
     return float(np.sum(dens[box][mask]))
@@ -247,7 +243,7 @@ def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float,
     x = np.asarray(x, float)
     chart = int(dom.owner_chart(x))
     cx, cy = (float(t) for t in dom.sphere_to_chart(chart, x))
-    dens = _chart_energy_density(u, chart)
+    dens = dm.energy_density(*dm.chart_differential(u, chart)) * dom.h**2
     e_rho = _disk_energy(dens, dom, (cx, cy), rho)
     if e_rho <= eps3:
         raise NotConcentrated(
@@ -301,7 +297,7 @@ def detect_concentration(seq, eps_su: float, radii, lattice_stride: int = 4):
     radii = sorted(radii)
     hits = []
     for c in (0, 1):
-        dens = _chart_energy_density(u, c)
+        dens = dm.energy_density(*dm.chart_differential(u, c)) * dom.h**2
         idx = np.arange(0, dom.n, lattice_stride)
         for i in idx:
             for jj in idx:

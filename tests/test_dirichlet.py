@@ -300,8 +300,8 @@ def _reference_candidate_balls(u, budget):
     dom = u.domain
     cands = []
     for c in (0, 1):
-        dens = dm.energy_density(u, c) * dom.h**2
-        excess = dens - dm.jacobian_density(u, c) * dom.h**2
+        dens = dm.energy_density(*dm.chart_differential(u, c)) * dom.h**2
+        excess = dens - dm.jacobian_density(*dm.chart_differential(u, c)) * dom.h**2
         idx = np.arange(0, dom.n, budget.center_stride)
         centers = [(int(i), int(j)) for i in idx for j in idx]
         order = np.argsort(-excess, axis=None)
@@ -400,7 +400,8 @@ def test_candidate_balls_equal_the_per_ball_loop(n, budget, s2):
     dom = SphereDomain(n=n)
     bump = chart0_bump_map(dom, s2)
     peak, node = _lattice_peak_map(dom, s2, budget.center_stride)
-    excess = dm.energy_density(peak, 0) - dm.jacobian_density(peak, 0)
+    du = dm.chart_differential(peak, 0)
+    excess = dm.energy_density(*du) - dm.jacobian_density(*du)
     assert np.unravel_index(np.argmax(excess), excess.shape) == node
     assert dr.candidate_balls(bump, budget)
     for u in (bump, peak):

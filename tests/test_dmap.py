@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import chart0_bump_map
+from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import io as wio
+from widthlab import varifold as vf
 from widthlab.domains import CylinderDomain, DiskDomain, SphereDomain
 from widthlab.errors import (DomainMismatch, NoCommonPoint, TraceTooFar,
                              TubeEscape)
@@ -60,7 +62,7 @@ def test_equator_collapse_area_shrinks(dom, s2):
     for b, u in maps.items():
         num = den = 0.0
         for c in (0, 1):
-            j = dm.jacobian_density(u, c)
+            j = dm.jacobian_density(*dm.chart_differential(u, c))
             w = dom.flat_weights[c]
             num += float(np.sum(w * (j > 0.01)))
             den += float(np.sum(w))
@@ -126,8 +128,8 @@ def test_jacobian_distance_nodewise_bound(dom, s2, identity_map, bump_map):
     for c in (0, 1):
         ux, uy = dm.chart_differential(identity_map, c)
         vx, vy = dm.chart_differential(bump_map, c)
-        ju = dm.jacobian_density(identity_map, c)
-        jv = dm.jacobian_density(bump_map, c)
+        ju = dm.jacobian_density(ux, uy)
+        jv = dm.jacobian_density(vx, vy)
         gu = np.sqrt(np.sum(ux**2 + uy**2, -1))
         gv = np.sqrt(np.sum(vx**2 + vy**2, -1))
         gd = np.sqrt(np.sum((ux - vx) ** 2 + (uy - vy) ** 2, -1))
@@ -141,6 +143,24 @@ def test_jacobian_distance_domain_mismatch(identity_map, s2):
     v = dm.identity_sphere_map(other, s2)
     with pytest.raises(DomainMismatch):
         dm.jacobian_l1_distance(identity_map, v)
+
+
+@pytest.mark.parametrize("caller", [
+    lambda u: dr.candidate_balls(u, dr.SamplerBudget()),
+    vf.varifold_of_map,
+], ids=["candidate_balls", "varifold_of_map"])
+def test_both_densities_from_one_differential_per_chart(monkeypatch, bump_map,
+                                                        caller):
+    calls = []
+    chart_differential = dm.chart_differential
+
+    def spy(u, c):
+        calls.append(c)
+        return chart_differential(u, c)
+
+    monkeypatch.setattr(dm, "chart_differential", spy)
+    caller(bump_map)
+    assert sorted(calls) == [0, 1]
 
 
 def test_matrix_determinant_perturbation_bound():

@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses.  The project
-ships no linter, so the check reads the syntax trees with `ast`."""
+"""No module of the package or of its tests imports a name it never uses.
+The project ships no linter, so the check reads the syntax trees with `ast`."""
 import ast
 from pathlib import Path
 
@@ -21,9 +21,17 @@ def _unused_imports(source):
                   if name not in used)
 
 
+def _unused_in(folder):
+    unused = {p.name: _unused_imports(p.read_text()) for p in sorted(folder.glob("*.py"))}
+    return {name: found for name, found in unused.items() if found}
+
+
 def test_package_modules_use_every_import():
     assert _unused_imports("import os.path\nfrom x import y as z, w\nz()\n") == \
         ["os (line 1)", "w (line 2)"]
-    pkg = Path(widthlab.__file__).parent
-    unused = {p.name: _unused_imports(p.read_text()) for p in sorted(pkg.glob("*.py"))}
-    assert {name: found for name, found in unused.items() if found} == {}
+    assert _unused_in(Path(widthlab.__file__).parent) == {}
+
+
+def test_test_modules_use_every_import():
+    assert _unused_in(Path(__file__).parent) == {}
+

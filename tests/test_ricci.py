@@ -125,4 +125,8 @@ def test_tabulated_flow_interpolation():
     ts = np.linspace(0.0, 0.25, 11)
     flow = rc.ModelFlow.tabulated(ts, 1.0 - 4 * ts, 6.0 / (1.0 - 4 * ts + 1e-12))
     assert abs(flow.radius(0.125) - np.sqrt(0.5)) <= 1e-9
+    assert abs(flow.min_scalar_at(0.125) - 6.0 / 0.5) <= 1e-9
     assert flow.t_max == 0.25
+    # the closed-form flow: R = 6 / r^2(t) with r^2(t) = r0^2 - 4t
+    r0, t = 2.0, 0.5
+    assert rc.ModelFlow.round_s3(r0).min_scalar_at(t) == 6.0 / (r0**2 - 4 * t) == 3.0

@@ -211,6 +211,36 @@ def test_tighten_constant_sweepout_trivial(dom, s3):
     assert not report.rows
 
 
+@pytest.mark.parametrize("stop", ["plateau", "max-iters", "schedule-empty"])
+def test_tighten_final_width_is_the_last_estimate(monkeypatch, s3, stop):
+    """tighten measures each sweepout it produces once, and the input only
+    when no iteration ran; the final width is that last measurement."""
+    dom = SphereDomain(n=33)
+    if stop == "schedule-empty":
+        swp = sw.Sweepout([dm.constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, 1.0))
+                           for _ in range(9)], s3, degree=0)
+    else:
+        kind = "latitude-s3" if stop == "plateau" else "perturbed-latitude-s3"
+        swp = sw.standard_sweepout(kind, s3, dom, n_slices=8, amp=0.3)
+    width_estimate = sw.width_estimate
+    measured = []
+
+    def spy(s):
+        measured.append(s)
+        return width_estimate(s)
+
+    monkeypatch.setattr(sw, "width_estimate", spy)
+    out, report = sw.tighten(swp, max_iters=4 if stop == "max-iters" else 8,
+                             eps1=2.0, budget=BUDGET, settings=SETTINGS)
+    assert report.stopped == stop
+    assert len(measured) == max(len(report.rows), 1)
+    got, fresh = report.final_width, width_estimate(out)
+    assert (got.w_energy, got.w_area, got.argmax_t) == \
+        (fresh.w_energy, fresh.w_area, fresh.argmax_t)
+    assert got.per_slice_energy.tobytes() == fresh.per_slice_energy.tobytes()
+    assert got.per_slice_area.tobytes() == fresh.per_slice_area.tobytes()
+
+
 def test_tighten_latitude_plateaus_immediately(dom, s3):
     lat = sw.standard_sweepout("latitude-s3", s3, dom, n_slices=16)
     w0 = sw.width_estimate(lat).w_energy
