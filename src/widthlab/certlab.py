@@ -25,6 +25,17 @@ from .manifold import round_sphere
 # requested instance, and then fail
 MAX_DRAWS_PER_INSTANCE = 20
 
+# the pass thresholds the suites record as their report's `tolerance`
+WENTE_REL_TOL = 1e-8
+ODE_TOL = 1e-6
+WIRTINGER_TOL = 1e-10
+HOPF_TOL = 1e-4
+THETA_DECAY_DELTA = 0.1
+CONVEXITY_TOL = 1e-6
+
+ODE_SAMPLES = 4097                # Simpson nodes on [-2 ell, 2 ell]
+THETA_DECAY_ELLS = (1.5, 3.0)     # half-lengths of the theta-decay cylinders
+
 
 @dataclass
 class CertificateReport:
@@ -51,23 +62,20 @@ class CertificateReport:
 # quadrature helpers (polar Gauss-Legendre x uniform angle: exact for the
 # polynomial/trigonometric instances the generators produce)
 
-def _polar_grid(n_r=64, n_theta=256):
-    x, w = np.polynomial.legendre.leggauss(n_r)
-    r = 0.5 * (x + 1.0)
-    wr = 0.5 * w
-    theta = np.arange(n_theta) * (2 * np.pi / n_theta)
-    return r, wr, theta, 2 * np.pi / n_theta
+def _polar_grid():
+    x, w = np.polynomial.legendre.leggauss(64)
+    theta = np.arange(256) * (2 * np.pi / 256)
+    return 0.5 * (x + 1.0), 0.5 * w, theta, 2 * np.pi / 256
 
 
 # ---------------------------------------------------------------------------
 # Hardy-type bound for holomorphic densities
 
-def wente_hardy_check(zeta_coeffs, cos_coeffs, sin_coeffs,
-                      n_r=64, n_theta=256) -> dict:
+def wente_hardy_check(zeta_coeffs, cos_coeffs, sin_coeffs) -> dict:
     """Integrals for h^2 |zeta|^2 <= 8 (int |grad h|^2)(int |zeta|^2) on the
     unit disk, with zeta the polynomial with given complex coefficients and
     h = (1 - r^2) * sum_k r^k (a_k cos k theta + b_k sin k theta)."""
-    r, wr, theta, dth = _polar_grid(n_r, n_theta)
+    r, wr, theta, dth = _polar_grid()
     z = r[:, None] * np.exp(1j * theta[None, :])
     zeta = np.zeros_like(z)
     for ck in reversed(zeta_coeffs):
@@ -76,18 +84,18 @@ def wente_hardy_check(zeta_coeffs, cos_coeffs, sin_coeffs,
     a = np.asarray(cos_coeffs, float)
     b = np.asarray(sin_coeffs, float)
     ks = np.arange(len(a))
-    rk = r[:, None] ** ks[None, :]                      # (n_r, K)
+    rk = r[:, None] ** ks[None, :]                      # (64, K)
     trig = (a[None, None, :] * np.cos(ks[None, None, :] * theta[None, :, None])
             + b[None, None, :] * np.sin(ks[None, None, :] * theta[None, :, None]))
-    q = np.einsum("rk,rtk->rt", rk, np.broadcast_to(trig, (n_r,) + trig.shape[1:]))
+    q = np.einsum("rk,rtk->rt", rk, np.broadcast_to(trig, (len(r),) + trig.shape[1:]))
     with np.errstate(divide="ignore", invalid="ignore"):
         rk1 = np.where(ks[None, :] > 0, r[:, None] ** np.maximum(ks[None, :] - 1, 0), 0.0)
     q_r = np.einsum("rk,rtk->rt", ks[None, :] * rk1,
-                    np.broadcast_to(trig, (n_r,) + trig.shape[1:]))
+                    np.broadcast_to(trig, (len(r),) + trig.shape[1:]))
     dtrig = (-a[None, None, :] * np.sin(ks[None, None, :] * theta[None, :, None])
              + b[None, None, :] * np.cos(ks[None, None, :] * theta[None, :, None]))
     q_t = np.einsum("rk,rtk->rt", ks[None, :] * rk,
-                    np.broadcast_to(dtrig, (n_r,) + dtrig.shape[1:]))
+                    np.broadcast_to(dtrig, (len(r),) + dtrig.shape[1:]))
     one_m_r2 = (1.0 - r**2)[:, None]
     h = one_m_r2 * q
     h_r = -2.0 * r[:, None] * q + one_m_r2 * q_r
@@ -101,8 +109,7 @@ def wente_hardy_check(zeta_coeffs, cos_coeffs, sin_coeffs,
             "rhs": rhs, "margin": rhs - lhs}
 
 
-def wente_hardy_suite(seed: int = 0, instances: int = 1000,
-                      rel_tol: float = 1e-8) -> CertificateReport:
+def wente_hardy_suite(seed: int = 0, instances: int = 1000) -> CertificateReport:
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(instances):
@@ -122,16 +129,16 @@ def wente_hardy_suite(seed: int = 0, instances: int = 1000,
         "baseline_expected": 1.0 / (6.0 * np.pi),
         "baseline_error": abs(ratio - 1.0 / (6.0 * np.pi)),
     }
-    passed = (instances > 0 and worst >= -rel_tol
+    passed = (instances > 0 and worst >= -WENTE_REL_TOL
               and details["baseline_error"] <= 1e-6)
     return CertificateReport("wente", instances, float(worst), bool(passed),
-                             seed, rel_tol, details)
+                             seed, WENTE_REL_TOL, details)
 
 
 # ---------------------------------------------------------------------------
 # ODE comparison bound
 
-def ode_comparison_check(f, a: float, ell: float, fd_tol: float = 1e-6) -> dict:
+def ode_comparison_check(f, a: float, ell: float) -> dict:
     """Margin of  int f >= 2 sqrt(2) a sinh(ell / sqrt 2)  for a sampled f on
     [-2 ell, 2 ell] with f'' >= f - a and max f >= 2a on the inner window."""
     f = np.asarray(f, float)
@@ -141,7 +148,7 @@ def ode_comparison_check(f, a: float, ell: float, fd_tol: float = 1e-6) -> dict:
     h = 4.0 * ell / (n - 1)
     fpp = (f[2:] - 2 * f[1:-1] + f[:-2]) / h**2
     scale = max(np.max(np.abs(f)), a, 1.0)
-    if np.min(fpp - (f[1:-1] - a)) < -fd_tol * scale:
+    if np.min(fpp - (f[1:-1] - a)) < -1e-6 * scale:
         raise PreconditionFail("sampled f'' >= f - a fails on the grid")
     t = np.linspace(-2 * ell, 2 * ell, n)
     inner = np.abs(t) <= ell + 1e-12
@@ -155,8 +162,7 @@ def ode_comparison_check(f, a: float, ell: float, fd_tol: float = 1e-6) -> dict:
     return {"integral": integral, "bound": bound, "margin": integral - bound}
 
 
-def ode_comparison_suite(seed: int = 0, instances: int = 1000,
-                         tol: float = 1e-6, n_samples: int = 4097) -> CertificateReport:
+def ode_comparison_suite(seed: int = 0, instances: int = 1000) -> CertificateReport:
     rng = np.random.default_rng(seed)
     worst = np.inf
     skipped = 0
@@ -169,7 +175,7 @@ def ode_comparison_suite(seed: int = 0, instances: int = 1000,
         d = float(rng.uniform(0.0, 1.0)) * a
         kap = float(rng.uniform(1.0, 3.0))
         t1 = float(rng.uniform(-2 * ell, 2 * ell))
-        t = np.linspace(-2 * ell, 2 * ell, n_samples)
+        t = np.linspace(-2 * ell, 2 * ell, ODE_SAMPLES)
         f = a + c * np.cosh(t - t0) + d * np.cosh(kap * (t - t1))
         try:
             out = ode_comparison_check(f, a, ell)
@@ -180,9 +186,9 @@ def ode_comparison_suite(seed: int = 0, instances: int = 1000,
         done += 1
     if done == 0 or done < instances:
         return CertificateReport("ode-comparison", done, float(worst), False,
-                                 seed, tol, skipped=skipped)
+                                 seed, ODE_TOL, skipped=skipped)
     ell0, a0 = 1.0, 1.0
-    t = np.linspace(-2.0, 2.0, n_samples)
+    t = np.linspace(-2.0, 2.0, ODE_SAMPLES)
     base = ode_comparison_check(a0 + np.cosh(t), a0, ell0)
     exact = 4.0 + 2.0 * np.sinh(2.0)
     details = {
@@ -192,9 +198,9 @@ def ode_comparison_suite(seed: int = 0, instances: int = 1000,
         "baseline_bound_exact": 2 * np.sqrt(2) * np.sinh(1 / np.sqrt(2)),
         "baseline_error": abs(base["integral"] - exact) / exact,
     }
-    passed = worst >= -tol and details["baseline_error"] <= 1e-6
+    passed = worst >= -ODE_TOL and details["baseline_error"] <= 1e-6
     return CertificateReport("ode-comparison", done, float(worst), bool(passed),
-                             seed, tol, details, skipped=skipped)
+                             seed, ODE_TOL, details, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +211,16 @@ def cylinder_domain(ell: float, n_t: int = 129, n_theta: int = 96,
     return CylinderDomain(-halves * ell, halves * ell, n_t, n_theta)
 
 
-def solve_cylinder_map(dom: CylinderDomain, target, trace_low, trace_high,
-                       settings: dr.SolverSettings = None) -> DiscreteMap:
+def solve_cylinder_map(dom: CylinderDomain, target, trace_low, trace_high) -> DiscreteMap:
     """Harmonic map with the given end-circle traces (arrays (n_theta, N))."""
-    settings = settings or dr.SolverSettings(residual_tol=1e-13,
-                                             max_sweeps=200_000, overrelax=1.9,
-                                             small_energy=np.inf)
     lo = np.asarray(trace_low, float)
     hi = np.asarray(trace_high, float)
     vals = np.empty((dom.n_t, dom.n_theta, lo.shape[-1]))
     s = np.linspace(0.0, 1.0, dom.n_t)[:, None, None]
     vals[:] = target.project((1 - s) * lo[None] + s * hi[None])
     u0 = DiscreteMap(dom, target, [vals])
+    settings = dr.SolverSettings(residual_tol=1e-13, max_sweeps=200_000,
+                                 overrelax=1.9, small_energy=np.inf)
     return dr.solve_dirichlet(dr.DirichletProblem(u0, "cylinder"), settings)
 
 
@@ -275,16 +279,14 @@ def hopf_constancy(u: DiscreteMap) -> dict:
 
 
 def cylinder_decomposition_report(u: DiscreteMap, ell: float, mu: float,
-                                  delta: float,
-                                  settings: dr.SolverSettings = None) -> dict:
+                                  delta: float) -> dict:
     """Unit-subcylinder decomposition: a subcylinder is good when replacing
     its interior by the harmonic solve moves the gradient by at most mu
     times the total energy; angular decay is summed over the good ones and
     the bad ones are charged to the replacement deviation."""
     dom = u.domain
-    settings = settings or dr.SolverSettings(residual_tol=1e-11,
-                                             max_sweeps=50_000, overrelax=1.8,
-                                             small_energy=np.inf)
+    settings = dr.SolverSettings(residual_tol=1e-11, max_sweeps=50_000,
+                                 overrelax=1.8, small_energy=np.inf)
     total = 2.0 * dm.energy(u)
     n_sub = max(int((dom.t1 - dom.t0) / ell) - 2, 1)
     good, bad = [], []
@@ -324,7 +326,7 @@ def cylinder_decomposition_report(u: DiscreteMap, ell: float, mu: float,
 # ---------------------------------------------------------------------------
 # trace inequality on the circle
 
-def wirtinger_check(f, zero_tol: float = 1e-9) -> dict:
+def wirtinger_check(f) -> dict:
     """Margin of  int |f|^2 <= 4 int |f'|^2  for a sampled trace on the circle
     that vanishes at some sample node."""
     f = np.asarray(f, float)
@@ -332,7 +334,7 @@ def wirtinger_check(f, zero_tol: float = 1e-9) -> dict:
         f = f[:, None]
     m = f.shape[0]
     mags = np.linalg.norm(f, axis=-1)
-    if np.min(mags) > zero_tol * (1.0 + np.max(mags)):
+    if np.min(mags) > 1e-9 * (1.0 + np.max(mags)):
         raise NoZero("trace does not vanish at any sample")
     k = np.fft.rfftfreq(m, d=1.0 / m)
     F = np.fft.rfft(f, axis=0)
@@ -344,10 +346,9 @@ def wirtinger_check(f, zero_tol: float = 1e-9) -> dict:
             "margin": 4.0 * int_fp2 - int_f2}
 
 
-def wirtinger_suite(seed: int = 0, instances: int = 1000,
-                    tol: float = 1e-10, m: int = 256) -> CertificateReport:
+def wirtinger_suite(seed: int = 0, instances: int = 1000) -> CertificateReport:
     rng = np.random.default_rng(seed)
-    theta = np.arange(m) * (2 * np.pi / m)
+    theta = np.arange(256) * (2 * np.pi / 256)
     worst = np.inf
     for _ in range(instances):
         k = int(rng.integers(1, 9))
@@ -355,36 +356,33 @@ def wirtinger_suite(seed: int = 0, instances: int = 1000,
         b = rng.normal(size=k + 1)
         g = sum(a[j] * np.cos(j * theta) + b[j] * np.sin(j * theta)
                 for j in range(k + 1))
-        g = g - g[int(rng.integers(0, m))]
+        g = g - g[int(rng.integers(0, len(theta)))]
         out = wirtinger_check(g)
         worst = min(worst, out["margin"])
     t0 = np.sin(theta)
     base = wirtinger_check(t0)
     details = {"baseline_int_f2": base["int_f2"], "baseline_int_fp2": base["int_fp2"],
                "baseline_margin": base["margin"], "baseline_expected_margin": 3 * np.pi}
-    passed = (instances > 0 and worst >= -tol
+    passed = (instances > 0 and worst >= -WIRTINGER_TOL
               and abs(base["margin"] - 3 * np.pi) <= 1e-9)
     return CertificateReport("wirtinger", instances, float(worst), bool(passed),
-                             seed, tol, details)
+                             seed, WIRTINGER_TOL, details)
 
 
 # ---------------------------------------------------------------------------
 # solver-backed suites
 
-def hopf_suite(seed: int = 0, resolutions=((65, 64), (129, 128), (257, 256)),
-               cap_angle: float = 0.3, ell: float = 1.0,
-               tol: float = 1e-4) -> CertificateReport:
-    """Harmonic cylinder maps into the unit 2-sphere from matching cap-circle
-    traces; checks constancy of the Hopf integrand and its second-order
-    decay under grid refinement."""
+def hopf_suite(seed: int = 0) -> CertificateReport:
+    """Harmonic cylinder maps of [-1, 1] x S^1 into the unit 2-sphere whose
+    ends both trace the circle at polar angle 0.3; checks constancy of the
+    Hopf integrand and its second-order decay under grid refinement."""
     s2 = round_sphere(2, 1.0)
     devs = []
-    for (n_t, n_th) in resolutions:
-        dom = CylinderDomain(-ell, ell, n_t, n_th)
+    for (n_t, n_th) in ((65, 64), (129, 128), (257, 256)):
+        dom = CylinderDomain(-1.0, 1.0, n_t, n_th)
         th = np.arange(n_th) * (2 * np.pi / n_th)
-        trace = np.stack([np.sin(cap_angle) * np.cos(th),
-                          np.sin(cap_angle) * np.sin(th),
-                          np.full_like(th, np.cos(cap_angle))], axis=-1)
+        trace = np.stack([np.sin(0.3) * np.cos(th), np.sin(0.3) * np.sin(th),
+                          np.full_like(th, np.cos(0.3))], axis=-1)
         u = solve_cylinder_map(dom, s2, trace, trace)
         rep = hopf_constancy(u)
         scale = max(abs(rep["mean"]), rep["scale"] * 2 * np.pi)
@@ -393,45 +391,46 @@ def hopf_suite(seed: int = 0, resolutions=((65, 64), (129, 128), (257, 256)),
     finest = devs[-1]
     details = {"relative_deviations": devs, "refinement_orders": orders,
                "seed_unused": seed}
-    passed = finest <= tol and all(o >= 1.5 for o in orders)
+    passed = finest <= HOPF_TOL and all(o >= 1.5 for o in orders)
     return CertificateReport("hopf", len(devs), float(-finest), bool(passed),
-                             seed, tol, details)
+                             seed, HOPF_TOL, details)
 
 
-def theta_decay_suite(seed: int = 0, ells=(1.5, 3.0), amp: float = 0.05,
-                      eps2: float = 0.25, delta: float = 0.1) -> CertificateReport:
+def theta_decay_suite(seed: int = 0, eps2: float = 0.25) -> CertificateReport:
     """Small-amplitude single-mode boundary data on lengthening cylinders:
-    the interior angular-energy fraction must fall under delta and shrink
-    as the cylinder doubles.  The details carry a small dyadic feasibility
-    scan over (energy gate, window length)."""
+    the interior angular-energy fraction must fall under THETA_DECAY_DELTA
+    and shrink as the cylinder doubles.  The details carry a small dyadic
+    feasibility scan over (energy gate, window length)."""
     s2 = round_sphere(2, 1.0)
     ratios = []
     energies = []
-    for ell in ells:
+    for ell in THETA_DECAY_ELLS:
         dom = cylinder_domain(ell, n_t=int(48 * ell) * 2 + 1, n_theta=64)
         th = dom.theta
         base = np.array([0.0, 0.0, 1.0])
-        trace = base[None, :] + amp * np.stack(
+        trace = base[None, :] + 0.05 * np.stack(
             [np.cos(th), np.zeros_like(th), np.zeros_like(th)], axis=-1)
         u = solve_cylinder_map(dom, s2, trace, trace)
-        out = theta_energy_decay_check(u, ell, delta, eps2)
+        out = theta_energy_decay_check(u, ell, THETA_DECAY_DELTA, eps2)
         if not out["applicable"]:
-            return CertificateReport("theta-decay", 0, 0.0, False, seed, delta,
+            return CertificateReport("theta-decay", 0, 0.0, False, seed,
+                                     THETA_DECAY_DELTA,
                                      {"error": "energy gate failed", **out})
         ratios.append(out["ratio"])
         energies.append(out["energy"])
     scan = [{"eps2": e2, "ell": ell, "applicable": bool(en <= e2),
-             "feasible": bool(en <= e2 and r < delta), "ratio": r}
+             "feasible": bool(en <= e2 and r < THETA_DECAY_DELTA), "ratio": r}
             for e2 in (0.125, 0.25, 0.5)
-            for ell, r, en in zip(ells, ratios, energies)]
-    details = {"ells": list(ells), "ratios": ratios, "delta": delta,
-               "energies": energies, "scan": scan,
+            for ell, r, en in zip(THETA_DECAY_ELLS, ratios, energies)]
+    details = {"ells": list(THETA_DECAY_ELLS), "ratios": ratios,
+               "delta": THETA_DECAY_DELTA, "energies": energies, "scan": scan,
                "monotone_decreasing": bool(all(a > b for a, b in
                                                zip(ratios, ratios[1:])))}
-    passed = all(r < delta for r in ratios) and details["monotone_decreasing"]
+    passed = (all(r < THETA_DECAY_DELTA for r in ratios)
+              and details["monotone_decreasing"])
     return CertificateReport("theta-decay", len(ratios),
-                             float(delta - max(ratios)), bool(passed),
-                             seed, delta, details)
+                             float(THETA_DECAY_DELTA - max(ratios)), bool(passed),
+                             seed, THETA_DECAY_DELTA, details)
 
 
 def harmonic_hardy_suite(seed: int = 0, instances: int = 25) -> CertificateReport:
@@ -451,14 +450,8 @@ def harmonic_hardy_suite(seed: int = 0, instances: int = 25) -> CertificateRepor
         cx, cy = float(rng.uniform(-0.15, 0.15)), float(rng.uniform(-0.15, 0.15))
         rad = float(rng.uniform(0.15, 0.28))
         b = dm.Ball(0, (cx, cy), rad)
-        amp = float(rng.uniform(0.1, 0.3))
-        vec = rng.normal(size=3)
-
-        def fn(p):
-            w = bump_weight(*dom.sphere_to_chart(0, p), b.center, b.radius)
-            return np.array([0.0, 0.0, -1.0]) + amp * w[..., None] * vec
-
-        u = dm.sphere_map(dom, s2, fn)
+        u = dm.ball_bump_map(dom, s2, b, float(rng.uniform(0.1, 0.3)),
+                             rng.normal(size=3))
         v = dr.solve_dirichlet(dr.DirichletProblem(u, [b]), settings)
         gx, gy = dm.chart_differential(v, 0)
         grad_v2 = np.sum(gx * gx, -1) + np.sum(gy * gy, -1)
@@ -490,8 +483,8 @@ def harmonic_hardy_suite(seed: int = 0, instances: int = 25) -> CertificateRepor
                              passed, seed, float("inf"), details)
 
 
-def convexity_suite(seed: int = 0, instances: int = 100, eps1: float = 2.0,
-                    tol: float = 1e-6) -> CertificateReport:
+def convexity_suite(seed: int = 0, instances: int = 100,
+                    eps1: float = 2.0) -> CertificateReport:
     """Randomized small-energy Dirichlet solves on chart balls of the sphere
     with projected interior perturbations: the convexity gap must be
     nonnegative at solver tolerance.  Instances whose ball leaves the chart
@@ -540,9 +533,9 @@ def convexity_suite(seed: int = 0, instances: int = 100, eps1: float = 2.0,
         gap = dr.convexity_gap(pert, v, [b])
         worst = min(worst, gap)
         ran += 1
-    passed = ran > 0 and worst >= -tol
+    passed = ran > 0 and worst >= -CONVEXITY_TOL
     return CertificateReport("convexity", ran, float(worst), bool(passed),
-                             seed, tol, {"eps1": eps1}, skipped=skipped)
+                             seed, CONVEXITY_TOL, {"eps1": eps1}, skipped=skipped)
 
 
 SUITES = {

@@ -114,7 +114,8 @@ def cmd_width(args, cfg):
     dirich.set_solve_log(log_fh)
     try:
         tightened, report = sw.tighten(
-            swp, max_iters=int(args.max_iters or cfg["sweepout.max_iters"]),
+            swp, max_iters=int(args.max_iters if args.max_iters is not None
+                               else cfg["sweepout.max_iters"]),
             plateau_tol=cfg["sweepout.plateau_tol"],
             eps1=cfg["dirichlet.small_energy"],
             budget=cfg.sampler_budget(),
@@ -233,7 +234,7 @@ def cmd_ricci(args, cfg):
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def _retighten_along_flow(r0, sample_fracs=(0.0, 0.4, 0.8)):
+def _retighten_along_flow(r0):
     """Coarse end-to-end check: rebuild and re-tighten the latitude sweepout
     under the evolving metric at sampled times and compare the measured
     width with the closed-form equatorial area."""
@@ -243,7 +244,7 @@ def _retighten_along_flow(r0, sample_fracs=(0.0, 0.4, 0.8)):
     from .manifold import round_sphere
     dom = SphereDomain(n=65)
     rows = []
-    for frac in sample_fracs:
+    for frac in (0.0, 0.4, 0.8):
         t = frac * r0**2 / 4.0
         r = np.sqrt(r0**2 - 4.0 * t)
         swp = sw.standard_sweepout("latitude-s3", round_sphere(3, float(r)),
@@ -262,7 +263,6 @@ def _retighten_along_flow(r0, sample_fracs=(0.0, 0.4, 0.8)):
 def cmd_calibrate(args, cfg):
     from . import dirichlet as dr
     from . import dmap as dmod
-    from .domains import bump_weight
     from .manifold import round_sphere
     out = _out_dir(cfg, args)
     _write_manifest(out, cfg, {"command": "calibrate"})
@@ -279,14 +279,8 @@ def cmd_calibrate(args, cfg):
         for _ in range(10):
             cx, cy = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-0.2, 0.2))
             b = dmod.Ball(0, (cx, cy), float(rng.uniform(0.15, 0.3)))
-            amp = float(rng.uniform(0.1, 0.4)) * scale
-            vec = rng.normal(size=3)
-
-            def fn(p):
-                w = bump_weight(*dom.sphere_to_chart(0, p), b.center, b.radius)
-                return np.array([0.0, 0.0, -1.0]) + amp * w[..., None] * vec
-
-            u = dmod.sphere_map(dom, s2, fn)
+            u = dmod.ball_bump_map(dom, s2, b, float(rng.uniform(0.1, 0.4)) * scale,
+                                   rng.normal(size=3))
             st = dr.SolverSettings(residual_tol=1e-13, max_sweeps=60_000,
                                    small_energy=cand, residual_stop=1e-10)
             try:

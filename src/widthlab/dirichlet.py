@@ -70,7 +70,6 @@ class SolveInfo:
     sweeps: int
     converged: bool
     residual: float      # max tangential Laplacian norm over the interior
-    energy: float        # final edge energy of the solved block
     energy_drop: float   # edge energy decrease achieved by the solve
 
 
@@ -172,7 +171,7 @@ def relax(values, interior, target, settings: SolverSettings,
                 converged = True
         e_prev = e_now
     res = _tangential_residual(v, interior, target, wx, wy, periodic_y)
-    return SolveInfo(sweeps, converged, res, e_prev, e0 - e_prev)
+    return SolveInfo(sweeps, converged, res, e0 - e_prev)
 
 
 def _tangential_residual(v, interior, target, wx=1.0, wy=1.0, periodic_y=False):
@@ -270,7 +269,6 @@ def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None,
         sweeps=sum(i.sweeps for i in infos),
         converged=all(i.converged for i in infos),
         residual=max((i.residual for i in infos), default=0.0),
-        energy=sum(i.energy for i in infos),
         energy_drop=sum(i.energy_drop for i in infos),
     )
     return (u, info) if return_info else u
@@ -330,13 +328,13 @@ def harmonic_replace(u: DiscreteMap, fam, rho: float = 1.0,
     )
 
 
-def replace_chain(u: DiscreteMap, *families, rho=1.0, s=None):
+def replace_chain(u: DiscreteMap, *families, s=None):
     """H(u, B_1, ..., B_k): successive replacement, left to right."""
     cur = u
     total = 0.0
     ok = True
     for fam in families:
-        r = harmonic_replace(cur, fam, rho, s)
+        r = harmonic_replace(cur, fam, 1.0, s)
         cur, ok = r.map, ok and r.converged
         total += r.energy_drop
     return cur, total, ok
@@ -384,12 +382,11 @@ def convexity_gap(u: DiscreteMap, v: DiscreteMap, region) -> float:
     return float(du - dv - 0.5 * dd)
 
 
-def replacement_gap_report(u: DiscreteMap, f1: BallFamily, f2: BallFamily,
-                           s: SolverSettings = None) -> dict:
+def replacement_gap_report(u: DiscreteMap, f1: BallFamily, f2: BallFamily) -> dict:
     """Measured two-family replacement gaps: the quadratic lower-bound shape
     for successive replacement, and the order-exchange inequality at
-    mu in {1/8, 1/4, 1/2}."""
-    s = s or SolverSettings()
+    mu in {1/8, 1/4, 1/2}, with default solver settings."""
+    s = SolverSettings()
     e_u = dm.energy(u)
     h12, _, ok = replace_chain(u, f1, f2, s=s)
     lhs = e_u - dm.energy(h12)
@@ -439,9 +436,10 @@ def _union_mask(dom, cover):
 
 
 def schwarz_alternating(u: DiscreteMap, cover, s: SolverSettings = None,
-                        max_cycles: int = 200, return_history: bool = False):
+                        return_history: bool = False):
     """Cyclic Dirichlet solves over an overlapping cover of one chart until
-    the residual over the union reaches the direct-solve fixed point."""
+    the residual over the union reaches the direct-solve fixed point, for at
+    most 200 cycles."""
     s = s or SolverSettings()
     out = u.copy()
     dom = out.domain
@@ -451,7 +449,7 @@ def schwarz_alternating(u: DiscreteMap, cover, s: SolverSettings = None,
                            small_energy=np.inf, residual_stop=s.residual_stop)
     stop = max(s.residual_tol, s.residual_stop)
     history = []
-    for _ in range(max_cycles):
+    for _ in range(200):
         for b in cover:
             _solve_ball(out, b, inner)
         res = _tangential_residual(out.values[chart], union, out.target)

@@ -41,14 +41,14 @@ class DiscreteMap:
     def n_charts(self):
         return len(self.values)
 
-    def validate(self, on_tol=None, overlap_tol=OVERLAP_TOL):
+    def validate(self):
         for v in self.values:
             d = self.target.distance(v)
-            if np.max(d) > (on_tol or self.target.on_tol) * 10 + 1e-12:
+            if np.max(d) > self.target.on_tol * 10 + 1e-12:
                 raise ValueError(f"node values off the target by {np.max(d):.3e}")
         if isinstance(self.domain, SphereDomain):
             err = overlap_disagreement(self)
-            if err > overlap_tol:
+            if err > OVERLAP_TOL:
                 raise ValueError(f"chart overlap disagreement {err:.3e}")
         return self
 
@@ -87,6 +87,17 @@ def equator_map(dom: SphereDomain, target) -> DiscreteMap:
     vals = [scale * np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=-1)
             for p in dom.points]
     return DiscreteMap(dom, target, vals)
+
+
+def ball_bump_map(dom: SphereDomain, target, b: Ball, amp: float,
+                  vec) -> DiscreteMap:
+    """The south pole (0, 0, -1) plus amp * vec times the bump of ball b, on
+    the sphere domain, projected to the target."""
+    def fn(p):
+        w = domains.bump_weight(*dom.sphere_to_chart(b.chart, p), b.center, b.radius)
+        return np.array([0.0, 0.0, -1.0]) + amp * w[..., None] * vec
+
+    return sphere_map(dom, target, fn)
 
 
 def constant_sphere_map(dom: SphereDomain, target, point) -> DiscreteMap:
@@ -295,9 +306,10 @@ def ball_mask(dom, b: Ball):
     return full
 
 
-def ball_fits_chart(dom: SphereDomain, b: Ball, margin_cells: int = 3) -> bool:
+def ball_fits_chart(dom: SphereDomain, b: Ball) -> bool:
+    """The ball stays three grid cells inside the chart square."""
     cx, cy = b.center
-    lim = dom.half_width - margin_cells * dom.h
+    lim = dom.half_width - 3 * dom.h
     return max(abs(cx), abs(cy)) + b.radius <= lim
 
 
@@ -403,9 +415,9 @@ def mobius_as_map(dom: SphereDomain, mob: Mobius, target) -> DiscreteMap:
 # ---------------------------------------------------------------------------
 # mollification
 
-def _mollifier_lattice(m: int = 5):
-    """Fixed lattice quadrature of the bump (1-|y|^2)^3 on the unit ball."""
-    ax = np.linspace(-1.0, 1.0, m)
+def _mollifier_lattice():
+    """Fixed 5x5x5 lattice quadrature of the bump (1-|y|^2)^3 on the unit ball."""
+    ax = np.linspace(-1.0, 1.0, 5)
     Yx, Yy, Yz = np.meshgrid(ax, ax, ax, indexing="ij")
     pts = np.stack([Yx, Yy, Yz], -1).reshape(-1, 3)
     s2 = np.sum(pts * pts, -1)
@@ -451,8 +463,8 @@ def mollify(u: DiscreteMap, r: float) -> DiscreteMap:
 @dataclass
 class CollarResult:
     rho: float
-    radii: np.ndarray      # (n_r,)
-    values: np.ndarray     # (n_r, m, N) on the annulus, row 0 at R - rho
+    radii: np.ndarray      # (17,)
+    values: np.ndarray     # (17, m, N) on the annulus, row 0 at R - rho
     gradient_integral: float   # ∫ |∇w|²
     bound: float               # 17√2 (∫(|f'|²+|g'|²))^½ (∫|f'-g'|²)^½
     ratio: float
@@ -465,9 +477,9 @@ def _fft_theta_derivative(f):
     return np.fft.irfft(1j * k[:, None] * F, n=m, axis=0)
 
 
-def collar_interpolate(f, g, R: float, target: EmbeddedManifold,
-                       n_r: int = 17, tau: float = None) -> CollarResult:
-    """Annulus map w on B_R \\ B_{R-rho} with w(R-rho,.) = f and w(R,.) = g.
+def collar_interpolate(f, g, R: float, target: EmbeddedManifold) -> CollarResult:
+    """Annulus map w on B_R \\ B_{R-rho} with w(R-rho,.) = f and w(R,.) = g,
+    sampled on 17 radii.
 
     f, g: (m, N) arrays sampled at theta_k = 2 pi k / m, mapping to the target
     and agreeing at at least one sample.  All trace integrals are the
@@ -483,16 +495,15 @@ def collar_interpolate(f, g, R: float, target: EmbeddedManifold,
     gp = _fft_theta_derivative(g)
     i_diff = float(np.sum((fp - gp) ** 2)) * dtheta
     i_sum = float(np.sum(fp**2) + np.sum(gp**2)) * dtheta
-    if tau is None:
-        tau = target.safe_tubular_radius / np.sqrt(2 * np.pi)
+    tau = target.safe_tubular_radius / np.sqrt(2 * np.pi)
     if i_diff > tau * tau:
         raise TraceTooFar(f"trace derivative gap {i_diff:.3e} exceeds {tau*tau:.3e}")
     rho = R * np.sqrt(i_diff / (8.0 * i_sum)) if i_sum > 0 else 0.0
     rho = min(rho, R / 2.0)
-    radii = np.linspace(R - rho, R, n_r)
-    s = np.linspace(0.0, 1.0, n_r)[:, None, None]
+    radii = np.linspace(R - rho, R, 17)
+    s = np.linspace(0.0, 1.0, len(radii))[:, None, None]
     w = f[None] + s * (g - f)[None]
-    if n_r > 2 and rho > 0:
+    if rho > 0:
         w[1:-1] = target.project(w[1:-1])
     w[0], w[-1] = f.copy(), g.copy()
     if rho <= 1e-300:

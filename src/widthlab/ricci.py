@@ -127,10 +127,10 @@ class WidthTrajectory:
     c: float
 
 
-def width_bound_integrate(w0: float, c: float, dt: float,
-                          t_end: float = None) -> WidthTrajectory:
+def width_bound_integrate(w0: float, c: float, dt: float) -> WidthTrajectory:
     """Forward-Euler and integrating-factor trajectories of the width upper
-    bound, with both extinction estimates."""
+    bound up to 1.25 times the closed-form extinction time, with both
+    extinction estimates."""
     if c <= 0:
         raise NonPositiveC("the comparison constant must be positive")
     if dt <= 0:
@@ -138,7 +138,7 @@ def width_bound_integrate(w0: float, c: float, dt: float,
     if w0 < 0:
         raise ValueError("the initial width must be nonnegative")
     t_star = closed_form_extinction(w0, c)
-    horizon = t_end if t_end is not None else 1.25 * t_star + dt
+    horizon = 1.25 * t_star + dt
     ts = [0.0]
     ws = [w0]
     t, w = 0.0, w0
@@ -186,8 +186,7 @@ class RoundExtinctionReport:
     pairing_residual: float = None
 
 
-def round_extinction_demo(r0: float, n_steps: int = 256,
-                          c_for_bound: float = 1.0,
+def round_extinction_demo(r0: float, c_for_bound: float = 1.0,
                           check_pairing: bool = False) -> RoundExtinctionReport:
     """Track the equatorial width W(t) = 4 pi r^2(t) along the round flow.
 
@@ -196,14 +195,14 @@ def round_extinction_demo(r0: float, n_steps: int = 256,
     """
     flow = ModelFlow.round_s3(r0)
     t_ext = flow.t_max
-    ts = np.linspace(0.0, t_ext * (1 - 1e-9), n_steps)
+    ts = np.linspace(0.0, t_ext * (1 - 1e-9), 256)
     r2 = r0**2 - 4.0 * ts
     width = 4.0 * np.pi * r2
     min_r = 6.0 / r2
     bound = np.array([minimal_sphere_rate(w, m) for w, m in zip(width, min_r)])
     residual = float(np.max(np.abs(bound - (-16.0 * np.pi))))
     traj = width_bound_integrate(float(width[0]), c_for_bound,
-                                 dt=t_ext / (64 * n_steps))
+                                 dt=t_ext / (64 * len(ts)))
     pairing_residual = None
     if check_pairing:
         from . import dmap as dmod

@@ -93,7 +93,6 @@ class IterationRow:
 class TighteningReport:
     rows: list = field(default_factory=list)
     final_width: WidthEstimate = None
-    harmonic_checks: list = field(default_factory=list)
     varifold_distance: float = None
     stopped: str = ""
 
@@ -459,12 +458,6 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
         w_prev = west.w_energy
     # the last iteration, if any ran, measured the returned sweepout already
     final = report.final_width = west if west is not None else width_estimate(cur)
-    for i in range(cur.n_slices):
-        if final.per_slice_energy[i] >= 0.95 * final.w_energy:
-            chk = almost_harmonic_check(cur.slices[i], eps0=eps1 / 2,
-                                        budget=budget,
-                                        settings=settings)
-            report.harmonic_checks.append((i, chk))
     if reference_varifold is not None:
         from . import varifold as vf
         argmax_map = cur.slices[final.argmax_t]
@@ -577,8 +570,7 @@ def birkhoff_step(pts):
     return r
 
 
-def birkhoff_tighten(cs: CurveSweepout, max_iters: int = 200,
-                     tol: float = 1e-10) -> dict:
+def birkhoff_tighten(cs: CurveSweepout, max_iters: int = 200) -> dict:
     """Alternate midpoint-geodesic replacement; reports the max-length curve
     per iteration (non-increasing) until it stalls."""
     cur = cs.copy()
@@ -586,7 +578,7 @@ def birkhoff_tighten(cs: CurveSweepout, max_iters: int = 200,
     for _ in range(max_iters):
         cur = CurveSweepout([birkhoff_step(v) for v in cur.slices])
         history.append(max(curve_length(v) for v in cur.slices))
-        if abs(history[-2] - history[-1]) < tol * max(history[-1], 1.0):
+        if abs(history[-2] - history[-1]) < 1e-10 * max(history[-1], 1.0):
             break
     return {"sweepout": cur, "max_length_history": np.array(history),
             "final_max_length": float(history[-1]),

@@ -90,21 +90,21 @@ def _monomials(n_vars: int, max_deg: int):
 @dataclass
 class TestFunctionFamily:
     """Products of point monomials (degree <= 3) and plane-projector-entry
-    monomials (degree <= 2), graded ordering, sup-normalized on a fixed
-    deterministic sample of the manifold's plane bundle."""
+    monomials (degree <= 2), the first 64 in graded ordering, sup-normalized
+    on a fixed deterministic sample of the manifold's plane bundle."""
 
     manifold_descriptor: dict
     terms: list          # (point_monomial, plane_monomial, scale)
     version: str = FAMILY_VERSION
 
     @staticmethod
-    def for_manifold(manifold, n_terms: int = 64) -> "TestFunctionFamily":
+    def for_manifold(manifold) -> "TestFunctionFamily":
         n = manifold.ambient_dim
         p_mon = _monomials(n, 3)
         q_mon = _monomials(n * n, 2)
         pairs = [(len(a) + len(b), len(a), a, b) for a in p_mon for b in q_mon]
         pairs.sort(key=lambda t: (t[0], -t[1], t[2], t[3]))
-        pairs = pairs[:n_terms]
+        pairs = pairs[:64]
         pts, planes = _normalization_sample(manifold)
         flat = planes.reshape(planes.shape[0], -1)
         terms = []
@@ -134,12 +134,12 @@ class TestFunctionFamily:
         return out
 
 
-def _normalization_sample(manifold, count: int = 2048):
+def _normalization_sample(manifold):
     seed_src = f"widthlab-testfam-{FAMILY_VERSION}-{manifold.descriptor()}"
     seed = int(hashlib.sha256(seed_src.encode()).hexdigest()[:8], 16)
     rng = np.random.default_rng(seed)
     n = manifold.ambient_dim
-    raw = rng.normal(size=(count, n))
+    raw = rng.normal(size=(2048, n))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
     scale = 2.0 * getattr(manifold, "radius", 1.0)
     if hasattr(manifold, "semi_axes"):
@@ -147,9 +147,9 @@ def _normalization_sample(manifold, count: int = 2048):
     pts = manifold.project(raw * scale)  # outside the convex kinds: always unique
     pn = manifold.normal_space_projector(pts)
     pt = np.eye(n) - pn
-    v1 = np.einsum("kij,kj->ki", pt, rng.normal(size=(count, n)))
+    v1 = np.einsum("kij,kj->ki", pt, rng.normal(size=raw.shape))
     q1 = v1 / np.linalg.norm(v1, axis=-1, keepdims=True)
-    v2 = np.einsum("kij,kj->ki", pt, rng.normal(size=(count, n)))
+    v2 = np.einsum("kij,kj->ki", pt, rng.normal(size=raw.shape))
     v2 = v2 - np.sum(v2 * q1, -1, keepdims=True) * q1
     q2 = v2 / np.linalg.norm(v2, axis=-1, keepdims=True)
     planes = q1[:, :, None] * q1[:, None, :] + q2[:, :, None] * q2[:, None, :]
@@ -233,8 +233,7 @@ def _disk_energy(dens, dom, center, radius):
     return float(np.sum(dens[box][mask]))
 
 
-def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float,
-                   r_tol: float = 1e-3, lattice_stride: int = 2):
+def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float):
     """Smallest r (with best recentering y) at which the annulus
     B_rho(x) minus B_r(y) holds energy eps3; returns (r, y, renormalized map)
     with the renormalized map given by composing with the dilation that
@@ -249,7 +248,7 @@ def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float,
         raise NotConcentrated(
             f"ball energy {e_rho:.4f} does not exceed the level {eps3:.4f}")
 
-    idx = np.arange(0, dom.n, lattice_stride)
+    idx = np.arange(0, dom.n, 2)
     gx, gy = np.meshgrid(dom.axis[idx], dom.axis[idx], indexing="ij")
     gx, gy = gx.ravel(), gy.ravel()
 
@@ -276,7 +275,7 @@ def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float,
         else:
             hi = mid
             best_y = arg
-        if hi - lo < r_tol * rho:
+        if hi - lo < 1e-3 * rho:
             break
     r = hi
     ball = Ball(chart, best_y, r)
@@ -289,7 +288,7 @@ def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float,
     return float(r), np.asarray(y_sphere), renorm
 
 
-def detect_concentration(seq, eps_su: float, radii, lattice_stride: int = 4):
+def detect_concentration(seq, eps_su: float, radii):
     """Points where every test radius keeps at least eps_su of energy in the
     last map of the sequence; clustered to one representative per site."""
     u = seq[-1]
@@ -298,7 +297,7 @@ def detect_concentration(seq, eps_su: float, radii, lattice_stride: int = 4):
     hits = []
     for c in (0, 1):
         dens = dm.energy_density(*dm.chart_differential(u, c)) * dom.h**2
-        idx = np.arange(0, dom.n, lattice_stride)
+        idx = np.arange(0, dom.n, 4)
         for i in idx:
             for jj in idx:
                 cx, cy = float(dom.axis[i]), float(dom.axis[jj])

@@ -116,6 +116,21 @@ def test_width_cli_light(tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_width_cli_max_iters_zero(tmp_path):
+    """--max-iters 0 overrides the configured iteration count."""
+    cfgfile = tmp_path / "light.cfg"
+    cfgfile.write_text("dmap.n = 65\nsweepout.n_slices = 8\n"
+                       "sweepout.max_iters = 1\n")
+    out = tmp_path / "w"
+    run(["width", "--fixture", "perturbed-latitude-s3", "--config", str(cfgfile),
+         "--max-iters", "0", "--out", str(out)])
+    summary = json.loads((out / "width-summary.json").read_text())
+    assert summary["iterations"] == 0
+    assert summary["stopped"] == "max-iters"
+    assert (out / "width-iterations.csv").read_text().splitlines() == [
+        "iter,w_energy,w_area,argmax_t,total_drop,max_improvement,stages,flagged"]
+
+
 def test_varifold_csv_export(tmp_path):
     import numpy as np
     from widthlab import dmap, io as wio, varifold as vf

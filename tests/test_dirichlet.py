@@ -370,7 +370,7 @@ def _reference_relax(v, interior, target, settings, wx=1.0, wy=1.0, periodic_y=F
                 converged = True
         e_prev = e_now
     res = _reference_residual(v, interior, target, wx, wy)
-    return dr.SolveInfo(sweeps, converged, res, e_prev, e0 - e_prev)
+    return dr.SolveInfo(sweeps, converged, res, e0 - e_prev)
 
 
 def _bits(x):

@@ -189,6 +189,21 @@ def test_tighten_changes_slices_only_by_replacement(monkeypatch, s3):
     assert handed_over_intact == [True, True, True]
 
 
+def test_tighten_runs_no_almost_harmonic_pass(monkeypatch, s3):
+    """The almost-harmonic diagnostic is on demand: tighten never calls it
+    and its report has no field for it."""
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                               n_slices=8, amp=0.3)
+    calls = []
+    monkeypatch.setattr(sw, "almost_harmonic_check",
+                        lambda *a, **k: calls.append(a))
+    _, report = sw.tighten(swp, max_iters=2, eps1=2.0, budget=BUDGET,
+                           settings=SETTINGS)
+    assert len(report.rows) == 2
+    assert calls == []
+    assert not hasattr(report, "harmonic_checks")
+
+
 def test_tighten_once_parallel_matches_serial(dom, s3):
     pert = sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=16,
                                 amp=0.25)
