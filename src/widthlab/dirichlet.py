@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dmap as dm
 from .dmap import Ball, BallFamily, DiscreteMap, ball_box
-from .domains import CylinderDomain, DiskDomain, SphereDomain
+from .domains import CylinderDomain, DiskDomain, SphereDomain, frozen
 from .errors import BoundaryMismatch, EnergyTooLarge
 
 _SOLVE_LOG = {"fh": None, "lock": threading.Lock()}
@@ -292,15 +292,24 @@ def _sync_cap(u: DiscreteMap, b: Ball):
     dom = u.domain
     if not isinstance(dom, SphereDomain):
         return
+    nodes = dom.memoized(("refresh", b), lambda: _cap_refresh_nodes(dom, b))
+    dm.refresh_nodes(u, b.chart, nodes)
+
+
+def _cap_refresh_nodes(dom: SphereDomain, b: Ball):
+    """The other-chart nodes `_sync_cap` refreshes, as read-only (rows,
+    columns, X, Y) in the form `dm.refresh_nodes` takes."""
+    other = 1 - b.chart
     axis, theta = b.cap(dom)
-    pts = dom.points[1 - b.chart]
-    reach = dom.node_owner[1 - b.chart] == b.chart
-    for coord, s in zip(dom.cross_coords[1 - b.chart], ball_box(dom, b)[0]):
+    reach = dom.node_owner[other] == b.chart
+    for coord, s in zip(dom.cross_coords[other], ball_box(dom, b)[0]):
         # catmullrom reads rows floor(f) - 1 .. floor(f) + 2
         f = (coord - dom.axis[0]) / dom.h
         reach &= (f >= s.start - 2) & (f < s.stop + 1)
-    refresh = reach | (np.tensordot(pts, axis, axes=(-1, -1)) >= np.cos(theta))
-    dm.sync_overlap(u, chart=b.chart, mask=refresh)
+    in_cap = np.tensordot(dom.points[other], axis, axes=(-1, -1)) >= np.cos(theta)
+    ii, jj = np.nonzero(dom.cross_safe[other] & (reach | in_cap))
+    X, Y = dom.cross_coords[other]
+    return tuple(frozen(a) for a in (ii, jj, X[ii, jj], Y[ii, jj]))
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +505,8 @@ def _centre_balls(dom, c, i, j, radii):
     for r in radii:
         b = Ball(c, (cx, cy), float(r))
         if dm.ball_fits_chart(dom, b) and dm.ball_in_pure_region(dom, b):
-            idx = np.flatnonzero(dm.ball_mask(dom, b))
-            idx.flags.writeable = False
-            out.append((b, idx))
-    return out
+            out.append((b, frozen(np.flatnonzero(dm.ball_mask(dom, b)))))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=8)
@@ -530,7 +537,8 @@ def candidate_balls(u: DiscreteMap, budget: SamplerBudget):
         balls = list(lattice[c])
         for i, j in zip(hot[0].tolist(), hot[1].tolist()):
             if i % stride or j % stride:  # lattice centres are covered
-                balls += _centre_balls(dom, c, i, j, radii)
+                balls += dom.memoized(("centre", c, i, j, radii),
+                                      lambda: _centre_balls(dom, c, i, j, radii))
         x_flat, e_flat = excess.ravel(), dens.ravel()
         cands += [(float(np.sum(x_flat[idx])), float(np.sum(e_flat[idx])), b)
                   for b, idx in balls]

@@ -132,10 +132,22 @@ def sync_overlap(u: DiscreteMap, chart: int, mask=None):
     other = 1 - chart
     Xs, Ys = dom.cross_coords[other]
     m = dom.cross_safe[other] if mask is None else dom.cross_safe[other] & mask
-    if not np.any(m):
+    ii, jj = np.nonzero(m)
+    refresh_nodes(u, chart, (ii, jj, Xs[ii, jj], Ys[ii, jj]))
+
+
+def refresh_nodes(u: DiscreteMap, chart: int, nodes):
+    """Re-interpolate the given nodes of the other chart from `chart`.
+
+    nodes: (rows, columns, X, Y) of other-chart nodes, with their
+    coordinates (X, Y) in `chart`; row-major order, as boolean masks select.
+    """
+    ii, jj, xs, ys = nodes
+    if len(ii) == 0:
         return
-    vals = domains.catmullrom(u.values[chart], dom.axis[0], dom.h, Xs[m], Ys[m])
-    u.values[other][m] = u.target.project(vals)
+    dom = u.domain
+    vals = domains.catmullrom(u.values[chart], dom.axis[0], dom.h, xs, ys)
+    u.values[1 - chart][ii, jj] = u.target.project(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +267,11 @@ class Ball:
         return Ball(self.chart, self.center, self.radius * rho)
 
     def cap(self, dom: SphereDomain):
-        """Spherical cap (axis, angular radius) the chart disk bounds."""
+        """Spherical cap (axis, angular radius) the chart disk bounds,
+        memoized on the domain; the axis array is read-only."""
+        return dom.memoized(("cap", self), lambda: self._cap(dom))
+
+    def _cap(self, dom: SphereDomain):
         cx, cy = self.center
         ang = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
         ring = dom.chart_to_sphere(self.chart,
@@ -267,7 +283,7 @@ class Ball:
         inside = dom.chart_to_sphere(self.chart, np.array(cx), np.array(cy))
         if float(nrm @ inside) < d:
             nrm, d = -nrm, -d
-        return nrm, float(np.arccos(np.clip(d, -1.0, 1.0)))
+        return domains.frozen(nrm), float(np.arccos(np.clip(d, -1.0, 1.0)))
 
 
 class BallFamily(list):

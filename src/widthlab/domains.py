@@ -86,7 +86,7 @@ def catmullrom(grid, xs0, h, px, py):
     return acc.reshape(np.shape(px) + g.shape[2:])
 
 
-def _frozen(a):
+def frozen(a):
     """`a`, made read-only so a cached array cannot be changed through it."""
     a.flags.writeable = False
     return a
@@ -111,6 +111,8 @@ class SphereDomain:
     flat_weights: list = field(init=False, repr=False)  # pu * h^2
     area_weights: list = field(init=False, repr=False)  # pu * lam^2 * h^2
     z: list = field(init=False, repr=False)
+    memo: dict = field(init=False, repr=False, compare=False,
+                       default_factory=dict)  # see `memoized`
 
     def __post_init__(self):
         L, n = self.half_width, self.n
@@ -162,19 +164,31 @@ class SphereDomain:
     @cached_property
     def node_owner(self):
         """Per chart c: the owner chart of each of its nodes."""
-        return tuple(_frozen(self.owner_chart(p)) for p in self.points)
+        return tuple(frozen(self.owner_chart(p)) for p in self.points)
 
     @cached_property
     def cross_coords(self):
         """Per chart c: the coordinates (X, Y) of its nodes in chart 1 - c."""
-        return tuple(tuple(_frozen(a) for a in self.sphere_to_chart(1 - c, self.points[c]))
+        return tuple(tuple(frozen(a) for a in self.sphere_to_chart(1 - c, self.points[c]))
                      for c in (0, 1))
 
     @cached_property
     def cross_safe(self):
         """Per chart c: the nodes that chart 1 - c can interpolate safely."""
         safe = self.interp_safe_radius()
-        return tuple(_frozen(np.hypot(X, Y) <= safe) for X, Y in self.cross_coords)
+        return tuple(frozen(np.hypot(X, Y) <= safe) for X, Y in self.cross_coords)
+
+    def memoized(self, key, build):
+        """The value stored under `key`, built by `build()` on first use.
+
+        The store holds geometry that depends only on this domain and the
+        key (ball caps, other-chart refresh sets, hot-seed balls), lives as
+        long as the domain, and starts empty.  Concurrent first uses may
+        build twice; both builds are equal and one is kept."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            return self.memo.setdefault(key, build())
 
     def sample_chart(self, values_c, px, py):
         return catmullrom(values_c, self.axis[0], self.h, px, py)

@@ -44,11 +44,19 @@ def write_map(fh, u: dm.DiscreteMap):
         fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
-def read_map(fh) -> dm.DiscreteMap:
+def read_map(fh, domain=None) -> dm.DiscreteMap:
+    """The next map record of fh, on `domain` when given (a record on any
+    other domain is a ValueError), else on a domain built from the record."""
     header = json.loads(fh.readline().decode())
     if header.get("format") != MAP_FORMAT:
         raise ValueError("not a map record")
-    dom = _domain_from_descriptor(header["domain"])
+    if domain is None:
+        dom = _domain_from_descriptor(header["domain"])
+    elif header["domain"] == domain.descriptor():
+        dom = domain
+    else:
+        raise ValueError(f"map domain {header['domain']} differs from "
+                         f"{domain.descriptor()}")
     target = mf.from_descriptor(header["target"])
     grid = (dom.n_t, dom.n_theta) if isinstance(dom, CylinderDomain) else (dom.n, dom.n)
     want = [grid + (target.ambient_dim,)] * (2 if isinstance(dom, SphereDomain) else 1)
@@ -92,7 +100,10 @@ def load_sweepout(path):
         manifest = json.loads(fh.readline().decode())
         if manifest.get("format") != SWEEPOUT_FORMAT:
             raise ValueError("not a sweepout container")
-        slices = [read_map(fh) for _ in range(int(manifest["n_slices"]))]
+        slices = []
+        for _ in range(int(manifest["n_slices"])):
+            # every slice shares the first slice's domain and its geometry
+            slices.append(read_map(fh, slices[0].domain if slices else None))
     return Sweepout(slices, slices[0].target, degree=int(manifest["degree"]))
 
 

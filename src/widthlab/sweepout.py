@@ -178,9 +178,16 @@ def standard_sweepout(kind: str, target, dom: SphereDomain = None,
 # ---------------------------------------------------------------------------
 # width and degree
 
-def width_estimate(s: Sweepout) -> WidthEstimate:
-    es = np.array([dm.energy(u) for u in s.slices])
-    ar = np.array([dm.area(u) for u in s.slices])
+def width_estimate(s: Sweepout, known=None) -> WidthEstimate:
+    """Energy and area of every slice, and the widest slice by energy.
+
+    known: per slice, an (energy, area) pair measured earlier on the same
+    slice, or None where the slice must be measured."""
+    known = known or [None] * s.n_slices
+    pairs = [(dm.energy(u), dm.area(u)) if k is None else k
+             for u, k in zip(s.slices, known)]
+    es = np.array([e for e, _ in pairs])
+    ar = np.array([a for _, a in pairs])
     return WidthEstimate(float(es.max()), float(ar.max()), int(es.argmax()), es, ar)
 
 
@@ -218,7 +225,8 @@ def _improvement_tol(w: float) -> float:
 
 def select_ball_schedule(s: Sweepout, eps1: float = 2.0,
                          budget: dr.SamplerBudget = None,
-                         settings: dr.SolverSettings = None) -> BallSchedule:
+                         settings: dr.SolverSettings = None,
+                         energies=None) -> BallSchedule:
     """Families plus radius envelopes covering the high-energy slices.
 
     For every uncovered high-energy slice, the replacement sampler proposes
@@ -226,13 +234,14 @@ def select_ball_schedule(s: Sweepout, eps1: float = 2.0,
     interval grows while the drop persists at half strength and the family
     energy stays under eps1/3.  The finite cover is pruned so each closed
     interval meets at most two others, and envelope supports are truncated
-    so at most two radii are positive at any t.
+    so at most two radii are positive at any t.  `energies`, when given,
+    are the slices' energies, already measured.
     """
     budget = budget or dr.SamplerBudget()
     settings = settings or dr.SolverSettings(small_energy=eps1)
     T = s.n_slices - 1
     ts = s.times
-    es = np.array([dm.energy(u) for u in s.slices])
+    es = np.array([dm.energy(u) for u in s.slices]) if energies is None else energies
     w = float(es.max())
     tol = _improvement_tol(w)
     high = [i for i in range(s.n_slices) if es[i] >= w / 2]
@@ -425,9 +434,10 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     """Iterate schedule selection and replacement until the width plateaus.
 
     Each iteration selects a ball schedule, applies it with `tighten_once`
-    and measures the width; nothing else changes a slice.  Returns
-    (tightened sweepout, TighteningReport).  Endpoint slices are never
-    touched.
+    and measures the width; nothing else changes a slice.  A slice that
+    `tighten_once` left alone keeps the energy and area measured on it the
+    iteration before.  Returns (tightened sweepout, TighteningReport).
+    Endpoint slices are never touched.
     """
     budget = budget or dr.SamplerBudget()
     settings = settings or dr.SolverSettings(small_energy=eps1)
@@ -437,12 +447,17 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     stall = 0
     for it in range(1, max_iters + 1):
         try:
-            sched = select_ball_schedule(cur, eps1, budget, settings)
+            sched = select_ball_schedule(
+                cur, eps1, budget, settings,
+                energies=None if west is None else west.per_slice_energy)
         except ScheduleEmpty:
             report.stopped = "schedule-empty"
             break
+        before = cur.slices
         cur, drop, flagged = tighten_once(cur, sched, settings, jobs=jobs)
-        west = width_estimate(cur)
+        known = _kept_measurements(west, before, cur.slices)
+        del before  # the replaced slices are freed before the width is measured
+        west = width_estimate(cur, known)
         report.rows.append(IterationRow(
             iteration=it, w_energy=west.w_energy, w_area=west.w_area,
             argmax_t=west.argmax_t, total_drop=float(drop),
@@ -467,6 +482,16 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     if not report.stopped:
         report.stopped = "max-iters"
     return cur, report
+
+
+def _kept_measurements(west, before, after):
+    """Per slice of `after`: its (energy, area) from `west`, the estimate of
+    `before`, when the slice is the same object, else None; None when there
+    is no estimate."""
+    if west is None:
+        return None
+    return [(e, a) if u is v else None for u, v, e, a in
+            zip(after, before, west.per_slice_energy, west.per_slice_area)]
 
 
 # ---------------------------------------------------------------------------

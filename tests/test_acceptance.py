@@ -82,6 +82,7 @@ def test_criterion_03_latitude_width(adom):
            t.seconds, 10)
 
 
+@pytest.mark.slow
 def test_criterion_04_tightening_recovery(adom):
     s3 = round_sphere(3, 1.0)
     with Timer() as t:
@@ -143,6 +144,7 @@ def test_criterion_07_ode_suite():
            f"{rep.details['baseline_bound']:.3f})", t.seconds, 60)
 
 
+@pytest.mark.slow
 def test_criterion_08_hopf_constancy():
     with Timer() as t:
         rep = cl.hopf_suite(seed=0)

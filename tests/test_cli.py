@@ -131,6 +131,33 @@ def test_width_cli_max_iters_zero(tmp_path):
         "iter,w_energy,w_area,argmax_t,total_drop,max_improvement,stages,flagged"]
 
 
+def test_width_cli_latitude_fails_a_rising_width_series(monkeypatch, tmp_path):
+    """latitude-s3 must end at 4 pi and with a monotone series: a rising
+    series fails the check even at the right final width."""
+    import numpy as np
+    from widthlab import sweepout as sw
+    four_pi = 4 * np.pi
+
+    def rising(swp, **kwargs):
+        rows = [sw.IterationRow(it, w, w, 4, 0.0, 0.0, 1, 0, 0)
+                for it, w in ((1, 0.999 * four_pi), (2, four_pi))]
+        es = np.full(swp.n_slices, four_pi)
+        return swp, sw.TighteningReport(
+            rows=rows, final_width=sw.WidthEstimate(four_pi, four_pi, 4, es, es),
+            stopped="max-iters")
+
+    monkeypatch.setattr(sw, "tighten", rising)
+    cfgfile = tmp_path / "light.cfg"
+    cfgfile.write_text("dmap.n = 65\nsweepout.n_slices = 8\n")
+    out = tmp_path / "w"
+    code = run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
+                "--out", str(out)])
+    summary = json.loads((out / "width-summary.json").read_text())
+    assert summary["final_over_4pi"] == 1.0
+    assert summary["monotone"] is False
+    assert code == 2
+
+
 def test_varifold_csv_export(tmp_path):
     import numpy as np
     from widthlab import dmap, io as wio, varifold as vf

@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import numpy as np
@@ -6,8 +8,10 @@ import pytest
 from conftest import chart0_bump_map
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
+from widthlab import sweepout as sw
 from widthlab.dmap import Ball, BallFamily
-from widthlab.domains import CylinderDomain, DiskDomain, SphereDomain, bump_weight
+from widthlab.domains import (CylinderDomain, DiskDomain, SphereDomain, bump_weight,
+                              catmullrom)
 from widthlab.errors import BoundaryMismatch, EnergyTooLarge, OverlapViolation
 from widthlab.manifold import affine_subspace, round_sphere
 
@@ -488,3 +492,138 @@ def test_relax_rejects_interior_on_a_non_periodic_edge():
         # the y axis of a periodic block has no edge
         info = dr.relax(np.zeros((6, 5, 1)), inter, tgt, s, periodic_y=True)
         assert info.converged
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-domain memo of ball caps and refresh sets against
+# reference copies of the unmemoized cap and the full-grid refresh mask,
+# compared bit for bit
+
+def _reference_cap(b, dom):
+    cx, cy = b.center
+    ang = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+    ring = dom.chart_to_sphere(b.chart, cx + b.radius * np.cos(ang),
+                               cy + b.radius * np.sin(ang))
+    nrm = np.cross(ring[1] - ring[0], ring[2] - ring[0])
+    nrm /= np.linalg.norm(nrm)
+    d = float(nrm @ ring[0])
+    inside = dom.chart_to_sphere(b.chart, np.array(cx), np.array(cy))
+    if float(nrm @ inside) < d:
+        nrm, d = -nrm, -d
+    return nrm, float(np.arccos(np.clip(d, -1.0, 1.0)))
+
+
+def _reference_sync_cap(u, b):
+    dom = u.domain
+    other = 1 - b.chart
+    axis, theta = _reference_cap(b, dom)
+    reach = dom.node_owner[other] == b.chart
+    for coord, s in zip(dom.cross_coords[other], dm.ball_box(dom, b)[0]):
+        f = (coord - dom.axis[0]) / dom.h
+        reach &= (f >= s.start - 2) & (f < s.stop + 1)
+    refresh = reach | (np.tensordot(dom.points[other], axis, axes=(-1, -1))
+                       >= np.cos(theta))
+    Xs, Ys = dom.cross_coords[other]
+    m = dom.cross_safe[other] & refresh
+    if np.any(m):
+        vals = catmullrom(u.values[b.chart], dom.axis[0], dom.h, Xs[m], Ys[m])
+        u.values[other][m] = u.target.project(vals)
+
+
+def _cap_bits(cap):
+    return cap[0].tobytes(), repr(cap[1])
+
+
+# both charts; balls in the overlap band, near a pole, and clipped at the
+# grid edge
+MEMO_BALLS = [Ball(0, (0.1, -0.05), 0.1), Ball(0, (0.75, 0.5), 0.2),
+              Ball(1, (-0.6, 0.7), 0.15), Ball(0, (1.2, -1.15), 0.2),
+              Ball(1, (-1.25, 0.0), 0.1)]
+
+
+def _noisy_map(dom, s2, seed):
+    """A map whose charts disagree on the overlap, so refreshes show."""
+    rng = np.random.default_rng(seed)
+    u = chart0_bump_map(dom, s2)
+    u.values = [s2.project(v + 0.01 * rng.standard_normal(v.shape)) for v in u.values]
+    return u
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_memoized_cap_and_refresh_equal_the_full_grid_code(n, s2):
+    dom = SphereDomain(n=n)
+    assert any(s.start == 0 or s.stop == n
+               for b in MEMO_BALLS for s in dm.ball_box(dom, b)[0])
+    u = _noisy_map(dom, s2, n)
+    refreshed = 0
+    for b in MEMO_BALLS:
+        cap = b.cap(dom)
+        assert _cap_bits(cap) == _cap_bits(_reference_cap(b, dom))
+        assert b.cap(dom) is cap  # a hit returns the stored pair
+        ref = u.copy()
+        _reference_sync_cap(ref, b)
+        for _ in range(2):  # the second call reads the stored refresh set
+            got = u.copy()
+            dr._sync_cap(got, b)
+            assert [v.tobytes() for v in got.values] == [v.tobytes() for v in ref.values]
+        refreshed += not np.array_equal(ref.values[1 - b.chart], u.values[1 - b.chart])
+    assert refreshed >= 2
+    assert set(dom.memo) == {(kind, b) for kind in ("cap", "refresh")
+                               for b in MEMO_BALLS}
+
+
+def test_memo_is_per_domain_and_read_only(s2, s3):
+    one, two = SphereDomain(n=33), SphereDomain(n=33)
+    b = MEMO_BALLS[1]
+    cap = b.cap(one)
+    assert list(one.memo) == [("cap", b)] and two.memo == {}
+    twin = b.cap(two)
+    assert twin[0] is not cap[0] and _cap_bits(twin) == _cap_bits(cap)
+    u = _noisy_map(one, s2, 0)
+    dr._sync_cap(u, b)
+    dr.candidate_balls(chart0_bump_map(one, s2), dr.SamplerBudget())
+    hot = [idx for key, balls in one.memo.items() if key[0] == "centre"
+           for _, idx in balls]
+    assert hot
+    for arr in (cap[0], *one.memo[("refresh", b)], *hot):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # nothing is stored ahead of use
+    dom = SphereDomain(n=33)
+    sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=4, amp=0.3)
+    assert dom.memo == {}
+
+
+def test_memo_under_threads(s2):
+    """Threads that fill one domain's memo at once all get the one stored
+    value per key, and refresh the same bits as the full-grid code."""
+    dom = SphereDomain(n=33)
+    u = _noisy_map(dom, s2, 1)
+    refs = []
+    for b in MEMO_BALLS:
+        ref = u.copy()
+        _reference_sync_cap(ref, b)
+        refs.append([v.tobytes() for v in ref.values])
+
+    def work(seed):
+        out = []
+        for k in np.random.default_rng(seed).permutation(len(MEMO_BALLS)):
+            cap = MEMO_BALLS[k].cap(dom)
+            got = u.copy()
+            dr._sync_cap(got, MEMO_BALLS[k])
+            out.append((k, cap, [v.tobytes() for v in got.values]))
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = [f.result(timeout=120) for f in
+                       [pool.submit(work, seed) for seed in range(16)]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(dom.memo) == 2 * len(MEMO_BALLS)
+    for res in results:
+        for k, cap, got in res:
+            assert cap is dom.memo[("cap", MEMO_BALLS[k])]
+            assert got == refs[k]

@@ -240,9 +240,9 @@ def test_tighten_final_width_is_the_last_estimate(monkeypatch, s3, stop):
     width_estimate = sw.width_estimate
     measured = []
 
-    def spy(s):
+    def spy(s, known=None):
         measured.append(s)
-        return width_estimate(s)
+        return width_estimate(s, known)
 
     monkeypatch.setattr(sw, "width_estimate", spy)
     out, report = sw.tighten(swp, max_iters=4 if stop == "max-iters" else 8,
@@ -254,6 +254,78 @@ def test_tighten_final_width_is_the_last_estimate(monkeypatch, s3, stop):
         (fresh.w_energy, fresh.w_area, fresh.argmax_t)
     assert got.per_slice_energy.tobytes() == fresh.per_slice_energy.tobytes()
     assert got.per_slice_area.tobytes() == fresh.per_slice_area.tobytes()
+
+
+def _fresh_width_rows(swp, iters):
+    """tighten's loop with a width estimate measured afresh every iteration."""
+    cur, rows = swp.copy(), []
+    for it in range(1, iters + 1):
+        sched = sw.select_ball_schedule(cur, 2.0, BUDGET, SETTINGS)
+        cur, drop, flagged = sw.tighten_once(cur, sched, SETTINGS)
+        west = sw.width_estimate(cur)
+        rows.append(sw.IterationRow(it, west.w_energy, west.w_area, west.argmax_t,
+                                    float(drop), float(max(sched.improvements)),
+                                    len(sched.families), 0, flagged))
+    return rows, west
+
+
+def test_tighten_measures_only_the_replaced_slices(monkeypatch, s3):
+    """Schedule selection measures whole slices on the first iteration only,
+    and each width estimate measures only the slices tighten_once replaced;
+    the rows are those of fresh estimates, bit for bit."""
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                               n_slices=8, amp=0.3)
+    want_rows, want_west = _fresh_width_rows(swp, 3)
+    energy, area = dm.energy, dm.area
+    select, estimate, once = sw.select_ball_schedule, sw.width_estimate, sw.tighten_once
+    phase, calls, measured, applied = [None], {}, [], []
+
+    def spy_energy(u, region=None):
+        if region is None:
+            measured.append((phase[0], "energy", u))
+        return energy(u, region)
+
+    def spy_area(u):
+        measured.append((phase[0], "area", u))
+        return area(u)
+
+    def in_phase(name, fn):
+        def wrapped(*args, **kwargs):
+            phase[0] = (name, calls.setdefault(name, 0))
+            calls[name] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase[0] = None
+        return wrapped
+
+    def spy_once(s, *args, **kwargs):
+        res = once(s, *args, **kwargs)
+        applied.append((s.slices, res[0].slices))
+        return res
+
+    monkeypatch.setattr(dm, "energy", spy_energy)
+    monkeypatch.setattr(dm, "area", spy_area)
+    monkeypatch.setattr(sw, "select_ball_schedule", in_phase("select", select))
+    monkeypatch.setattr(sw, "width_estimate", in_phase("width", estimate))
+    monkeypatch.setattr(sw, "tighten_once", spy_once)
+    _, report = sw.tighten(swp, max_iters=3, eps1=2.0, budget=BUDGET,
+                           settings=SETTINGS)
+    assert repr(report.rows) == repr(want_rows)
+    for field_ in ("per_slice_energy", "per_slice_area"):
+        assert getattr(report.final_width, field_).tobytes() == \
+            getattr(want_west, field_).tobytes()
+    assert len(applied) == 3
+    for k, (before, after) in enumerate(applied):
+        replaced = [v for u, v in zip(before, after) if u is not v]
+        assert 0 < len(replaced) < swp.n_slices
+        picked = [u for ph, _, u in measured if ph == ("select", k)]
+        assert len(picked) == (swp.n_slices if k == 0 else 0)
+        for kind in ("energy", "area"):
+            got = [u for ph, what, u in measured if ph == ("width", k) and what == kind]
+            want = after if k == 0 else replaced
+            assert len(got) == len(want)
+            assert all(g is w for g, w in zip(got, want))
 
 
 def test_tighten_latitude_plateaus_immediately(dom, s3):
@@ -325,6 +397,15 @@ def test_sweepout_serialization_roundtrip(tmp_path, dom, s3):
     back = wio.load_sweepout(path)
     assert back.n_slices == s.n_slices
     assert back.degree == s.degree
+    assert all(u.domain is back.slices[0].domain for u in back.slices)
+    assert back.slices[0].domain.descriptor() == dom.descriptor()
     for a, b in zip(s.slices, back.slices):
         for va, vb in zip(a.values, b.values):
-            assert np.array_equal(va, vb)
+            assert va.tobytes() == vb.tobytes()
+    # a record on another domain is rejected
+    small = SphereDomain(n=17)
+    mixed = sw.Sweepout([s.slices[0], sw.standard_sweepout(
+        "latitude-s3", s3, small, n_slices=4).slices[1]], s3, degree=1)
+    wio.save_sweepout(path, mixed)
+    with pytest.raises(ValueError, match="differs"):
+        wio.load_sweepout(path)
