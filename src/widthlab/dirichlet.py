@@ -19,8 +19,6 @@ classical scalar test problems exceed the curved-target threshold).
 """
 from __future__ import annotations
 
-import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +28,20 @@ from .dmap import Ball, BallFamily, DiscreteMap, ball_box
 from .domains import CylinderDomain, DiskDomain, SphereDomain, frozen
 from .errors import BoundaryMismatch, EnergyTooLarge
 
-_SOLVE_LOG = {"fh": None, "lock": threading.Lock()}
+_SOLVE_LOG = {"fh": None}
 
 
 def set_solve_log(fh):
     """Append per-solve diagnostics (sweeps, residual, energy drop) to the
     given file handle; pass None to disable."""
-    with _SOLVE_LOG["lock"]:
-        if fh is not None and _SOLVE_LOG["fh"] is None:
-            fh.write("sweeps,residual,energy_drop,converged\n")
-        _SOLVE_LOG["fh"] = fh
+    if fh is not None and _SOLVE_LOG["fh"] is None:
+        fh.write("sweeps,residual,energy_drop,converged\n")
+    _SOLVE_LOG["fh"] = fh
 
 
 def _log_solve(info):
     fh = _SOLVE_LOG["fh"]
-    if fh is None:
-        return
-    with _SOLVE_LOG["lock"]:
+    if fh is not None:
         fh.write(f"{info.sweeps},{info.residual!r},{info.energy_drop!r},"
                  f"{info.converged}\n")
 
@@ -509,12 +504,10 @@ def _centre_balls(dom, c, i, j, radii):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=8)
-def _candidate_lattice(n, half_width, band, center_stride, radii):
+def _candidate_lattice(dom, center_stride, radii):
     """Per chart, the center-lattice balls that pass the `_centre_balls`
     filter; depends only on the domain's grid and the budget's lattice."""
-    dom = SphereDomain(n, half_width, band)
-    idx = range(0, n, center_stride)
+    idx = range(0, dom.n, center_stride)
     return tuple(tuple(bi for i in idx for j in idx
                        for bi in _centre_balls(dom, c, i, j, radii))
                  for c in (0, 1))
@@ -526,7 +519,8 @@ def candidate_balls(u: DiscreteMap, budget: SamplerBudget):
     (excess, energy, ball) sorted by decreasing contained excess."""
     dom = u.domain
     stride, radii = budget.center_stride, tuple(budget.radii)
-    lattice = _candidate_lattice(dom.n, dom.half_width, dom.band, stride, radii)
+    lattice = dom.memoized(("lattice", stride, radii),
+                           lambda: _candidate_lattice(dom, stride, radii))
     cands = []
     for c in (0, 1):
         du = dm.chart_differential(u, c)
@@ -572,9 +566,10 @@ def propose_families(u: DiscreteMap, eps: float, budget: SamplerBudget):
 
 
 def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
-                       s: SolverSettings = None, full: bool = False):
+                       s: SolverSettings = None):
     """Largest measured energy drop from replacement on half-scaled sampled
-    families with contained energy at most eps; `full` adds the family."""
+    families with contained energy at most eps, and the family that gave it
+    (None when no family drops the energy): a pair (drop, family)."""
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
     best = 0.0
@@ -586,6 +581,4 @@ def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
             continue
         if r.energy_drop > best:
             best, best_fam = float(r.energy_drop), fam
-    if full:
-        return best, best_fam
-    return best
+    return best, best_fam

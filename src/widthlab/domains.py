@@ -110,7 +110,6 @@ class SphereDomain:
     points: list = field(init=False, repr=False)        # per chart (n,n,3)
     flat_weights: list = field(init=False, repr=False)  # pu * h^2
     area_weights: list = field(init=False, repr=False)  # pu * lam^2 * h^2
-    z: list = field(init=False, repr=False)
     memo: dict = field(init=False, repr=False, compare=False,
                        default_factory=dict)  # see `memoized`
 
@@ -121,13 +120,11 @@ class SphereDomain:
         self.X, self.Y = np.meshgrid(self.axis, self.axis, indexing="ij")
         r2 = self.X**2 + self.Y**2
         lam2 = (2.0 / (1.0 + r2)) ** 2
-        self.points, self.flat_weights, self.area_weights, self.z = [], [], [], []
+        self.points, self.flat_weights, self.area_weights = [], [], []
         for c in (0, 1):
             p = self.chart_to_sphere(c, self.X, self.Y)
-            zc = p[..., 2]
-            pu = self.partition(c, zc)
+            pu = self.partition(c, p[..., 2])
             self.points.append(p)
-            self.z.append(zc)
             self.flat_weights.append(pu * self.h**2)
             self.area_weights.append(pu * lam2 * self.h**2)
 
@@ -182,9 +179,8 @@ class SphereDomain:
         """The value stored under `key`, built by `build()` on first use.
 
         The store holds geometry that depends only on this domain and the
-        key (ball caps, other-chart refresh sets, hot-seed balls), lives as
-        long as the domain, and starts empty.  Concurrent first uses may
-        build twice; both builds are equal and one is kept."""
+        key (ball caps, other-chart refresh sets, candidate lattices,
+        hot-seed balls), lives as long as the domain, and starts empty."""
         try:
             return self.memo[key]
         except KeyError:

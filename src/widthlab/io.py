@@ -100,6 +100,8 @@ def load_sweepout(path):
         manifest = json.loads(fh.readline().decode())
         if manifest.get("format") != SWEEPOUT_FORMAT:
             raise ValueError("not a sweepout container")
+        if int(manifest["n_slices"]) < 1:
+            raise ValueError(f"sweepout container {path} holds no slices")
         slices = []
         for _ in range(int(manifest["n_slices"])):
             # every slice shares the first slice's domain and its geometry

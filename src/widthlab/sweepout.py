@@ -20,7 +20,6 @@ from . import dmap as dm
 from .dmap import DiscreteMap
 from .domains import SphereDomain, bump_weight
 from .errors import EnergyTooLarge, KindUnknown, ScheduleEmpty
-from .manifold import round_sphere
 
 
 @dataclass
@@ -137,19 +136,15 @@ def _chart0_bump_warp(center, rho, direction, amp_of_t):
 def standard_sweepout(kind: str, target, dom: SphereDomain = None,
                       n_slices: int = 64, amp: float = 0.35,
                       bump_center=(0.15, -0.1), bump_rho: float = 0.35,
-                      t_profile: str = "global", n_vertices: int = 96):
+                      t_profile: str = "global"):
     """Reference sweepout fixtures.
 
     latitude-s3: x -> (sin(pi t) x, cos(pi t)), the width-4*pi*R^2 sweepout.
     perturbed-latitude-s3: latitude composed with a t-dependent compactly
       supported chart-0 diffeomorphism (pure domain reparametrization, so
       areas are untouched while energies rise).
-    curve-latitude-s2: latitude circles of the round 2-sphere, for the
-      curve-shortening mode; returns a CurveSweepout.
     """
     kind = kind.lower()
-    if kind == "curve-latitude-s2":
-        return curve_latitude_sweepout(target, n_slices, n_vertices)
     dom = dom or SphereDomain()
     ts = np.linspace(0.0, 1.0, n_slices + 1)
     radius = getattr(target, "radius", 1.0)
@@ -253,7 +248,7 @@ def select_ball_schedule(s: Sweepout, eps1: float = 2.0,
         if covered[i]:
             continue
         drop, fam = dr.energy_improvement(s.slices[i], eps1 / 4.0, budget,
-                                          settings, full=True)
+                                          settings)
         if fam is None or drop <= tol:
             continue  # harmonic at tolerance: exempt
         a = b = i
@@ -390,46 +385,37 @@ def _build_envelopes(kept, s, eps1, ts, T):
 # tightening
 
 def tighten_once(s: Sweepout, sched: BallSchedule,
-                 settings: dr.SolverSettings = None, jobs: int = 1):
+                 settings: dr.SolverSettings = None):
     """Apply the schedule's replacement stages in order; per-slice energy is
-    non-increasing and untouched slices are bit-identical.  Within a stage
-    each slice is touched by at most one family, so slices are processed
-    independently (in parallel when jobs > 1) and aggregated in slice order.
+    non-increasing and untouched slices are bit-identical.  Each stage acts
+    on the slices the previous stage left, and touches each slice at most
+    once.
     """
     settings = settings or dr.SolverSettings()
-    out = Sweepout(list(s.slices), s.target, s.degree)
-    ts = out.times
+    slices = list(s.slices)
     total_drop = 0.0
     flagged = 0
-
-    def one(i, fam, r):
-        try:
-            return i, dr.harmonic_replace(out.slices[i], fam, rho=r, s=settings)
-        except EnergyTooLarge:
-            return i, None
-
     for fam, env in zip(sched.families, sched.envelopes):
-        work = [(i, fam, env(t)) for i, t in enumerate(ts) if env(t) > 0.0]
-        if jobs > 1 and len(work) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda w: one(*w), work))
-        else:
-            results = [one(*w) for w in work]
-        new_slices = list(out.slices)
-        for i, res in results:
+        for i, t in enumerate(s.times):
+            r = env(t)
+            if r <= 0.0:
+                continue
+            try:
+                res = dr.harmonic_replace(slices[i], fam, rho=r, s=settings)
+            except EnergyTooLarge:
+                res = None
             if res is None or not res.converged:
                 flagged += 1
                 continue
-            new_slices[i] = res.map
+            slices[i] = res.map
             total_drop += res.energy_drop
-        out = Sweepout(new_slices, s.target, s.degree)
-    return out, total_drop, flagged
+    return Sweepout(slices, s.target, s.degree), total_drop, flagged
 
 
 def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
             eps1: float = 2.0, budget: dr.SamplerBudget = None,
-            settings: dr.SolverSettings = None, jobs: int = 1,
+            settings: dr.SolverSettings = None,
+            jobs: int = 1,  # only 1; kept while perfbench/workloads.py passes it
             reference_varifold=None) -> tuple:
     """Iterate schedule selection and replacement until the width plateaus.
 
@@ -439,6 +425,8 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     iteration before.  Returns (tightened sweepout, TighteningReport).
     Endpoint slices are never touched.
     """
+    if jobs != 1:
+        raise ValueError(f"tighten runs in one thread; jobs={jobs!r}")
     budget = budget or dr.SamplerBudget()
     settings = settings or dr.SolverSettings(small_energy=eps1)
     report = TighteningReport()
@@ -454,7 +442,7 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
             report.stopped = "schedule-empty"
             break
         before = cur.slices
-        cur, drop, flagged = tighten_once(cur, sched, settings, jobs=jobs)
+        cur, drop, flagged = tighten_once(cur, sched, settings)
         known = _kept_measurements(west, before, cur.slices)
         del before  # the replaced slices are freed before the width is measured
         west = width_estimate(cur, known)
@@ -548,10 +536,9 @@ class CurveSweepout:
         return CurveSweepout([v.copy() for v in self.slices])
 
 
-def curve_latitude_sweepout(target=None, n_slices: int = 64,
+def curve_latitude_sweepout(n_slices: int = 64,
                             n_vertices: int = 96) -> CurveSweepout:
-    target = target or round_sphere(2, 1.0)
-    radius = getattr(target, "radius", 1.0)
+    """Latitude circles of the unit 2-sphere."""
     ts = np.linspace(0.0, 1.0, n_slices + 1)
     ang = np.arange(n_vertices) * (2 * np.pi / n_vertices)
     slices = []
@@ -559,7 +546,7 @@ def curve_latitude_sweepout(target=None, n_slices: int = 64,
         st, ct = np.sin(np.pi * t), np.cos(np.pi * t)
         pts = np.stack([st * np.cos(ang), st * np.sin(ang),
                         np.full_like(ang, ct)], axis=-1)
-        slices.append(radius * pts)
+        slices.append(pts)
     return CurveSweepout(slices)
 
 

@@ -116,6 +116,12 @@ def test_width_cli_light(tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_width_cli_curve_fixture_is_config_error(tmp_path):
+    """The curve fixture is no sweepout of 2-spheres; `width` rejects it."""
+    assert run(["width", "--fixture", "curve-latitude-s2",
+                "--out", str(tmp_path / "w")]) == 3
+
+
 def test_width_cli_max_iters_zero(tmp_path):
     """--max-iters 0 overrides the configured iteration count."""
     cfgfile = tmp_path / "light.cfg"

@@ -1,5 +1,3 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple
 
 import numpy as np
@@ -270,11 +268,11 @@ def test_schwarz_two_disks_affine_exact():
 
 def test_improvement_constant_zero(dom, s2):
     u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
-    assert dr.energy_improvement(u, 0.5) == 0.0
+    assert dr.energy_improvement(u, 0.5)[0] == 0.0
 
 
 def test_improvement_identity_tolerance(identity_map):
-    assert dr.energy_improvement(identity_map, 0.5) <= 1e-6
+    assert dr.energy_improvement(identity_map, 0.5)[0] <= 1e-6
 
 
 def test_improvement_bump_positive_and_budget_monotone(dom, s2, bump_map):
@@ -282,16 +280,16 @@ def test_improvement_bump_positive_and_budget_monotone(dom, s2, bump_map):
                              excess_seeds=1)
     big = dr.SamplerBudget(center_stride=12, radii=(0.22, 0.16, 0.11, 0.08),
                            max_families=10, excess_seeds=3)
-    e_small = dr.energy_improvement(bump_map, 0.5, small)
-    e_big = dr.energy_improvement(bump_map, 0.5, big)
+    e_small = dr.energy_improvement(bump_map, 0.5, small)[0]
+    e_big = dr.energy_improvement(bump_map, 0.5, big)[0]
     assert e_small > 0
     assert e_big >= e_small - 1e-12
 
 
 def test_improvement_monotone_in_eps(dom, s2, bump_map):
     budget = dr.SamplerBudget(max_families=10**9)  # no cap: same sample set
-    lo = dr.energy_improvement(bump_map, 0.25, budget)
-    hi = dr.energy_improvement(bump_map, 0.5, budget)
+    lo = dr.energy_improvement(bump_map, 0.25, budget)[0]
+    hi = dr.energy_improvement(bump_map, 0.5, budget)[0]
     assert hi >= lo - 1e-12
 
 
@@ -581,11 +579,22 @@ def test_memo_is_per_domain_and_read_only(s2, s3):
     assert twin[0] is not cap[0] and _cap_bits(twin) == _cap_bits(cap)
     u = _noisy_map(one, s2, 0)
     dr._sync_cap(u, b)
-    dr.candidate_balls(chart0_bump_map(one, s2), dr.SamplerBudget())
-    hot = [idx for key, balls in one.memo.items() if key[0] == "centre"
+    budget = dr.SamplerBudget()
+    bump = chart0_bump_map(one, s2)
+    first = dr.candidate_balls(bump, budget)
+    key = ("lattice", budget.center_stride, tuple(budget.radii))
+    assert [k for k in one.memo if k[0] == "lattice"] == [key]
+    assert not any(k[0] == "lattice" for k in two.memo)
+    lattice = one.memo[key]
+    with pytest.MonkeyPatch.context() as mp:  # a second call reads the store
+        mp.setattr(dr, "_candidate_lattice", lambda *a: pytest.fail("rebuilt"))
+        assert dr.candidate_balls(bump, budget) == first
+    assert one.memo[key] is lattice
+    hot = [idx for k, balls in one.memo.items() if k[0] == "centre"
            for _, idx in balls]
-    assert hot
-    for arr in (cap[0], *one.memo[("refresh", b)], *hot):
+    assert hot and all(lattice)
+    for arr in (cap[0], *one.memo[("refresh", b)], *hot,
+                *(idx for chart in lattice for _, idx in chart)):
         with pytest.raises(ValueError):
             arr[0] = 0
     # nothing is stored ahead of use
@@ -593,37 +602,3 @@ def test_memo_is_per_domain_and_read_only(s2, s3):
     sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=4, amp=0.3)
     assert dom.memo == {}
 
-
-def test_memo_under_threads(s2):
-    """Threads that fill one domain's memo at once all get the one stored
-    value per key, and refresh the same bits as the full-grid code."""
-    dom = SphereDomain(n=33)
-    u = _noisy_map(dom, s2, 1)
-    refs = []
-    for b in MEMO_BALLS:
-        ref = u.copy()
-        _reference_sync_cap(ref, b)
-        refs.append([v.tobytes() for v in ref.values])
-
-    def work(seed):
-        out = []
-        for k in np.random.default_rng(seed).permutation(len(MEMO_BALLS)):
-            cap = MEMO_BALLS[k].cap(dom)
-            got = u.copy()
-            dr._sync_cap(got, MEMO_BALLS[k])
-            out.append((k, cap, [v.tobytes() for v in got.values]))
-        return out
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = [f.result(timeout=120) for f in
-                       [pool.submit(work, seed) for seed in range(16)]]
-    finally:
-        sys.setswitchinterval(interval)
-    assert len(dom.memo) == 2 * len(MEMO_BALLS)
-    for res in results:
-        for k, cap, got in res:
-            assert cap is dom.memo[("cap", MEMO_BALLS[k])]
-            assert got == refs[k]

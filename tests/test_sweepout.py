@@ -204,16 +204,14 @@ def test_tighten_runs_no_almost_harmonic_pass(monkeypatch, s3):
     assert not hasattr(report, "harmonic_checks")
 
 
-def test_tighten_once_parallel_matches_serial(dom, s3):
-    pert = sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=16,
-                                amp=0.25)
-    sched = sw.select_ball_schedule(pert, 2.0, BUDGET, SETTINGS)
-    ser, drop_s, _ = sw.tighten_once(pert, sched, SETTINGS, jobs=1)
-    par, drop_p, _ = sw.tighten_once(pert, sched, SETTINGS, jobs=4)
-    assert drop_s == drop_p
-    for a, b in zip(ser.slices, par.slices):
-        for va, vb in zip(a.values, b.values):
-            assert np.array_equal(va, vb)
+def test_tighten_runs_in_one_thread(s3):
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                               n_slices=4, amp=0.3)
+    with pytest.raises(ValueError, match="jobs=2"):
+        sw.tighten(swp, max_iters=1, budget=BUDGET, settings=SETTINGS, jobs=2)
+    _, report = sw.tighten(swp, max_iters=1, budget=BUDGET, settings=SETTINGS,
+                           jobs=1)
+    assert report.stopped
 
 
 def test_tighten_constant_sweepout_trivial(dom, s3):
@@ -408,4 +406,8 @@ def test_sweepout_serialization_roundtrip(tmp_path, dom, s3):
         "latitude-s3", s3, small, n_slices=4).slices[1]], s3, degree=1)
     wio.save_sweepout(path, mixed)
     with pytest.raises(ValueError, match="differs"):
+        wio.load_sweepout(path)
+    # a container that declares no slices is rejected by name
+    wio.save_sweepout(path, sw.Sweepout([], s3, degree=1))
+    with pytest.raises(ValueError, match="holds no slices"):
         wio.load_sweepout(path)
