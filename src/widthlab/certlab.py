@@ -49,13 +49,24 @@ class CertificateReport:
     skipped: int = 0
 
     def to_json(self) -> str:
+        """Strict JSON: a float that is not finite is written as null."""
         payload = {
             "name": self.name, "seed": self.seed, "instances": self.instances,
             "skipped": self.skipped, "worst_margin": self.worst_margin,
             "tolerance": self.tolerance, "pass": self.passed,
             "details": self.details,
         }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(_finite_or_null(payload), sort_keys=True,
+                          allow_nan=False)
+
+
+def _finite_or_null(x):
+    """x with every non-finite float in it, however nested, replaced by None."""
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_finite_or_null(v) for v in x]
+    return None if isinstance(x, float) and not np.isfinite(x) else x
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +120,7 @@ def wente_hardy_check(zeta_coeffs, cos_coeffs, sin_coeffs) -> dict:
             "rhs": rhs, "margin": rhs - lhs}
 
 
-def wente_hardy_suite(seed: int = 0, instances: int = 1000) -> CertificateReport:
+def wente_hardy_suite(seed: int, instances: int = 1000) -> CertificateReport:
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(instances):
@@ -162,7 +173,7 @@ def ode_comparison_check(f, a: float, ell: float) -> dict:
     return {"integral": integral, "bound": bound, "margin": integral - bound}
 
 
-def ode_comparison_suite(seed: int = 0, instances: int = 1000) -> CertificateReport:
+def ode_comparison_suite(seed: int, instances: int = 1000) -> CertificateReport:
     rng = np.random.default_rng(seed)
     worst = np.inf
     skipped = 0
@@ -206,7 +217,7 @@ def ode_comparison_suite(seed: int = 0, instances: int = 1000) -> CertificateRep
 # ---------------------------------------------------------------------------
 # cylinder maps: solves, angular-energy profile, decay, Hopf constancy
 
-def cylinder_domain(ell: float, n_t: int = 129, n_theta: int = 96,
+def cylinder_domain(ell: float, n_t: int, n_theta: int,
                     halves: int = 3) -> CylinderDomain:
     return CylinderDomain(-halves * ell, halves * ell, n_t, n_theta)
 
@@ -240,7 +251,7 @@ def theta_energy_profile(u: DiscreteMap, sff_bound: float = None) -> dict:
 
 
 def theta_energy_decay_check(u: DiscreteMap, ell: float, delta: float,
-                             eps2: float = 0.25) -> dict:
+                             eps2: float) -> dict:
     """Compare the inner angular energy with delta times the double-window
     total energy; the small-energy gate eps2 excludes out-of-regime maps."""
     dom = u.domain
@@ -346,7 +357,7 @@ def wirtinger_check(f) -> dict:
             "margin": 4.0 * int_fp2 - int_f2}
 
 
-def wirtinger_suite(seed: int = 0, instances: int = 1000) -> CertificateReport:
+def wirtinger_suite(seed: int, instances: int = 1000) -> CertificateReport:
     rng = np.random.default_rng(seed)
     theta = np.arange(256) * (2 * np.pi / 256)
     worst = np.inf
@@ -372,7 +383,7 @@ def wirtinger_suite(seed: int = 0, instances: int = 1000) -> CertificateReport:
 # ---------------------------------------------------------------------------
 # solver-backed suites
 
-def hopf_suite(seed: int = 0) -> CertificateReport:
+def hopf_suite(seed: int) -> CertificateReport:
     """Harmonic cylinder maps of [-1, 1] x S^1 into the unit 2-sphere whose
     ends both trace the circle at polar angle 0.3; checks constancy of the
     Hopf integrand and its second-order decay under grid refinement."""
@@ -396,7 +407,7 @@ def hopf_suite(seed: int = 0) -> CertificateReport:
                              seed, HOPF_TOL, details)
 
 
-def theta_decay_suite(seed: int = 0, eps2: float = 0.25) -> CertificateReport:
+def theta_decay_suite(seed: int, eps2: float = 0.25) -> CertificateReport:
     """Small-amplitude single-mode boundary data on lengthening cylinders:
     the interior angular-energy fraction must fall under THETA_DECAY_DELTA
     and shrink as the cylinder doubles.  The details carry a small dyadic
@@ -433,7 +444,7 @@ def theta_decay_suite(seed: int = 0, eps2: float = 0.25) -> CertificateReport:
                              seed, THETA_DECAY_DELTA, details)
 
 
-def harmonic_hardy_suite(seed: int = 0, instances: int = 25) -> CertificateReport:
+def harmonic_hardy_suite(seed: int, instances: int = 25) -> CertificateReport:
     """Measured-only companion of the holomorphic-density bound: the ratio
     int h^2 |grad v|^2 / [(int |grad h|^2)(int |grad v|^2)] over solver
     harmonic maps v into the unit 2-sphere with random interior test fields
@@ -483,7 +494,7 @@ def harmonic_hardy_suite(seed: int = 0, instances: int = 25) -> CertificateRepor
                              passed, seed, float("inf"), details)
 
 
-def convexity_suite(seed: int = 0, instances: int = 100,
+def convexity_suite(seed: int, instances: int = 100,
                     eps1: float = 2.0) -> CertificateReport:
     """Randomized small-energy Dirichlet solves on chart balls of the sphere
     with projected interior perturbations: the convexity gap must be

@@ -37,12 +37,11 @@ def _out_dir(cfg, args):
     return out
 
 
-def _write_manifest(out, cfg, extra=None):
+def _write_manifest(out, cfg, extra):
     payload = {"tool": "widthlab", "version": __version__,
                "config_digest": cfg.digest(), "seed": int(cfg["run.seed"]),
                "config": cfg.semantic_values()}
-    if extra:
-        payload.update(extra)
+    payload.update(extra)
     with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
 

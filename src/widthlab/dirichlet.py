@@ -169,7 +169,7 @@ def relax(values, interior, target, settings: SolverSettings,
     return SolveInfo(sweeps, converged, res, e0 - e_prev)
 
 
-def _tangential_residual(v, interior, target, wx=1.0, wy=1.0, periodic_y=False):
+def _tangential_residual(v, interior, target, wx, wy, periodic_y):
     ii, jj = _interior_nodes(interior, periodic_y)
     if len(ii) == 0:
         return 0.0
@@ -332,13 +332,13 @@ def harmonic_replace(u: DiscreteMap, fam, rho: float = 1.0,
     )
 
 
-def replace_chain(u: DiscreteMap, *families, s=None):
+def replace_chain(u: DiscreteMap, *families):
     """H(u, B_1, ..., B_k): successive replacement, left to right."""
     cur = u
     total = 0.0
     ok = True
     for fam in families:
-        r = harmonic_replace(cur, fam, 1.0, s)
+        r = harmonic_replace(cur, fam)
         cur, ok = r.map, ok and r.converged
         total += r.energy_drop
     return cur, total, ok
@@ -392,7 +392,7 @@ def replacement_gap_report(u: DiscreteMap, f1: BallFamily, f2: BallFamily) -> di
     mu in {1/8, 1/4, 1/2}, with default solver settings."""
     s = SolverSettings()
     e_u = dm.energy(u)
-    h12, _, ok = replace_chain(u, f1, f2, s=s)
+    h12, _, ok = replace_chain(u, f1, f2)
     lhs = e_u - dm.energy(h12)
     r_half = harmonic_replace(u, BallFamily(f2).scaled(0.5), 1.0, s)
     rhs_core = (e_u - dm.energy(r_half.map)) ** 2
@@ -424,58 +424,6 @@ def replacement_gap_report(u: DiscreteMap, f1: BallFamily, f2: BallFamily) -> di
                              if excess > 1e-14 else float("inf")),
         })
     return report
-
-
-# ---------------------------------------------------------------------------
-# Schwarz alternating method
-
-def _union_mask(dom, cover):
-    union = np.zeros(dom.X.shape, bool)
-    for b in cover:
-        box, mask = ball_box(dom, b)
-        union[box] |= mask
-    union[0, :] = union[-1, :] = False
-    union[:, 0] = union[:, -1] = False
-    return union
-
-
-def schwarz_alternating(u: DiscreteMap, cover, s: SolverSettings = None,
-                        return_history: bool = False):
-    """Cyclic Dirichlet solves over an overlapping cover of one chart until
-    the residual over the union reaches the direct-solve fixed point, for at
-    most 200 cycles."""
-    s = s or SolverSettings()
-    out = u.copy()
-    dom = out.domain
-    union = _union_mask(dom, cover)
-    chart = cover[0].chart
-    inner = SolverSettings(residual_tol=s.residual_tol, max_sweeps=s.max_sweeps,
-                           small_energy=np.inf, residual_stop=s.residual_stop)
-    stop = max(s.residual_tol, s.residual_stop)
-    history = []
-    for _ in range(200):
-        for b in cover:
-            _solve_ball(out, b, inner)
-        res = _tangential_residual(out.values[chart], union, out.target)
-        history.append(res)
-        if res <= stop:
-            break
-    if return_history:
-        return out, history
-    return out
-
-
-def direct_union_solve(u: DiscreteMap, cover, s: SolverSettings = None):
-    """Single relaxation over the union of the cover (reference fixed point)."""
-    s = s or SolverSettings()
-    out = u.copy()
-    dom = out.domain
-    union = _union_mask(dom, cover)
-    relax(out.values[cover[0].chart], union, out.target, s)
-    if isinstance(dom, SphereDomain):
-        for b in cover:
-            _sync_cap(out, b)
-    return out
 
 
 # ---------------------------------------------------------------------------

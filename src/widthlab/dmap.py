@@ -122,16 +122,16 @@ def overlap_disagreement(u: DiscreteMap) -> float:
     return worst
 
 
-def sync_overlap(u: DiscreteMap, chart: int, mask=None):
+def sync_overlap(u: DiscreteMap, chart: int, mask):
     """Re-interpolate the other chart's nodes from `chart` after its nodes changed.
 
-    mask: boolean (n,n) over the *other* chart selecting nodes to refresh;
-    default: all nodes the source chart can interpolate safely.
+    mask: boolean (n,n) over the *other* chart selecting nodes to refresh,
+    among those the source chart can interpolate safely.
     """
     dom = u.domain
     other = 1 - chart
     Xs, Ys = dom.cross_coords[other]
-    m = dom.cross_safe[other] if mask is None else dom.cross_safe[other] & mask
+    m = dom.cross_safe[other] & mask
     ii, jj = np.nonzero(m)
     refresh_nodes(u, chart, (ii, jj, Xs[ii, jj], Ys[ii, jj]))
 

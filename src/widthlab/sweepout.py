@@ -21,6 +21,8 @@ from .dmap import DiscreteMap
 from .domains import SphereDomain, bump_weight
 from .errors import EnergyTooLarge, KindUnknown, ScheduleEmpty
 
+ALMOST_HARMONIC_EPS0 = 0.25  # family-energy bound of `almost_harmonic_check`
+
 
 @dataclass
 class Sweepout:
@@ -102,7 +104,7 @@ class TighteningReport:
 # ---------------------------------------------------------------------------
 # fixtures
 
-def _latitude_values(dom, t, radius, warp=None):
+def _latitude_values(dom, t, radius, warp):
     s, c = np.sin(np.pi * t), np.cos(np.pi * t)
     vals = []
     for ch in (0, 1):
@@ -133,7 +135,7 @@ def _chart0_bump_warp(center, rho, direction, amp_of_t):
     return warp
 
 
-def standard_sweepout(kind: str, target, dom: SphereDomain = None,
+def standard_sweepout(kind: str, target, dom: SphereDomain,
                       n_slices: int = 64, amp: float = 0.35,
                       bump_center=(0.15, -0.1), bump_rho: float = 0.35,
                       t_profile: str = "global"):
@@ -145,7 +147,6 @@ def standard_sweepout(kind: str, target, dom: SphereDomain = None,
       areas are untouched while energies rise).
     """
     kind = kind.lower()
-    dom = dom or SphereDomain()
     ts = np.linspace(0.0, 1.0, n_slices + 1)
     radius = getattr(target, "radius", 1.0)
     if kind == "latitude-s3":
@@ -218,9 +219,9 @@ def _improvement_tol(w: float) -> float:
     return max(1e-7, 1e-6 * w)
 
 
-def select_ball_schedule(s: Sweepout, eps1: float = 2.0,
-                         budget: dr.SamplerBudget = None,
-                         settings: dr.SolverSettings = None,
+def select_ball_schedule(s: Sweepout, eps1: float,
+                         budget: dr.SamplerBudget,
+                         settings: dr.SolverSettings,
                          energies=None) -> BallSchedule:
     """Families plus radius envelopes covering the high-energy slices.
 
@@ -232,8 +233,6 @@ def select_ball_schedule(s: Sweepout, eps1: float = 2.0,
     so at most two radii are positive at any t.  `energies`, when given,
     are the slices' energies, already measured.
     """
-    budget = budget or dr.SamplerBudget()
-    settings = settings or dr.SolverSettings(small_energy=eps1)
     T = s.n_slices - 1
     ts = s.times
     es = np.array([dm.energy(u) for u in s.slices]) if energies is None else energies
@@ -412,9 +411,9 @@ def tighten_once(s: Sweepout, sched: BallSchedule,
     return Sweepout(slices, s.target, s.degree), total_drop, flagged
 
 
-def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
-            eps1: float = 2.0, budget: dr.SamplerBudget = None,
-            settings: dr.SolverSettings = None,
+def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
+            eps1: float = 2.0, *, budget: dr.SamplerBudget,
+            settings: dr.SolverSettings,
             jobs: int = 1,  # only 1; kept while perfbench/workloads.py passes it
             reference_varifold=None) -> tuple:
     """Iterate schedule selection and replacement until the width plateaus.
@@ -427,8 +426,6 @@ def tighten(s: Sweepout, max_iters: int = 30, plateau_tol: float = 1e-4,
     """
     if jobs != 1:
         raise ValueError(f"tighten runs in one thread; jobs={jobs!r}")
-    budget = budget or dr.SamplerBudget()
-    settings = settings or dr.SolverSettings(small_energy=eps1)
     report = TighteningReport()
     cur = s.copy()
     w_prev = west = None
@@ -494,22 +491,20 @@ class AlmostHarmonicReport:
     drop_gap_pairs: list = field(default_factory=list)
 
 
-def almost_harmonic_check(u: DiscreteMap, eps0: float = 0.25,
-                          budget: dr.SamplerBudget = None,
-                          settings: dr.SolverSettings = None) -> AlmostHarmonicReport:
+def almost_harmonic_check(u: DiscreteMap) -> AlmostHarmonicReport:
     """Worst replacement deviation on eighth-scaled sampled families with
-    energy below eps0, plus the energy-minus-area defect.  The per-family
-    (energy drop, gradient deviation) pairs trace the empirical relation
-    between the two, for families where both are measurable."""
-    budget = budget or dr.SamplerBudget()
-    settings = settings or dr.SolverSettings()
+    energy below ALMOST_HARMONIC_EPS0 (default budget and solver settings),
+    plus the energy-minus-area defect.  The per-family (energy drop,
+    gradient deviation) pairs trace the empirical relation between the two,
+    for families where both are measurable."""
     dom = u.domain
     worst = 0.0
     witness = None
     pairs = []
-    for e_f, fam in dr.propose_families(u, eps0, budget):
+    for e_f, fam in dr.propose_families(u, ALMOST_HARMONIC_EPS0,
+                                        dr.SamplerBudget()):
         try:
-            res = dr.harmonic_replace(u, fam, rho=0.125, s=settings)
+            res = dr.harmonic_replace(u, fam, rho=0.125)
         except EnergyTooLarge:
             continue
         gap = 0.0
@@ -536,8 +531,7 @@ class CurveSweepout:
         return CurveSweepout([v.copy() for v in self.slices])
 
 
-def curve_latitude_sweepout(n_slices: int = 64,
-                            n_vertices: int = 96) -> CurveSweepout:
+def curve_latitude_sweepout(n_slices: int, n_vertices: int) -> CurveSweepout:
     """Latitude circles of the unit 2-sphere."""
     ts = np.linspace(0.0, 1.0, n_slices + 1)
     ang = np.arange(n_vertices) * (2 * np.pi / n_vertices)
@@ -582,7 +576,7 @@ def birkhoff_step(pts):
     return r
 
 
-def birkhoff_tighten(cs: CurveSweepout, max_iters: int = 200) -> dict:
+def birkhoff_tighten(cs: CurveSweepout, max_iters: int) -> dict:
     """Alternate midpoint-geodesic replacement; reports the max-length curve
     per iteration (non-increasing) until it stalls."""
     cur = cs.copy()

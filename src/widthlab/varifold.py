@@ -197,12 +197,11 @@ def quadratic_form_pairing(u: DiscreteMap, q_field) -> float:
 # ---------------------------------------------------------------------------
 # the degree-two bubble family
 
-def bubble_example(j: int, dom: SphereDomain = None) -> DiscreteMap:
+def bubble_example(j: int, dom: SphereDomain) -> DiscreteMap:
     """Conformal degree-two self-map z -> z + 1/(jz) in the chart-0
     coordinate, evaluated exactly in homogeneous form on both charts."""
     if j < 1:
         raise ValueError("j must be a positive integer")
-    dom = dom or SphereDomain()
     target = round_sphere(2, 1.0)
     vals = []
     for c in (0, 1):
@@ -218,9 +217,8 @@ def bubble_example(j: int, dom: SphereDomain = None) -> DiscreteMap:
     return DiscreteMap(dom, target, vals)
 
 
-def inversion_map(dom: SphereDomain = None) -> DiscreteMap:
+def inversion_map(dom: SphereDomain) -> DiscreteMap:
     """The bubble limit at the concentration point: z -> 1/z."""
-    dom = dom or SphereDomain()
     mob = Mobius(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     return dm.mobius_as_map(dom, mob, round_sphere(2, 1.0))
 

@@ -200,6 +200,22 @@ def test_report_json_stable():
     assert r1 == r2
 
 
+def _strict_json(s):
+    """Parse s, rejecting the NaN and Infinity constants JSON does not have."""
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(s, parse_constant=reject)
+
+
+def test_report_json_is_strict():
+    rep = cl.harmonic_hardy_suite(seed=0, instances=2)
+    assert rep.tolerance == np.inf
+    payload = _strict_json(rep.to_json())
+    assert payload["tolerance"] is None
+    assert payload["worst_margin"] == rep.worst_margin
+
+
 # ---------------------------------------------------------------------------
 # suites that evaluate nothing fail
 
@@ -210,6 +226,9 @@ def test_suite_with_no_instances_fails(suite):
     rep = suite(seed=0, instances=0)
     assert not rep.passed
     assert rep.instances == 0
+    payload = _strict_json(rep.to_json())
+    assert payload["worst_margin"] == (rep.worst_margin
+                                       if np.isfinite(rep.worst_margin) else None)
 
 
 def test_ode_suite_gives_up_when_every_draw_is_rejected(monkeypatch):

@@ -227,43 +227,6 @@ def test_gap_report_distinct_families(dom, s2, bump_map):
 
 
 # ---------------------------------------------------------------------------
-# Schwarz alternating
-
-def test_schwarz_single_ball_matches_solve(dom, s2, bump_map):
-    s = dr.SolverSettings(residual_tol=1e-11, max_sweeps=40_000,
-                          residual_stop=1e-10)
-    direct = dr.solve_dirichlet(dr.DirichletProblem(bump_map, [BALL]), s)
-    alt = dr.schwarz_alternating(bump_map, [BALL], s)
-    assert dm.c0_w12_distance(direct, alt) <= 1e-6
-
-
-def test_schwarz_two_disks_affine_exact():
-    dom = DiskDomain(1.0, 97)
-    tgt = affine_subspace(1, 1)
-    exact = dom.X[..., None]  # Re(z): discretely harmonic
-    vals = exact.copy()
-    cover = [Ball(0, (-0.25, 0.0), 0.45), Ball(0, (0.25, 0.0), 0.45)]
-    union = np.zeros_like(dom.X, bool)
-    for b in cover:
-        union |= dm.ball_mask(dom, b)
-    vals[union] = 0.0
-    u0 = dm.DiscreteMap(dom, tgt, [vals])
-    s = dr.SolverSettings(residual_tol=1e-12, max_sweeps=60_000,
-                          residual_stop=1e-11)
-    out, hist = dr.schwarz_alternating(u0, cover, s, return_history=True)
-    assert np.max(np.abs(out.values[0][union] - exact[union])) <= 1e-8
-    # geometric convergence of the cycle residuals
-    hist = np.array(hist)
-    hist = hist[hist > 1e-13]
-    if len(hist) >= 3:
-        ratios = hist[1:] / hist[:-1]
-        assert np.median(ratios) < 0.9
-    # agrees with the direct union relaxation
-    direct = dr.direct_union_solve(u0, cover, s)
-    assert np.max(np.abs(direct.values[0][union] - out.values[0][union])) <= 1e-6
-
-
-# ---------------------------------------------------------------------------
 # energy improvement sampler
 
 def test_improvement_constant_zero(dom, s2):

@@ -1,7 +1,8 @@
 """No module of the package or of its tests imports a name it never uses,
 and no function of the package has a defaulted parameter that no caller
-passes.  The project ships no linter, so the checks read the syntax trees
-with `ast`."""
+passes, or one that every caller passes: a default that never applies is
+either a required parameter or a constant.  The project ships no linter, so
+the checks read the syntax trees with `ast`."""
 import ast
 from pathlib import Path
 
@@ -96,6 +97,25 @@ def _unpassed_defaults(modules, caller_sources, suites):
                   if not any(_passes(c, pos, name) for c in calls.get(fn, ())))
 
 
+def _always_passed_defaults(modules, caller_sources, suites):
+    """`module.function(parameter)` for each defaulted parameter of the
+    modules (name -> source) that every call of the function's name passes,
+    when there is at least one call."""
+    calls = _calls_by_name(caller_sources, suites)
+    return sorted(f"{mod}.{fn}({name})" for mod, source in modules.items()
+                  for fn, pos, name in _defaulted_params(ast.parse(source))
+                  if calls.get(fn) and all(_passes(c, pos, name) for c in calls[fn]))
+
+
+def _package_and_callers():
+    package = Path(widthlab.__file__).parent
+    modules = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    callers = [p.read_text() for folder in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    suites = [fn.__name__ for fn in certlab.SUITES.values()]
+    return modules, callers, suites
+
+
 def test_every_defaulted_parameter_is_passed():
     module = ("def f(a, b=1, *, c=2): pass\n"
               "class K:\n    def g(self, d=0, e=1): pass\n"
@@ -106,9 +126,16 @@ def test_every_defaulted_parameter_is_passed():
         ["m.f(c)", "m.g(d)", "m.s(tol)", "m.t(y)"]
     assert _unpassed_defaults({"m": module}, ["SUITES[k](**kw)\n"], ["s"]) == \
         ["m.f(b)", "m.f(c)", "m.g(d)", "m.g(e)", "m.t(x)", "m.t(y)"]
-    package = Path(widthlab.__file__).parent
-    modules = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
-    callers = [p.read_text() for folder in ("src", "tests", "perfbench")
-               for p in sorted((ROOT / folder).rglob("*.py"))]
-    suites = [fn.__name__ for fn in certlab.SUITES.values()]
-    assert _unpassed_defaults(modules, callers, suites) == []
+    assert _unpassed_defaults(*_package_and_callers()) == []
+
+
+def test_no_defaulted_parameter_is_always_passed():
+    module = ("def f(a, b=1, c=2): pass\n"
+              "def s(seed=0, tol=1): pass\n"
+              "def u(x=0): pass\n")
+    assert _always_passed_defaults({"m": module}, ["f(0, 1)\nf(0, b=2)\n"], ["s"]) == \
+        ["m.f(b)"]
+    assert _always_passed_defaults(
+        {"m": module}, ["cl.SUITES['s'](seed=1)\ns(seed=2, tol=0)\n"], ["s"]) == \
+        ["m.s(seed)"]
+    assert _always_passed_defaults(*_package_and_callers()) == []

@@ -337,13 +337,11 @@ def test_tighten_latitude_plateaus_immediately(dom, s3):
 
 
 def test_almost_harmonic_check_cases(dom, s2, identity_map):
-    rep = sw.almost_harmonic_check(identity_map, eps0=0.25, budget=BUDGET,
-                                   settings=dr.SolverSettings())
+    rep = sw.almost_harmonic_check(identity_map)
     assert rep.max_gap <= 1e-6
     assert abs(rep.energy_minus_area) <= 1e-3
     const = dm.constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
-    rep0 = sw.almost_harmonic_check(const, eps0=0.25, budget=BUDGET,
-                                    settings=dr.SolverSettings())
+    rep0 = sw.almost_harmonic_check(const)
     assert rep0.max_gap == 0.0
     assert rep0.energy_minus_area == 0.0
 
