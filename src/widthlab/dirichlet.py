@@ -7,6 +7,14 @@ grid neighbors, which is the exact pointwise minimizer of the discrete
 decreases monotonically per half-sweep, and the node schedule is a fixed
 deterministic order.
 
+One kernel, `relax_blocks`, runs that sweep on many independent blocks in
+lock step: the blocks share one flat buffer, and each half-sweep is one
+gather of the colour's nodes and their neighbours, one update, one
+projection and one scatter across every block still running.  Each block
+keeps its own stopping rule and leaves as soon as it stops, so it gets
+exactly the bits it gets when relaxed alone; `relax` is the one-block call.
+The replacement sampler measures all trial families of a slice this way.
+
 Two discrete energies coexist: the public functionals in `dmap` use
 high-order centered differences, while the solver's Lyapunov function is
 the first-difference (edge) energy it actually minimizes.  Replacement
@@ -20,6 +28,7 @@ classical scalar test problems exceed the curved-target threshold).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +65,8 @@ class SolverSettings:
     residual_stop: float = 0.0      # >0: also stop once the tangential
                                     # Laplacian falls under this absolute level
 
-    def scaled_tol(self, e0: float) -> float:
-        return self.residual_tol * max(e0, 1e-12)
+    def scaled_tol(self, e0):
+        return self.residual_tol * np.maximum(e0, 1e-12)
 
 
 @dataclass
@@ -118,66 +127,185 @@ def _interior_nodes(interior, periodic_y):
     return ii, jj
 
 
-def _inner_neighbor_sums(v, wx, wy, periodic_y):
-    """wx*(up + down) + wy*(left + right) on rows 1..-2 of v, over every
-    column when the y axis is periodic (wrapping at the seam), else over
-    columns 1..-2; node (i, j) of v sits at (i - 1, j - (not periodic_y))."""
+def block_stencil(interior, periodic_y):
+    """The flat node indices a sweep of the block gathers, as read-only
+    arrays: the colour stencils of `_colour_stencils`, then the block's
+    edges as `_block_edges` gives them."""
+    return _colour_stencils(interior, periodic_y) + _block_edges(interior.shape, periodic_y)
+
+
+def _colour_stencils(interior, periodic_y):
+    """Per colour, red ((i + j) even) then black, a read-only (5, m) array
+    of flat node indices into the block: row 0 holds the interior nodes of
+    that colour, rows 1-4 their neighbours above, below, left and right
+    (wrapping at the seam when the y axis is periodic)."""
+    ii, jj = _interior_nodes(interior, periodic_y)
+    cols = interior.shape[1]
+    nb = ii * cols + jj + np.array([0, -cols, cols, -1, 1])[:, None]
     if periodic_y:
-        w = np.concatenate([v[:, -1:], v, v[:, :1]], axis=1)
-        return wx * (v[:-2] + v[2:]) + wy * (w[1:-1, :-2] + w[1:-1, 2:])
-    return wx * (v[:-2, 1:-1] + v[2:, 1:-1]) + wy * (v[1:-1, :-2] + v[1:-1, 2:])
+        nb[3] += cols * (jj == 0)
+        nb[4] -= cols * (jj == cols - 1)
+    red = ((ii + jj) % 2) == 0
+    return frozen(nb[:, red]), frozen(nb[:, ~red])
+
+
+def _block_edges(shape, periodic_y):
+    """The head and tail nodes, as read-only flat indices, of the edges of
+    a block of shape (rows, cols): x edges, then y edges, then (periodic y)
+    the seam of column 0 against the last, each kind in the order
+    `edge_energy` sums it; and the count of each kind."""
+    rows, cols = shape
+    first = np.arange(rows) * cols
+    x = np.arange(cols, rows * cols)
+    y = (first[:, None] + np.arange(1, cols)).ravel()
+    heads, tails = [x, y, first], [x - cols, y - 1, first + cols - 1]
+    kinds = 3 if periodic_y else 2
+    return (frozen(np.concatenate(heads[:kinds])), frozen(np.concatenate(tails[:kinds])),
+            tuple(len(h) for h in heads[:kinds]))
+
+
+def _neighbor_sums(g, wx, wy):
+    """wx*(up + down) + wy*(left + right) over a gathered stencil; unit
+    weights are not multiplied in, as x * 1.0 is x bit for bit."""
+    s, t = g[1] + g[2], g[3] + g[4]
+    if wx != 1.0 or wy != 1.0:
+        s *= wx
+        t *= wy
+    s += t
+    return s
+
+
+def _tangential_norms(g, target, wx, wy):
+    """Norm of the tangential part of the discrete Laplacian at the nodes of
+    a gathered stencil."""
+    l_int = _neighbor_sums(g, wx, wy) - 2.0 * (wx + wy) * g[0]
+    pn = target.normal_space_projector(g[0])
+    return np.linalg.norm(l_int - np.einsum("kij,kj->ki", pn, l_int), axis=-1)
+
+
+class _Layout:
+    """Blocks laid out one after another in a flat (nodes, N) buffer, and
+    the gather indices of a set of them, their stencils moved to the
+    blocks' offsets in the buffer."""
+
+    def __init__(self, blocks):
+        self.offsets = np.cumsum([0] + [v.shape[0] * v.shape[1] for v, _ in blocks])
+        self.stencils = [st for _, st in blocks]
+        self.kinds = len(blocks[0][1][4])
+
+    def _joined(self, blocks, part, axis):
+        moved = [self.stencils[k][part] + self.offsets[k] if self.offsets[k]
+                 else self.stencils[k][part] for k in blocks]
+        return moved[0] if len(moved) == 1 else np.concatenate(moved, axis=axis)
+
+    def select(self, blocks):
+        """The two colour stencils of the given blocks, the heads and tails
+        of their edges, and the bounds of each block's edge segments."""
+        colours = tuple(self._joined(blocks, c, 1) for c in (0, 1))
+        heads, tails = (self._joined(blocks, c, 0) for c in (2, 3))
+        counts = [m for k in blocks for m in self.stencils[k][4]]
+        return colours, (heads, tails, np.cumsum([0] + counts).tolist())
+
+    def residuals(self, f, blocks, target, wx, wy):
+        """The largest tangential Laplacian norm over each given block's
+        interior (0.0 for none), gathered colour by colour."""
+        out = np.zeros(len(blocks))
+        for c in (0, 1):
+            norms = _tangential_norms(f.take(self._joined(blocks, c, 1), axis=0),
+                                      target, wx, wy)
+            bounds = np.cumsum([0] + [self.stencils[k][c].shape[1] for k in blocks])
+            for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if hi > lo:
+                    out[i] = np.maximum(out[i], norms[lo:hi].max())
+        return out
+
+    def energies(self, f, edges, wx, wy):
+        """`edge_energy` of each block whose edges are given, bit for bit:
+        each segment of squared jumps is summed by `.sum()`, as np.sum sums
+        the block's own array (np.add.reduceat sums in another order)."""
+        heads, tails, bounds = edges
+        d = f.take(heads, axis=0) - f.take(tails, axis=0)
+        d *= d
+        sums = np.array([d[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
+        sums = sums.reshape(-1, self.kinds)
+        e = wx * sums[:, 0] + wy * sums[:, 1]
+        if self.kinds == 3:
+            e += wy * sums[:, 2]
+        return 0.5 * e
+
+
+def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
+    """In-place projected Gauss-Seidel on many independent value blocks in
+    lock step.
+
+    blocks: (values, stencil) pairs, values a (rows, cols, N) array and
+    stencil its `block_stencil`, all periodic in y or none.  The blocks
+    share one flat buffer, so each half-sweep is one gather, one update,
+    one `target.project` call and one scatter across every block still
+    running.  Each block keeps its own stopping rule and leaves the running
+    set as soon as it stops, so its values and its SolveInfo are bit for
+    bit those of relaxing it alone.  Returns one SolveInfo per block.
+    """
+    if not blocks:
+        return []
+    layout = _Layout(blocks)
+    f = np.concatenate([np.reshape(v, (-1, v.shape[-1])) for v, _ in blocks])
+    n = len(blocks)
+    converged = np.array([st[0].shape[1] + st[1].shape[1] == 0 for _, st in blocks])
+    sweeps = np.zeros(n, dtype=int)
+    e_prev = layout.energies(f, layout.select(range(n))[1], wx, wy)
+    e0 = e_prev.copy()
+    running = np.flatnonzero(~converged if settings.max_sweeps > 0 else [])
+    om = settings.overrelax
+    denom = 2.0 * (wx + wy)
+    sweep = 0  # the running blocks all started together
+    while len(running):
+        colours, edges = layout.select(running)
+        e_run, e0_run = e_prev[running], e0[running]
+        while True:
+            for c in colours:
+                if c.shape[1] == 0:
+                    continue
+                g = f.take(c, axis=0)
+                upd = _neighbor_sums(g, wx, wy)
+                upd /= denom
+                if om != 1.0:
+                    upd = (1.0 - om) * g[0] + om * upd
+                f[c[0]] = target.project(upd)
+            sweep += 1
+            e_now = layout.energies(f, edges, wx, wy)
+            step = np.abs(e_run - e_now)
+            stop = step <= settings.scaled_tol(np.maximum(e_now, e0_run))
+            if settings.residual_stop > 0.0:
+                check = stop if sweep % 10 == 0 else stop & (step == 0.0)
+                stop = np.zeros_like(stop)
+                for i in np.flatnonzero(check):
+                    res = layout.residuals(f, running[i:i + 1], target, wx, wy)[0]
+                    stop[i] = res <= settings.residual_stop
+            e_run = e_now
+            if sweep >= settings.max_sweeps or stop.any():
+                e_prev[running] = e_run
+                converged[running] = stop
+                sweeps[running] = sweep
+                running = running[~stop] if sweep < settings.max_sweeps else running[:0]
+                break
+    residual = layout.residuals(f, range(n), target, wx, wy)
+    for (v, _), o in zip(blocks, layout.offsets):
+        v[...] = f[o:o + v.shape[0] * v.shape[1]].reshape(v.shape)
+    return [SolveInfo(int(sweeps[k]), bool(converged[k]), float(residual[k]),
+                      e0[k] - e_prev[k]) for k in range(n)]
 
 
 def relax(values, interior, target, settings: SolverSettings,
           wx=1.0, wy=1.0, periodic_y=False):
-    """In-place projected Gauss-Seidel on one value block.
+    """In-place projected Gauss-Seidel on one value block: `relax_blocks`
+    on that block alone.
 
     interior: boolean mask of nodes to solve for; everything else is data.
     Interior nodes must not sit on a non-periodic array edge (ValueError).
     """
-    v = values
-    ii, jj = _interior_nodes(interior, periodic_y)
-    red = ((ii + jj) % 2) == 0
-    off = 0 if periodic_y else 1
-    colors = [(ii[m], jj[m], ii[m] - 1, jj[m] - off) for m in (red, ~red)]
-    denom = 2.0 * (wx + wy)
-    e_prev = edge_energy(v, wx, wy, periodic_y)
-    e0 = e_prev
-    sweeps = 0
-    converged = len(ii) == 0
-    om = settings.overrelax
-    while sweeps < settings.max_sweeps and not converged:
-        for ci, cj, si, sj in colors:
-            if len(ci) == 0:
-                continue
-            s = _inner_neighbor_sums(v, wx, wy, periodic_y)
-            upd = s[si, sj] / denom
-            if om != 1.0:
-                upd = (1.0 - om) * v[ci, cj] + om * upd
-            v[ci, cj] = target.project(upd)
-        sweeps += 1
-        e_now = edge_energy(v, wx, wy, periodic_y)
-        if abs(e_prev - e_now) <= settings.scaled_tol(max(e_now, e0)):
-            if settings.residual_stop <= 0.0:
-                converged = True
-            elif (sweeps % 10 == 0 or abs(e_prev - e_now) == 0.0) and \
-                    _tangential_residual(v, interior, target, wx, wy, periodic_y) \
-                    <= settings.residual_stop:
-                converged = True
-        e_prev = e_now
-    res = _tangential_residual(v, interior, target, wx, wy, periodic_y)
-    return SolveInfo(sweeps, converged, res, e0 - e_prev)
-
-
-def _tangential_residual(v, interior, target, wx, wy, periodic_y):
-    ii, jj = _interior_nodes(interior, periodic_y)
-    if len(ii) == 0:
-        return 0.0
-    s = _inner_neighbor_sums(v, wx, wy, periodic_y)
-    l_int = s[ii - 1, jj - (0 if periodic_y else 1)] - 2.0 * (wx + wy) * v[ii, jj]
-    pn = target.normal_space_projector(v[ii, jj])
-    tang = l_int - np.einsum("kij,kj->ki", pn, l_int)
-    return float(np.max(np.linalg.norm(tang, axis=-1)))
+    stencil = block_stencil(interior, periodic_y)
+    return relax_blocks([(values, stencil)], target, settings, wx, wy)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +336,28 @@ def _ball_block(dom, b: Ball):
     sub[0, :] = sub[-1, :] = False
     sub[:, 0] = sub[:, -1] = False
     return box, sub
+
+
+class _Block(NamedTuple):
+    box: tuple            # the ball's box, as `ball_box` gives it
+    mask: np.ndarray      # the ball's nodes on the box
+    interior: np.ndarray  # the mask with the box edges cleared
+    stencil: tuple        # the interior's `block_stencil`, edges shared
+                          # by the blocks of one shape
+
+
+def _block(dom: SphereDomain, b: Ball) -> _Block:
+    """A trial ball's solve block, memoized per domain with read-only
+    arrays.  Replacements and diagnostics take `_ball_block` instead: they
+    meet most balls once, and storing their stencils only costs memory."""
+    return dom.memoized(("block", b), lambda: _build_block(dom, b))
+
+
+def _build_block(dom, b):
+    box, sub = _ball_block(dom, b)
+    edges = dom.memoized(("edges", sub.shape), lambda: _block_edges(sub.shape, False))
+    return _Block(box, frozen(ball_box(dom, b)[1]), frozen(sub),
+                  _colour_stencils(sub, False) + edges)
 
 
 def _linear_init(block, interior, settings, target, wx=1.0, wy=1.0, periodic_y=False):
@@ -513,20 +663,74 @@ def propose_families(u: DiscreteMap, eps: float, budget: SamplerBudget):
     return fams
 
 
+def _gate_energy(u: DiscreteMap, fam, dens) -> float:
+    """`dm.energy(u, fam)` from u's whole-chart energy densities, filled
+    into `dens` (chart -> density) on first use.  Bit for bit the same sum:
+    `dm.energy` differentiates a box two nodes wider than the ball's, so
+    every ball node gets the stencil it gets on the whole chart."""
+    dom = u.domain
+    total = 0.0
+    for b in fam:
+        if b.chart not in dens:
+            dens[b.chart] = dm.energy_density(*dm.chart_differential(u, b.chart))
+        blk = _block(dom, b)
+        total += float(np.sum(dens[b.chart][blk.box][blk.mask])) * dom.h**2
+    return total
+
+
 def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
                        s: SolverSettings = None):
     """Largest measured energy drop from replacement on half-scaled sampled
     families with contained energy at most eps, and the family that gave it
-    (None when no family drops the energy): a pair (drop, family)."""
+    (None when no family drops the energy): a pair (drop, family).
+
+    Each drop is the one `harmonic_replace(u, fam, 0.5, s)` measures, bit
+    for bit, and the solve log gets the same rows in the same order, family
+    by family and ball by ball.  The trials build no replaced maps: ball k
+    of every family is relaxed in one `relax_blocks` call, on a private
+    copy of u only for families with a later ball to feed, and a first ball
+    that opens several families is relaxed once.
+    """
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
+    dom = u.domain
+    dens = {}
+    trials = []
+    for _, fam in propose_families(u, eps, budget):
+        half = BallFamily(fam).validate(dom).scaled(0.5)
+        if u.target.sff_bound > 0 and \
+                _gate_energy(u, half, dens) > s.small_energy / 3.0 + 1e-12:
+            continue
+        trials.append((fam, half))
+    infos = [[] for _ in trials]
+    maps = [None] * len(trials)  # private copies, for families with balls left
+    for k in range(max((len(half) for _, half in trials), default=0)):
+        readers = {}  # first balls all read u, so equal ones share a solve
+        for t, (_, half) in enumerate(trials):
+            if len(half) > k:
+                readers.setdefault(half[0] if k == 0 else t, []).append(t)
+        blocks = []
+        for ts in readers.values():
+            b = trials[ts[0]][1][k]
+            blk = _block(dom, b)
+            src = u if k == 0 else maps[ts[0]]
+            blocks.append((src.values[b.chart][blk.box].copy(), blk.stencil))
+        solved = relax_blocks(blocks, u.target, s, 1.0, 1.0)
+        for ts, (vals, _), info in zip(readers.values(), blocks, solved):
+            for t in ts:
+                infos[t].append(info)
+                half = trials[t][1]
+                if len(half) > k + 1:
+                    if maps[t] is None:
+                        maps[t] = u.copy()
+                    maps[t].values[half[k].chart][_block(dom, half[k]).box] = vals
+                    _sync_cap(maps[t], half[k])
     best = 0.0
     best_fam = None
-    for e_f, fam in propose_families(u, eps, budget):
-        try:
-            r = harmonic_replace(u, fam, rho=0.5, s=s)
-        except EnergyTooLarge:
-            continue
-        if r.energy_drop > best:
-            best, best_fam = float(r.energy_drop), fam
+    for (fam, _), fam_infos in zip(trials, infos):
+        for info in fam_infos:
+            _log_solve(info)
+        drop = sum(i.energy_drop for i in fam_infos)
+        if drop > best:
+            best, best_fam = float(drop), fam
     return best, best_fam

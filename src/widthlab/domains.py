@@ -25,18 +25,25 @@ def smoothstep(t):
 
 def d_axis(values, h, axis):
     """4th-order centered derivative, degrading to 2nd order near edges."""
-    v = np.moveaxis(np.asarray(values, float), axis, 0)
-    n = v.shape[0]
+    v = np.asarray(values, float)
+    n = v.shape[axis]
+    lead = (slice(None),) * (axis % v.ndim)
+
+    def at(a, b):  # rows a:b of the derivative axis
+        return lead + (slice(a, b),)
+
     out = np.empty_like(v)
     if n >= 5:
-        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
-        out[1] = (v[2] - v[0]) / (2.0 * h)
-        out[-2] = (v[-1] - v[-3]) / (2.0 * h)
+        out[at(2, -2)] = (v[at(None, -4)] - 8.0 * v[at(1, -3)] + 8.0 * v[at(3, -1)]
+                          - v[at(4, None)]) / (12.0 * h)
+        out[at(1, 2)] = (v[at(2, 3)] - v[at(0, 1)]) / (2.0 * h)
+        out[at(-2, -1)] = (v[at(-1, None)] - v[at(-3, -2)]) / (2.0 * h)
     elif n >= 3:
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
-    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+        out[at(1, -1)] = (v[at(2, None)] - v[at(None, -2)]) / (2.0 * h)
+    out[at(0, 1)] = (-3.0 * v[at(0, 1)] + 4.0 * v[at(1, 2)] - v[at(2, 3)]) / (2.0 * h)
+    out[at(-1, None)] = (3.0 * v[at(-1, None)] - 4.0 * v[at(-2, -1)]
+                         + v[at(-3, -2)]) / (2.0 * h)
+    return out
 
 
 def d_axis_periodic(values, h, axis):
@@ -180,7 +187,8 @@ class SphereDomain:
 
         The store holds geometry that depends only on this domain and the
         key (ball caps, other-chart refresh sets, candidate lattices,
-        hot-seed balls), lives as long as the domain, and starts empty."""
+        hot-seed balls, trial-ball solve blocks and the edge lists of their
+        shapes), lives as long as the domain, and starts empty."""
         try:
             return self.memo[key]
         except KeyError:

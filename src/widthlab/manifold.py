@@ -98,9 +98,9 @@ class RoundSphere(EmbeddedManifold):
 
     def project(self, x):
         x = np.asarray(x, float)
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(np.add.reduce(x * x, axis=-1))  # np.linalg.norm's own sum
         inner = self.radius - self.tubular_radius
-        if np.any(r <= inner):
+        if (r <= inner).any():
             raise OutsideTube(f"point(s) within {inner:.3g} of the center")
         return x * (self.radius / r)[..., None]
 

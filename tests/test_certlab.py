@@ -247,3 +247,19 @@ def test_convexity_suite_counts_skips(monkeypatch):
     rep = cl.convexity_suite(seed=0, instances=3)
     assert not rep.passed
     assert rep.instances == 0 and rep.skipped == 3
+
+
+# the suites of the verify run (every suite but hopf), with small instance
+# counts; None runs the suite's fixed ladder
+SMALL_RUNS = {"wente": 20, "ode-comparison": 20, "wirtinger": 20, "theta-decay": None,
+              "harmonic-hardy": 3, "convexity": 4}
+
+
+def test_suites_give_the_same_report_twice_in_one_process():
+    """A suite's report depends on its seed and instance count, not on what
+    ran before it in the process."""
+    assert set(SMALL_RUNS) == set(cl.SUITES) - {"hopf"}
+    runs = [{name: cl.SUITES[name](seed=3, **({} if k is None else {"instances": k}))
+             .to_json() for name, k in SMALL_RUNS.items()} for _ in range(2)]
+    assert all(json.loads(r)["instances"] >= 1 for r in runs[0].values())
+    assert runs[0] == runs[1]

@@ -1,3 +1,4 @@
+import io
 from dataclasses import astuple
 
 import numpy as np
@@ -556,8 +557,16 @@ def test_memo_is_per_domain_and_read_only(s2, s3):
     hot = [idx for k, balls in one.memo.items() if k[0] == "centre"
            for _, idx in balls]
     assert hot and all(lattice)
+    blk = dr._block(one, b)
+    assert dr._block(one, b) is blk and ("block", b) not in two.memo
+    box, mask = dm.ball_box(one, b)
+    assert blk.box == box and np.array_equal(blk.mask, mask)
+    assert _bits([a.tolist() for a in blk.stencil[:4]]) == \
+        _bits([a.tolist() for a in dr.block_stencil(blk.interior, False)[:4]])
+    assert blk.stencil[2] is dr._block(one, Ball(0, (-0.4, 0.3), 0.2)).stencil[2]
     for arr in (cap[0], *one.memo[("refresh", b)], *hot,
-                *(idx for chart in lattice for _, idx in chart)):
+                *(idx for chart in lattice for _, idx in chart),
+                blk.mask, blk.interior, *blk.stencil[:4]):
         with pytest.raises(ValueError):
             arr[0] = 0
     # nothing is stored ahead of use
@@ -565,3 +574,120 @@ def test_memo_is_per_domain_and_read_only(s2, s3):
     sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=4, amp=0.3)
     assert dom.memo == {}
 
+
+# ---------------------------------------------------------------------------
+# oracles: the lock-step kernel against the np.roll relaxation of each block
+# alone, and the batched sampler against a loop of harmonic replacements,
+# compared bit for bit
+
+@pytest.mark.parametrize("settings", [
+    dr.SolverSettings(),
+    dr.SolverSettings(overrelax=1.9, max_sweeps=300),
+    dr.SolverSettings(residual_tol=1e-12, residual_stop=1e-8, max_sweeps=5000),
+], ids=["default", "sor-1.9", "residual-stop"])
+def test_relax_blocks_equals_each_block_alone(dom, bump_map, settings):
+    balls = [BALL, Ball(0, (0.12, -0.02), 0.05), Ball(0, (0.06, -0.1), 0.03),
+             Ball(1, (0.4, 0.3), 0.08)]
+    entries = [(bump_map.values[b.chart][dr._ball_block(dom, b)[0]],
+                dr._ball_block(dom, b)[1]) for b in balls]
+    empty = np.zeros((5, 7), bool)
+    entries.insert(2, (bump_map.values[0][:5, :7], empty))
+    assert len({v.shape for v, _ in entries}) == len(entries)
+    blocks = [(v.copy(), dr.block_stencil(m, False)) for v, m in entries]
+    infos = dr.relax_blocks(blocks, bump_map.target, settings, 1.0, 1.0)
+    for (v, m), (got, _), info in zip(entries, blocks, infos):
+        ref = v.copy()
+        ref_info = _reference_relax(ref, m, bump_map.target, settings)
+        assert np.array_equal(got, ref)
+        assert _bits(info) == _bits(ref_info)
+    assert infos[2].sweeps == 0 and infos[2].converged
+    # the blocks stop at different sweeps, so the running set shrinks
+    assert len({i.sweeps for i in infos}) >= 3
+
+
+@pytest.mark.parametrize("name", sorted(CYLINDER_SETTINGS))
+def test_relax_blocks_periodic_equals_each_cylinder_alone(name):
+    s = CYLINDER_SETTINGS[name]
+    dom, s2, vals, interior = _cylinder_map()
+    _, _, wide, wide_interior = _cylinder_map(n_t=11, n_theta=16, seed=1)
+    wx, wy = 1.0 / dom.h_t**2, 1.0 / dom.h_theta**2
+    entries = [(vals, interior), (wide, wide_interior)]
+    blocks = [(v.copy(), dr.block_stencil(m, True)) for v, m in entries]
+    infos = dr.relax_blocks(blocks, s2, s, wx, wy)
+    for (v, m), (got, _), info in zip(entries, blocks, infos):
+        ref = v.copy()
+        ref_info = _reference_relax(ref, m, s2, s, wx, wy, True)
+        assert info.sweeps > 1
+        assert np.array_equal(got, ref)
+        assert _bits(info) == _bits(ref_info)
+
+
+def _reference_improvement(u, eps, budget, s):
+    """The sampler as a loop of harmonic replacements, one per family."""
+    best, best_fam, gated = 0.0, None, 0
+    for _, fam in dr.propose_families(u, eps, budget):
+        try:
+            r = dr.harmonic_replace(u, fam, 0.5, s)
+        except EnergyTooLarge:
+            gated += 1
+            continue
+        if r.energy_drop > best:
+            best, best_fam = float(r.energy_drop), fam
+    return (best, best_fam), gated
+
+
+def _logged(fn, *args):
+    log = io.StringIO()
+    dr.set_solve_log(log)
+    try:
+        out = fn(*args)
+    finally:
+        dr.set_solve_log(None)
+    return out, log.getvalue()
+
+
+@pytest.mark.parametrize("n, gate", [(33, True), (33, False), (65, False)])
+@pytest.mark.parametrize("overrelax", [1.0, 1.5], ids=["gs", "sor-1.5"])
+def test_energy_improvement_equals_the_replacement_loop(s3, n, gate, overrelax):
+    dom = SphereDomain(n=n)
+    u = sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=8,
+                             amp=0.3).slices[4 if n == 65 else 2]
+    eps, budget = 0.5, dr.SamplerBudget()
+    fams = [f for _, f in dr.propose_families(u, eps, budget)]
+    multi = sorted(dm.energy(u, f.scaled(0.5)) for f in fams if len(f) > 1)
+    assert len(multi) >= 2 and max(len(f) for f in fams) >= 3
+    # with the gate, the half-scale energy bound falls between the two
+    # lowest multi-ball families, so one is measured and one is skipped
+    small = 1.5 * (multi[0] + multi[1]) if gate else 2.0
+    s = dr.SolverSettings(small_energy=small, overrelax=overrelax)
+    got, got_log = _logged(dr.energy_improvement, u, eps, budget, s)
+    (want, gated), want_log = _logged(_reference_improvement, u, eps, budget, s)
+    assert (gated > 0) == gate
+    assert got[1] is not None and got[0] > 0.0
+    assert _bits(got) == _bits(want)
+    assert got_log == want_log
+    assert got_log.count("\n") > len(fams)
+
+
+def test_energy_improvement_refreshes_the_other_chart_between_balls(monkeypatch, s2):
+    """A family whose second ball straddles the equator on chart 1 next to
+    its first ball on chart 0: the second ball reads chart-1 nodes that the
+    first ball's refresh rewrites, so its drop depends on that refresh."""
+    dom = SphereDomain(n=65)
+    u = chart0_bump_map(dom, s2, center=(0.85, 0.0), width=0.12, amp=0.3)
+    first, second = Ball(0, (0.85, 0.0), 0.08), Ball(1, (0.98, 0.0), 0.05)
+    fams = [(0.0, BallFamily([second])), (0.0, BallFamily([first, second])),
+            (0.0, BallFamily([first]))]
+    monkeypatch.setattr(dr, "propose_families", lambda *a: fams)
+    s = dr.SolverSettings()
+    unsynced = u.copy()  # the pair without the refresh in between
+    skipped = sum(dr.relax(unsynced.values[b.chart][dr._ball_block(dom, b)[0]],
+                           dr._ball_block(dom, b)[1], s2, s).energy_drop
+                  for b in fams[1][1].scaled(0.5))
+    pair = dr.harmonic_replace(u, fams[1][1], 0.5, s).energy_drop
+    assert pair != skipped
+    budget = dr.SamplerBudget()
+    got, got_log = _logged(dr.energy_improvement, u, 0.5, budget, s)
+    (want, _), want_log = _logged(_reference_improvement, u, 0.5, budget, s)
+    assert _bits(got) == _bits(want)
+    assert got_log == want_log and got_log.count("\n") == 5

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from widthlab.domains import (CylinderDomain, DiskDomain, catmullrom,
                               d_axis, d_axis_periodic)
@@ -66,3 +67,33 @@ def test_disk_domain_weights():
 def test_cylinder_domain_weights():
     c = CylinderDomain(-1.0, 1.0, 65, 48)
     assert abs(c.flat_weights.sum() - 2 * (2 * np.pi)) <= 1e-12
+
+
+def _moveaxis_d_axis(values, h, axis):
+    """The derivative as it was first written: move the axis to the front,
+    difference along it, move it back."""
+    v = np.moveaxis(np.asarray(values, float), axis, 0)
+    n = v.shape[0]
+    out = np.empty_like(v)
+    if n >= 5:
+        out[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
+        out[1] = (v[2] - v[0]) / (2.0 * h)
+        out[-2] = (v[-1] - v[-3]) / (2.0 * h)
+    elif n >= 3:
+        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * h)
+    out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_d_axis_equals_the_moveaxis_form(n, axis):
+    rng = np.random.default_rng(10 * n + axis)
+    shape = [6, 7, 3]
+    shape[axis] = n
+    v = rng.standard_normal(shape)
+    for arr in (v, np.asfortranarray(v), np.concatenate([v, v], axis=1)[:, ::2]):
+        got, want = d_axis(arr, 0.37, axis), _moveaxis_d_axis(arr, 0.37, axis)
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from widthlab.errors import OutsideTube
-from widthlab.manifold import affine_subspace, ellipsoid, from_descriptor
+from widthlab.manifold import affine_subspace, ellipsoid, from_descriptor, round_sphere
 
 
 def test_radial_projection_examples(s2):
@@ -136,3 +139,34 @@ def test_descriptor_roundtrip(s2):
     for m in (s2, ellipsoid((2.0, 1.5, 1.0)), affine_subspace(2, 3)):
         m2 = from_descriptor(m.descriptor())
         assert m2.descriptor() == m.descriptor()
+
+
+def _norm_form_projection(m, x):
+    """RoundSphere.project as it was first written, with np.linalg.norm."""
+    x = np.asarray(x, float)
+    r = np.linalg.norm(x, axis=-1)
+    if np.any(r <= m.radius - m.tubular_radius):
+        raise OutsideTube("inside")
+    return x * (m.radius / r)[..., None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 6), st.sampled_from([3, 4])),
+                elements=st.floats(-3.0, 3.0)),
+       radius=st.sampled_from([0.5, 1.0, 2.5]), at_inner=st.booleans())
+@example(x=np.array([[0.0, 1.0, 0.0]]), radius=1.0, at_inner=True)
+def test_round_projection_equals_the_norm_form(x, radius, at_inner):
+    m = round_sphere(x.shape[-1] - 1, radius)
+    if at_inner:  # a point exactly at the inner radius of the tube
+        x = x.copy()
+        x[0] = 0.0
+        x[0, -1] = m.radius - m.tubular_radius
+    for pts in (x, x[0]):
+        try:
+            want = _norm_form_projection(m, pts)
+        except OutsideTube:
+            with pytest.raises(OutsideTube):
+                m.project(pts)
+            continue
+        assert not at_inner
+        assert m.project(pts).tobytes() == want.tobytes()

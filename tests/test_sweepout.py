@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -409,3 +411,19 @@ def test_sweepout_serialization_roundtrip(tmp_path, dom, s3):
     wio.save_sweepout(path, sw.Sweepout([], s3, degree=1))
     with pytest.raises(ValueError, match="holds no slices"):
         wio.load_sweepout(path)
+
+
+def test_tighten_gives_the_same_rows_cold_and_warm(s3):
+    """The second run on one domain reads the geometry store the first run
+    filled, and gives the same rows and slices, bit for bit."""
+    dom = SphereDomain(n=33)
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=8, amp=0.3)
+    runs = []
+    for _ in range(2):
+        cold = len(dom.memo)
+        out, report = sw.tighten(swp, max_iters=3, eps1=2.0, budget=BUDGET,
+                                 settings=SETTINGS)
+        runs.append((cold, [repr(astuple(r)) for r in report.rows],
+                     [v.tobytes() for u in out.slices for v in u.values]))
+    assert runs[0][0] == 0 and runs[1][0] > 0
+    assert len(runs[0][1]) == 3 and runs[0][1:] == runs[1][1:]
