@@ -165,14 +165,8 @@ def _block_edges(shape, periodic_y):
 
 
 def _neighbor_sums(g, wx, wy):
-    """wx*(up + down) + wy*(left + right) over a gathered stencil; unit
-    weights are not multiplied in, as x * 1.0 is x bit for bit."""
-    s, t = g[1] + g[2], g[3] + g[4]
-    if wx != 1.0 or wy != 1.0:
-        s *= wx
-        t *= wy
-    s += t
-    return s
+    """wx*(up + down) + wy*(left + right) over a gathered stencil."""
+    return wx * (g[1] + g[2]) + wy * (g[3] + g[4])
 
 
 def _tangential_norms(g, target, wx, wy):
@@ -339,11 +333,9 @@ def _ball_block(dom, b: Ball):
 
 
 class _Block(NamedTuple):
-    box: tuple            # the ball's box, as `ball_box` gives it
-    mask: np.ndarray      # the ball's nodes on the box
-    interior: np.ndarray  # the mask with the box edges cleared
-    stencil: tuple        # the interior's `block_stencil`, edges shared
-                          # by the blocks of one shape
+    box: tuple      # the ball's box, as `ball_box` gives it
+    stencil: tuple  # the `block_stencil` of `_ball_block`'s interior mask,
+                    # edges shared by the blocks of one shape
 
 
 def _block(dom: SphereDomain, b: Ball) -> _Block:
@@ -356,8 +348,7 @@ def _block(dom: SphereDomain, b: Ball) -> _Block:
 def _build_block(dom, b):
     box, sub = _ball_block(dom, b)
     edges = dom.memoized(("edges", sub.shape), lambda: _block_edges(sub.shape, False))
-    return _Block(box, frozen(ball_box(dom, b)[1]), frozen(sub),
-                  _colour_stencils(sub, False) + edges)
+    return _Block(box, _colour_stencils(sub, False) + edges)
 
 
 def _linear_init(block, interior, settings, target, wx=1.0, wy=1.0, periodic_y=False):
@@ -663,21 +654,6 @@ def propose_families(u: DiscreteMap, eps: float, budget: SamplerBudget):
     return fams
 
 
-def _gate_energy(u: DiscreteMap, fam, dens) -> float:
-    """`dm.energy(u, fam)` from u's whole-chart energy densities, filled
-    into `dens` (chart -> density) on first use.  Bit for bit the same sum:
-    `dm.energy` differentiates a box two nodes wider than the ball's, so
-    every ball node gets the stencil it gets on the whole chart."""
-    dom = u.domain
-    total = 0.0
-    for b in fam:
-        if b.chart not in dens:
-            dens[b.chart] = dm.energy_density(*dm.chart_differential(u, b.chart))
-        blk = _block(dom, b)
-        total += float(np.sum(dens[b.chart][blk.box][blk.mask])) * dom.h**2
-    return total
-
-
 def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
                        s: SolverSettings = None):
     """Largest measured energy drop from replacement on half-scaled sampled
@@ -688,43 +664,31 @@ def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
     for bit, and the solve log gets the same rows in the same order, family
     by family and ball by ball.  The trials build no replaced maps: ball k
     of every family is relaxed in one `relax_blocks` call, on a private
-    copy of u only for families with a later ball to feed, and a first ball
-    that opens several families is relaxed once.
+    copy of u only for families with a later ball to feed.
     """
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
     dom = u.domain
-    dens = {}
     trials = []
     for _, fam in propose_families(u, eps, budget):
         half = BallFamily(fam).validate(dom).scaled(0.5)
-        if u.target.sff_bound > 0 and \
-                _gate_energy(u, half, dens) > s.small_energy / 3.0 + 1e-12:
+        if u.target.sff_bound > 0 and dm.energy(u, half) > s.small_energy / 3.0 + 1e-12:
             continue
         trials.append((fam, half))
+    # a family with a later ball to feed gets a private copy of u
+    maps = [u.copy() if len(half) > 1 else u for _, half in trials]
     infos = [[] for _ in trials]
-    maps = [None] * len(trials)  # private copies, for families with balls left
     for k in range(max((len(half) for _, half in trials), default=0)):
-        readers = {}  # first balls all read u, so equal ones share a solve
-        for t, (_, half) in enumerate(trials):
-            if len(half) > k:
-                readers.setdefault(half[0] if k == 0 else t, []).append(t)
-        blocks = []
-        for ts in readers.values():
-            b = trials[ts[0]][1][k]
-            blk = _block(dom, b)
-            src = u if k == 0 else maps[ts[0]]
-            blocks.append((src.values[b.chart][blk.box].copy(), blk.stencil))
+        balls = [(t, half[k], _block(dom, half[k]))
+                 for t, (_, half) in enumerate(trials) if len(half) > k]
+        blocks = [(maps[t].values[b.chart][blk.box].copy(), blk.stencil)
+                  for t, b, blk in balls]
         solved = relax_blocks(blocks, u.target, s, 1.0, 1.0)
-        for ts, (vals, _), info in zip(readers.values(), blocks, solved):
-            for t in ts:
-                infos[t].append(info)
-                half = trials[t][1]
-                if len(half) > k + 1:
-                    if maps[t] is None:
-                        maps[t] = u.copy()
-                    maps[t].values[half[k].chart][_block(dom, half[k]).box] = vals
-                    _sync_cap(maps[t], half[k])
+        for (t, b, blk), (vals, _), info in zip(balls, blocks, solved):
+            infos[t].append(info)
+            if len(trials[t][1]) > k + 1:
+                maps[t].values[b.chart][blk.box] = vals
+                _sync_cap(maps[t], b)
     best = 0.0
     best_fam = None
     for (fam, _), fam_infos in zip(trials, infos):

@@ -559,14 +559,14 @@ def test_memo_is_per_domain_and_read_only(s2, s3):
     assert hot and all(lattice)
     blk = dr._block(one, b)
     assert dr._block(one, b) is blk and ("block", b) not in two.memo
-    box, mask = dm.ball_box(one, b)
-    assert blk.box == box and np.array_equal(blk.mask, mask)
+    box, interior = dr._ball_block(one, b)
+    assert blk.box == box
     assert _bits([a.tolist() for a in blk.stencil[:4]]) == \
-        _bits([a.tolist() for a in dr.block_stencil(blk.interior, False)[:4]])
+        _bits([a.tolist() for a in dr.block_stencil(interior, False)[:4]])
     assert blk.stencil[2] is dr._block(one, Ball(0, (-0.4, 0.3), 0.2)).stencil[2]
     for arr in (cap[0], *one.memo[("refresh", b)], *hot,
                 *(idx for chart in lattice for _, idx in chart),
-                blk.mask, blk.interior, *blk.stencil[:4]):
+                *blk.stencil[:4]):
         with pytest.raises(ValueError):
             arr[0] = 0
     # nothing is stored ahead of use
