@@ -108,21 +108,18 @@ def cmd_width(args, cfg):
     print(f"initial W_E {w0.w_energy:.6f}  W_A {w0.w_area:.6f}  "
           f"argmax t-index {w0.argmax_t}")
     ref = vf.varifold_of_map(dmod.equator_map(dom, s3))
-    from . import dirichlet as dirich
-    log_fh = open(os.path.join(out, "solves.csv"), "w")
-    dirich.set_solve_log(log_fh)
-    try:
-        tightened, report = sw.tighten(
-            swp, max_iters=int(args.max_iters if args.max_iters is not None
-                               else cfg["sweepout.max_iters"]),
-            plateau_tol=cfg["sweepout.plateau_tol"],
-            eps1=cfg["dirichlet.small_energy"],
-            budget=cfg.sampler_budget(),
-            settings=cfg.solver_settings(),
-            reference_varifold=ref)
-    finally:
-        dirich.set_solve_log(None)
-        log_fh.close()
+    tightened, report = sw.tighten(
+        swp, max_iters=int(args.max_iters if args.max_iters is not None
+                           else cfg["sweepout.max_iters"]),
+        plateau_tol=cfg["sweepout.plateau_tol"],
+        eps1=cfg["dirichlet.small_energy"],
+        budget=cfg.sampler_budget(),
+        settings=cfg.solver_settings(),
+        reference_varifold=ref)
+    io.table_csv(os.path.join(out, "solves.csv"),
+                 ["sweeps", "residual", "energy_drop", "converged"],
+                 [(i.sweeps, i.residual, i.energy_drop, i.converged)
+                  for i in report.solves])
     rows = [(r.iteration, r.w_energy, r.w_area, r.argmax_t, r.total_drop,
              r.max_improvement, r.stages, r.flagged) for r in report.rows]
     io.table_csv(os.path.join(out, "width-iterations.csv"),
@@ -283,8 +280,8 @@ def cmd_calibrate(args, cfg):
             st = dr.SolverSettings(residual_tol=1e-13, max_sweeps=60_000,
                                    small_energy=cand, residual_stop=1e-10)
             try:
-                v1 = dr.solve_dirichlet(dr.DirichletProblem(u, [b], init="copy"), st)
-                v2 = dr.solve_dirichlet(dr.DirichletProblem(u, [b], init="linear"), st)
+                v1, _ = dr.solve_dirichlet(dr.DirichletProblem(u, [b], init="copy"), st)
+                v2, _ = dr.solve_dirichlet(dr.DirichletProblem(u, [b], init="linear"), st)
             except WidthlabError:
                 continue  # instance outside the candidate's regime
             ran += 1

@@ -15,6 +15,11 @@ keeps its own stopping rule and leaves as soon as it stops, so it gets
 exactly the bits it gets when relaxed alone; `relax` is the one-block call.
 The replacement sampler measures all trial families of a slice this way.
 
+Every solve reports its `SolveInfo` by return value: `relax_blocks` and
+`relax` return them, `solve_dirichlet` returns the map with the summed
+record, `harmonic_replace` one record per ball and `energy_improvement`
+the records of its trials.  Nothing is logged on the side.
+
 Two discrete energies coexist: the public functionals in `dmap` use
 high-order centered differences, while the solver's Lyapunov function is
 the first-difference (edge) energy it actually minimizes.  Replacement
@@ -36,24 +41,6 @@ from . import dmap as dm
 from .dmap import Ball, BallFamily, DiscreteMap, ball_box
 from .domains import CylinderDomain, DiskDomain, SphereDomain, frozen
 from .errors import BoundaryMismatch, EnergyTooLarge
-
-_SOLVE_LOG = {"fh": None}
-
-
-def set_solve_log(fh):
-    """Append per-solve diagnostics (sweeps, residual, energy drop) to the
-    given file handle; pass None to disable."""
-    if fh is not None and _SOLVE_LOG["fh"] is None:
-        fh.write("sweeps,residual,energy_drop,converged\n")
-    _SOLVE_LOG["fh"] = fh
-
-
-def _log_solve(info):
-    fh = _SOLVE_LOG["fh"]
-    if fh is not None:
-        fh.write(f"{info.sweeps},{info.residual!r},{info.energy_drop!r},"
-                 f"{info.converged}\n")
-
 
 @dataclass
 class SolverSettings:
@@ -80,8 +67,15 @@ class SolveInfo:
 @dataclass
 class ReplacementResult:
     map: DiscreteMap
-    energy_drop: float
-    converged: bool = True
+    solves: list  # one SolveInfo per ball, in ball order
+
+    @property
+    def energy_drop(self):
+        return sum(i.energy_drop for i in self.solves)
+
+    @property
+    def converged(self):
+        return all(i.converged for i in self.solves)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +281,7 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     for (v, _), o in zip(blocks, layout.offsets):
         v[...] = f[o:o + v.shape[0] * v.shape[1]].reshape(v.shape)
     return [SolveInfo(int(sweeps[k]), bool(converged[k]), float(residual[k]),
-                      e0[k] - e_prev[k]) for k in range(n)]
+                      float(e0[k] - e_prev[k])) for k in range(n)]
 
 
 def relax(values, interior, target, settings: SolverSettings,
@@ -363,12 +357,11 @@ def _linear_init(block, interior, settings, target, wx=1.0, wy=1.0, periodic_y=F
     block[interior] = target.project(tmp[interior])
 
 
-def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None,
-                    return_info: bool = False):
+def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None):
     """Energy-minimizing map with the region's boundary values.
 
-    Returns a new DiscreteMap; per the non-convergence policy the best
-    iterate is returned with a flag on the info object.
+    Returns (new DiscreteMap, SolveInfo); per the non-convergence policy the
+    best iterate is returned with a flag on the info object.
     """
     s = s or SolverSettings()
     u = p.map.copy()
@@ -407,7 +400,7 @@ def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None,
         residual=max((i.residual for i in infos), default=0.0),
         energy_drop=sum(i.energy_drop for i in infos),
     )
-    return (u, info) if return_info else u
+    return u, info
 
 
 def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):
@@ -418,7 +411,6 @@ def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):
         _linear_init(block, sub, s, u.target)
     info = relax(block, sub, u.target, s)
     _sync_cap(u, b)
-    _log_solve(info)
     return info
 
 
@@ -465,12 +457,7 @@ def harmonic_replace(u: DiscreteMap, fam, rho: float = 1.0,
             raise EnergyTooLarge(
                 f"family energy {e_region:.4f} > {s.small_energy / 3.0:.4f}")
     out = u.copy()
-    infos = [_solve_ball(out, b, s) for b in scaled]
-    return ReplacementResult(
-        map=out,
-        energy_drop=sum(i.energy_drop for i in infos),
-        converged=all(i.converged for i in infos),
-    )
+    return ReplacementResult(out, [_solve_ball(out, b, s) for b in scaled])
 
 
 def replace_chain(u: DiscreteMap, *families):
@@ -657,14 +644,15 @@ def propose_families(u: DiscreteMap, eps: float, budget: SamplerBudget):
 def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
                        s: SolverSettings = None):
     """Largest measured energy drop from replacement on half-scaled sampled
-    families with contained energy at most eps, and the family that gave it
-    (None when no family drops the energy): a pair (drop, family).
+    families with contained energy at most eps, the family that gave it
+    (None when no family drops the energy), and the trial solves: a triple
+    (drop, family, solves).
 
     Each drop is the one `harmonic_replace(u, fam, 0.5, s)` measures, bit
-    for bit, and the solve log gets the same rows in the same order, family
-    by family and ball by ball.  The trials build no replaced maps: ball k
-    of every family is relaxed in one `relax_blocks` call, on a private
-    copy of u only for families with a later ball to feed.
+    for bit, and `solves` holds the SolveInfos those replacements return,
+    family by family and ball by ball.  The trials build no replaced maps:
+    ball k of every family is relaxed in one `relax_blocks` call, on a
+    private copy of u only for families with a later ball to feed.
     """
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
@@ -692,9 +680,7 @@ def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
     best = 0.0
     best_fam = None
     for (fam, _), fam_infos in zip(trials, infos):
-        for info in fam_infos:
-            _log_solve(info)
         drop = sum(i.energy_drop for i in fam_infos)
         if drop > best:
-            best, best_fam = float(drop), fam
-    return best, best_fam
+            best, best_fam = drop, fam
+    return best, best_fam, [i for fam_infos in infos for i in fam_infos]

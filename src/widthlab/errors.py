@@ -41,10 +41,6 @@ class EnergyTooLarge(WidthlabError):
     """Region energy exceeds the small-energy threshold of the solver."""
 
 
-class ScheduleEmpty(WidthlabError):
-    """No improving ball family was found on the high-energy slices."""
-
-
 class KindUnknown(WidthlabError):
     pass
 

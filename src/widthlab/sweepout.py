@@ -19,7 +19,7 @@ from . import dirichlet as dr
 from . import dmap as dm
 from .dmap import DiscreteMap
 from .domains import SphereDomain, bump_weight
-from .errors import EnergyTooLarge, KindUnknown, ScheduleEmpty
+from .errors import EnergyTooLarge, KindUnknown
 
 ALMOST_HARMONIC_EPS0 = 0.25  # family-energy bound of `almost_harmonic_check`
 
@@ -75,6 +75,7 @@ class BallSchedule:
     families: list           # BallFamily per stage
     envelopes: list          # Envelope per stage
     improvements: list       # measured half-family drop at the seed slice
+    solves: list             # the sampler's trial SolveInfos, in call order
 
 
 @dataclass
@@ -96,6 +97,7 @@ class TighteningReport:
     final_width: WidthEstimate = None
     varifold_distance: float = None
     stopped: str = ""
+    solves: list = field(default_factory=list)  # every SolveInfo, in call order
 
     def w_energy_series(self):
         return np.array([r.w_energy for r in self.rows])
@@ -231,7 +233,8 @@ def select_ball_schedule(s: Sweepout, eps1: float,
     energy stays under eps1/3.  The finite cover is pruned so each closed
     interval meets at most two others, and envelope supports are truncated
     so at most two radii are positive at any t.  `energies`, when given,
-    are the slices' energies, already measured.
+    are the slices' energies, already measured.  With no improving family
+    the schedule has no stages; it still carries the trial solves.
     """
     T = s.n_slices - 1
     ts = s.times
@@ -243,11 +246,13 @@ def select_ball_schedule(s: Sweepout, eps1: float,
     dens = [None] * s.n_slices
     intervals = []  # (a_idx, b_idx, fam, seed_drop)
     covered = np.zeros(s.n_slices, bool)
+    solves = []
     for i in high:
         if covered[i]:
             continue
-        drop, fam = dr.energy_improvement(s.slices[i], eps1 / 4.0, budget,
-                                          settings)
+        drop, fam, trials = dr.energy_improvement(s.slices[i], eps1 / 4.0,
+                                                  budget, settings)
+        solves += trials
         if fam is None or drop <= tol:
             continue  # harmonic at tolerance: exempt
         a = b = i
@@ -258,11 +263,10 @@ def select_ball_schedule(s: Sweepout, eps1: float,
             b += 1
         covered[a:b + 1] = True
         intervals.append([a, b, fam, drop])
-    if not intervals:
-        raise ScheduleEmpty("no improving family found on the high-energy slices")
     kept = _prune_cover(intervals)
     envelopes = _build_envelopes(kept, s, eps1, ts, T)
-    return BallSchedule([iv[2] for iv in kept], envelopes, [iv[3] for iv in kept])
+    return BallSchedule([iv[2] for iv in kept], envelopes, [iv[3] for iv in kept],
+                        solves)
 
 
 def _slice_density(s: Sweepout, dens, i):
@@ -388,12 +392,14 @@ def tighten_once(s: Sweepout, sched: BallSchedule,
     """Apply the schedule's replacement stages in order; per-slice energy is
     non-increasing and untouched slices are bit-identical.  Each stage acts
     on the slices the previous stage left, and touches each slice at most
-    once.
+    once.  Returns (sweepout, total drop, flagged count, the SolveInfos of
+    every replacement run, unconverged ones included).
     """
     settings = settings or dr.SolverSettings()
     slices = list(s.slices)
     total_drop = 0.0
     flagged = 0
+    solves = []
     for fam, env in zip(sched.families, sched.envelopes):
         for i, t in enumerate(s.times):
             r = env(t)
@@ -402,13 +408,15 @@ def tighten_once(s: Sweepout, sched: BallSchedule,
             try:
                 res = dr.harmonic_replace(slices[i], fam, rho=r, s=settings)
             except EnergyTooLarge:
-                res = None
-            if res is None or not res.converged:
+                flagged += 1
+                continue
+            solves += res.solves
+            if not res.converged:
                 flagged += 1
                 continue
             slices[i] = res.map
             total_drop += res.energy_drop
-    return Sweepout(slices, s.target, s.degree), total_drop, flagged
+    return Sweepout(slices, s.target, s.degree), total_drop, flagged, solves
 
 
 def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
@@ -421,8 +429,9 @@ def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
     Each iteration selects a ball schedule, applies it with `tighten_once`
     and measures the width; nothing else changes a slice.  A slice that
     `tighten_once` left alone keeps the energy and area measured on it the
-    iteration before.  Returns (tightened sweepout, TighteningReport).
-    Endpoint slices are never touched.
+    iteration before.  Returns (tightened sweepout, TighteningReport); the
+    report's `solves` holds every solve of the run, each iteration's trial
+    solves before its applied ones.  Endpoint slices are never touched.
     """
     if jobs != 1:
         raise ValueError(f"tighten runs in one thread; jobs={jobs!r}")
@@ -431,15 +440,16 @@ def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
     w_prev = west = None
     stall = 0
     for it in range(1, max_iters + 1):
-        try:
-            sched = select_ball_schedule(
-                cur, eps1, budget, settings,
-                energies=None if west is None else west.per_slice_energy)
-        except ScheduleEmpty:
+        sched = select_ball_schedule(
+            cur, eps1, budget, settings,
+            energies=None if west is None else west.per_slice_energy)
+        report.solves += sched.solves
+        if not sched.families:
             report.stopped = "schedule-empty"
             break
         before = cur.slices
-        cur, drop, flagged = tighten_once(cur, sched, settings)
+        cur, drop, flagged, applied = tighten_once(cur, sched, settings)
+        report.solves += applied
         known = _kept_measurements(west, before, cur.slices)
         del before  # the replaced slices are freed before the width is measured
         west = width_estimate(cur, known)

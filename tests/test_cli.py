@@ -116,6 +116,25 @@ def test_width_cli_light(tmp_path):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
+def test_width_cli_solves_csv_cells_are_numbers(tmp_path):
+    """Every solves.csv row is an int, two floats written with repr, and a
+    bool, whatever numeric type the solver computed them in."""
+    cfgfile = tmp_path / "light.cfg"
+    cfgfile.write_text("dmap.n = 65\nsweepout.n_slices = 8\n"
+                       "sweepout.max_iters = 1\n")
+    out = tmp_path / "w"
+    run(["width", "--fixture", "perturbed-latitude-s3", "--config", str(cfgfile),
+         "--out", str(out)])
+    lines = (out / "solves.csv").read_text().splitlines()
+    assert lines[0] == "sweeps,residual,energy_drop,converged"
+    assert len(lines) > 1
+    for line in lines[1:]:
+        sweeps, residual, drop, converged = line.split(",")
+        assert str(int(sweeps)) == sweeps
+        assert repr(float(residual)) == residual and repr(float(drop)) == drop
+        assert converged in ("True", "False")
+
+
 def test_width_cli_curve_fixture_is_config_error(tmp_path):
     """The curve fixture is no sweepout of 2-spheres; `width` rejects it."""
     assert run(["width", "--fixture", "curve-latitude-s2",

@@ -1,8 +1,9 @@
-"""No module of the package or of its tests imports a name it never uses,
-and no function of the package has a defaulted parameter that no caller
+"""No module of the package or of its tests imports a name it never uses;
+no function of the package has a defaulted parameter that no caller
 passes, or one that every caller passes: a default that never applies is
-either a required parameter or a constant.  The project ships no linter, so
-the checks read the syntax trees with `ast`."""
+either a required parameter or a constant; and no function of the package
+changes module state, so results travel by return value.  The project
+ships no linter, so the checks read the syntax trees with `ast`."""
 import ast
 from pathlib import Path
 
@@ -139,3 +140,100 @@ def test_no_defaulted_parameter_is_always_passed():
         {"m": module}, ["cl.SUITES['s'](seed=1)\ns(seed=2, tol=0)\n"], ["s"]) == \
         ["m.s(seed)"]
     assert _always_passed_defaults(*_package_and_callers()) == []
+
+
+def _own_nodes(func):
+    """The nodes of a function's body, nested definitions included but not
+    their bodies."""
+    todo, out = list(func.body), []
+    while todo:
+        n = todo.pop()
+        out.append(n)
+        if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _bound_names(func):
+    """Names a function binds in its own scope: parameters, assignment and
+    loop targets, imports, handler names and nested definitions."""
+    a = func.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+    names |= {p.arg for p in (a.vararg, a.kwarg) if p is not None}
+    for n in _own_nodes(func):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names |= {x.asname or x.name.split(".")[0] for x in n.names}
+        elif isinstance(n, (ast.ExceptHandler, ast.FunctionDef,
+                            ast.AsyncFunctionDef, ast.ClassDef)) and n.name:
+            names.add(n.name)
+    return names
+
+
+def _store_base(node):
+    """The name a subscript or attribute store or delete writes into, or
+    None for any other node."""
+    if not (isinstance(node, (ast.Subscript, ast.Attribute))
+            and isinstance(node.ctx, (ast.Store, ast.Del))):
+        return None
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_state_writes(source):
+    """The qualified name of each function with a `global` statement, or
+    with a subscript or attribute store or delete into a name bound at
+    module level and neither in the function nor in an enclosing one."""
+    tree = ast.parse(source)
+    module_names = {n.id for top in tree.body if not isinstance(
+        top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for n in ast.walk(top) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    for top in tree.body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            module_names |= {x.asname or x.name.split(".")[0] for x in top.names}
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            module_names.add(top.name)
+    found = []
+
+    def scan(node, prefix, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                scan(child, f"{prefix}{child.name}.", enclosing)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local = enclosing | _bound_names(child)
+                outside = module_names - local
+                if any(isinstance(n, ast.Global) or _store_base(n) in outside
+                       for n in _own_nodes(child)):
+                    found.append(prefix + child.name)
+                scan(child, f"{prefix}{child.name}.", local)
+            else:
+                scan(child, prefix, enclosing)
+
+    scan(tree, "", set())
+    return sorted(found)
+
+
+def test_no_function_changes_module_state():
+    module = ("import numpy as np\n"
+              "LOG = {}\nN = 0\n"
+              "def put(x):\n    LOG['x'] = x\n"
+              "def drop():\n    del LOG['x']\n"
+              "def bump():\n    global N\n    N += 1\n"
+              "def seed():\n    np.random.state = 1\n"
+              "def deep():\n    LOG['a'].b[0] = 1\n"
+              "def own(LOG):\n    LOG['x'] = 1\n"
+              "def local():\n    LOG = {}\n    LOG['x'] = 1\n"
+              "def read():\n    return LOG.get('x'), N\n"
+              "def outer():\n    out = {}\n"
+              "    def inner(k):\n        out[k] = LOG\n    return inner\n"
+              "def closure():\n    def inner():\n        LOG['x'] = 1\n    return inner\n"
+              "class K:\n    def set(self, v):\n        self.v = v\n"
+              "    def leak(self):\n        LOG['k'] = self\n")
+    assert _module_state_writes(module) == \
+        ["K.leak", "bump", "closure.inner", "deep", "drop", "put", "seed"]
+    package = Path(widthlab.__file__).parent
+    found = {p.stem: _module_state_writes(p.read_text())
+             for p in sorted(package.glob("*.py"))}
+    assert {mod: fns for mod, fns in found.items() if fns} == {}

@@ -44,9 +44,9 @@ def test_replacement_never_raises_solver_energy(center, width, amp, ball):
 def test_tighten_once_leaves_unscheduled_slices_alone(ball, ends, plateau):
     s0, a, b, s1 = sorted(ends + plateau)
     sched = sw.BallSchedule([BallFamily([ball])],
-                            [sw.Envelope(support=(s0, s1), plateau=(a, b))], [0.0])
+                            [sw.Envelope(support=(s0, s1), plateau=(a, b))], [0.0], [])
     swp = sw.standard_sweepout("perturbed-latitude-s3", S3, DOM, n_slices=8)
-    out, _, _ = sw.tighten_once(swp, sched)
+    out, _, _, _ = sw.tighten_once(swp, sched)
     for t, before, after in zip(swp.times, swp.slices, out.slices):
         if sched.envelopes[0](t) == 0.0:
             assert all(np.array_equal(x, y)

@@ -7,7 +7,7 @@ from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import sweepout as sw
 from widthlab.domains import SphereDomain
-from widthlab.errors import KindUnknown, ScheduleEmpty
+from widthlab.errors import KindUnknown
 
 FOUR_PI = 4 * np.pi
 
@@ -83,11 +83,8 @@ def test_continuity_proxy(perturbed):
 def test_schedule_latitude_trivial(dom, s3, latitude):
     # every slice is conformal and the max slice is harmonic: improvements
     # sit at solver tolerance, so the schedule is empty or trivial
-    try:
-        sched = sw.select_ball_schedule(latitude, 2.0, BUDGET, SETTINGS)
-        assert max(sched.improvements) <= 1e-3
-    except ScheduleEmpty:
-        pass
+    sched = sw.select_ball_schedule(latitude, 2.0, BUDGET, SETTINGS)
+    assert sched.families == [] or max(sched.improvements) <= 1e-3
 
 
 def test_schedule_perturbed_properties(perturbed):
@@ -117,17 +114,18 @@ def test_schedule_localized_bump_covers_midpoint(dom, s3):
 def test_schedule_empty_for_constant(dom, s3):
     const = sw.Sweepout([dm.constant_sphere_map(
         dom, s3, (0.0, 0.0, 0.0, 1.0)) for _ in range(9)], s3, degree=0)
-    with pytest.raises(ScheduleEmpty):
-        sw.select_ball_schedule(const, 2.0, BUDGET, SETTINGS)
+    sched = sw.select_ball_schedule(const, 2.0, BUDGET, SETTINGS)
+    assert sched.families == [] and sched.envelopes == []
+    assert len(sched.solves) > 0  # the trials ran and report their solves
 
 
 # ---------------------------------------------------------------------------
 # tightening
 
 def test_tighten_once_empty_schedule_is_identity(perturbed):
-    sched = sw.BallSchedule([], [], [])
-    out, drop, flagged = sw.tighten_once(perturbed, sched, SETTINGS)
-    assert drop == 0.0 and flagged == 0
+    sched = sw.BallSchedule([], [], [], [])
+    out, drop, flagged, solves = sw.tighten_once(perturbed, sched, SETTINGS)
+    assert drop == 0.0 and flagged == 0 and solves == []
     for a, b in zip(out.slices, perturbed.slices):
         assert a is b
 
@@ -135,7 +133,7 @@ def test_tighten_once_empty_schedule_is_identity(perturbed):
 def test_tighten_once_monotone_and_endpoint_invariant(perturbed):
     sched = sw.select_ball_schedule(perturbed, 2.0, BUDGET, SETTINGS)
     before = sw.width_estimate(perturbed)
-    out, drop, flagged = sw.tighten_once(perturbed, sched, SETTINGS)
+    out, drop, flagged, _ = sw.tighten_once(perturbed, sched, SETTINGS)
     after = sw.width_estimate(out)
     assert drop > 0
     assert flagged == 0
@@ -226,6 +224,29 @@ def test_tighten_constant_sweepout_trivial(dom, s3):
     assert not report.rows
 
 
+def test_tighten_reports_the_solves_of_an_empty_schedule(monkeypatch, s3):
+    """A run that stops at an empty schedule still reports the trial solves
+    that found it empty: every SolveInfo relax_blocks returned, once."""
+    dom = SphereDomain(n=33)
+    const = sw.Sweepout([dm.constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, 1.0))
+                         for _ in range(5)], s3, degree=0)
+    relax_blocks = dr.relax_blocks
+    returned = []
+
+    def counting(*args):
+        infos = relax_blocks(*args)
+        returned.extend(infos)
+        return infos
+
+    monkeypatch.setattr(dr, "relax_blocks", counting)
+    _, report = sw.tighten(const, max_iters=3, eps1=2.0, budget=BUDGET,
+                           settings=SETTINGS)
+    assert report.stopped == "schedule-empty" and not report.rows
+    assert len(returned) > 0
+    assert len(report.solves) == len(returned)
+    assert {id(i) for i in report.solves} == {id(i) for i in returned}
+
+
 @pytest.mark.parametrize("stop", ["plateau", "max-iters", "schedule-empty"])
 def test_tighten_final_width_is_the_last_estimate(monkeypatch, s3, stop):
     """tighten measures each sweepout it produces once, and the input only
@@ -261,7 +282,7 @@ def _fresh_width_rows(swp, iters):
     cur, rows = swp.copy(), []
     for it in range(1, iters + 1):
         sched = sw.select_ball_schedule(cur, 2.0, BUDGET, SETTINGS)
-        cur, drop, flagged = sw.tighten_once(cur, sched, SETTINGS)
+        cur, drop, flagged, _ = sw.tighten_once(cur, sched, SETTINGS)
         west = sw.width_estimate(cur)
         rows.append(sw.IterationRow(it, west.w_energy, west.w_area, west.argmax_t,
                                     float(drop), float(max(sched.improvements)),
