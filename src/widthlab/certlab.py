@@ -229,11 +229,12 @@ def solve_cylinder_map(dom: CylinderDomain, target, trace_low, trace_high) -> Di
     vals = np.empty((dom.n_t, dom.n_theta, lo.shape[-1]))
     s = np.linspace(0.0, 1.0, dom.n_t)[:, None, None]
     vals[:] = target.project((1 - s) * lo[None] + s * hi[None])
-    u0 = DiscreteMap(dom, target, [vals])
-    settings = dr.SolverSettings(residual_tol=1e-13, max_sweeps=200_000,
-                                 overrelax=1.9, small_energy=np.inf)
-    u, _ = dr.solve_dirichlet(dr.DirichletProblem(u0, "cylinder"), settings)
-    return u
+    interior = np.ones(vals.shape[:2], bool)
+    interior[0, :] = interior[-1, :] = False
+    settings = dr.SolverSettings(residual_tol=1e-13, max_sweeps=200_000, overrelax=1.9)
+    dr.relax(vals, interior, target, settings,
+             1.0 / dom.h_t**2, 1.0 / dom.h_theta**2, periodic_y=True)
+    return DiscreteMap(dom, target, [vals])
 
 
 def theta_energy_profile(u: DiscreteMap, sff_bound: float = None) -> dict:
@@ -297,8 +298,7 @@ def cylinder_decomposition_report(u: DiscreteMap, ell: float, mu: float,
     times the total energy; angular decay is summed over the good ones and
     the bad ones are charged to the replacement deviation."""
     dom = u.domain
-    settings = dr.SolverSettings(residual_tol=1e-11, max_sweeps=50_000,
-                                 overrelax=1.8, small_energy=np.inf)
+    settings = dr.SolverSettings(residual_tol=1e-11, max_sweeps=50_000, overrelax=1.8)
     total = 2.0 * dm.energy(u)
     n_sub = max(int((dom.t1 - dom.t0) / ell) - 2, 1)
     good, bad = [], []
@@ -465,7 +465,7 @@ def harmonic_hardy_suite(seed: int, instances: int = 25) -> CertificateReport:
         b = dm.Ball(0, (cx, cy), rad)
         u = dm.ball_bump_map(dom, s2, b, float(rng.uniform(0.1, 0.3)),
                              rng.normal(size=3))
-        v, _ = dr.solve_dirichlet(dr.DirichletProblem(u, [b]), settings)
+        v, _ = dr.solve_dirichlet(u, [b], settings)
         gx, gy = dm.chart_differential(v, 0)
         grad_v2 = np.sum(gx * gx, -1) + np.sum(gy * gy, -1)
         mask = dm.ball_mask(dom, b)
@@ -533,7 +533,7 @@ def convexity_suite(seed: int, instances: int = 100,
         u = dm.sphere_map(dom, s2, fn)
         h = float(rng.uniform(0.01, 0.05))
         try:
-            v, _ = dr.solve_dirichlet(dr.DirichletProblem(u, [b]), settings)
+            v, _ = dr.solve_dirichlet(u, [b], settings)
         except EnergyTooLarge:
             skipped += 1  # instance outside the candidate's admissible regime
             continue

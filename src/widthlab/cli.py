@@ -147,9 +147,10 @@ def cmd_width(args, cfg):
           f"after {summary['iterations']} iterations ({report.stopped})")
     if flagged and args.strict_solver:
         return EXIT_SOLVER
-    ok = summary["final_over_4pi"] <= 1.02 and summary["monotone"]
-    if fixture == "latitude-s3":
-        ok = summary["monotone"] and abs(summary["final_over_4pi"] - 1.0) <= 0.005
+    # the width of the round 3-sphere of radius R is 4 pi R^2
+    ratio = final.w_energy / (4 * np.pi * s3.radius**2)
+    upper = 1.005 if fixture == "latitude-s3" else 1.02
+    ok = summary["monotone"] and 0.995 <= ratio <= upper
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -280,8 +281,8 @@ def cmd_calibrate(args, cfg):
             st = dr.SolverSettings(residual_tol=1e-13, max_sweeps=60_000,
                                    small_energy=cand, residual_stop=1e-10)
             try:
-                v1, _ = dr.solve_dirichlet(dr.DirichletProblem(u, [b], init="copy"), st)
-                v2, _ = dr.solve_dirichlet(dr.DirichletProblem(u, [b], init="linear"), st)
+                v1, _ = dr.solve_dirichlet(u, [b], st, init="copy")
+                v2, _ = dr.solve_dirichlet(u, [b], st, init="linear")
             except WidthlabError:
                 continue  # instance outside the candidate's regime
             ran += 1

@@ -2,7 +2,8 @@
 
 Grammar (docs/config.md): one `section.key = value` per line, `#` comments,
 values parsed as JSON scalars/lists with bare strings allowed.  Unknown
-keys are rejected before any computation starts.
+keys, and values of another JSON kind than their default's, are rejected
+before any computation starts.
 """
 from __future__ import annotations
 
@@ -56,6 +57,9 @@ class ExperimentConfig:
         for k, v in overrides.items():
             if k not in DEFAULTS:
                 raise ConfigError(f"unknown config key {k!r}")
+            if not _same_kind(DEFAULTS[k], v):
+                raise ConfigError(f"config key {k!r} takes a value like "
+                                  f"{DEFAULTS[k]!r}, not {v!r}")
             self.values[k] = v
         return self
 
@@ -107,6 +111,17 @@ class ExperimentConfig:
             return mf.affine_subspace(dim, int(amb) if amb else dim + 1,
                                       on_tol=tol)
         raise ConfigError(f"unknown manifold kind {kind!r}")
+
+
+def _same_kind(default, value):
+    """A value has its default's JSON kind; an int stands for a float, and
+    a null default takes null, a number or a list."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None:
+        return value is None or number or isinstance(value, list)
+    if isinstance(default, float):
+        return number
+    return type(value) is type(default)
 
 
 def _parse_value(raw: str):

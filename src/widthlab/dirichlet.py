@@ -15,6 +15,11 @@ keeps its own stopping rule and leaves as soon as it stops, so it gets
 exactly the bits it gets when relaxed alone; `relax` is the one-block call.
 The replacement sampler measures all trial families of a slice this way.
 
+Two kinds of region are solved on: ball families in the charts of a
+sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
+blocks of flat cylinders, which `certlab` relaxes with `relax` directly,
+periodic in the angle.
+
 Every solve reports its `SolveInfo` by return value: `relax_blocks` and
 `relax` return them, `solve_dirichlet` returns the map with the summed
 record, `harmonic_replace` one record per ball and `energy_improvement`
@@ -39,7 +44,7 @@ import numpy as np
 
 from . import dmap as dm
 from .dmap import Ball, BallFamily, DiscreteMap, ball_box
-from .domains import CylinderDomain, DiskDomain, SphereDomain, frozen
+from .domains import SphereDomain, frozen
 from .errors import BoundaryMismatch, EnergyTooLarge
 
 @dataclass
@@ -297,25 +302,7 @@ def relax(values, interior, target, settings: SolverSettings,
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet problems
-
-@dataclass
-class DirichletProblem:
-    """Solve region on an existing map: a ball family (sphere domains), the
-    unit disk ("disk"), or the cylinder interior ("cylinder").  The map
-    carries the boundary data and the initial interior guess."""
-
-    map: DiscreteMap
-    region: object  # BallFamily | Ball | "disk" | "cylinder"
-    init: str = "copy"  # or "linear": componentwise harmonic extension, projected
-
-
-def _interior_mask_disk(dom: DiskDomain):
-    m = np.hypot(dom.X, dom.Y) < dom.radius
-    m[0, :] = m[-1, :] = False
-    m[:, 0] = m[:, -1] = False
-    return m
-
+# Dirichlet problems on ball families
 
 def _ball_block(dom, b: Ball):
     """The ball's box and its interior mask on that box, with the box edges
@@ -345,7 +332,7 @@ def _build_block(dom, b):
     return _Block(box, _colour_stencils(sub, False) + edges)
 
 
-def _linear_init(block, interior, settings, target, wx=1.0, wy=1.0, periodic_y=False):
+def _linear_init(block, interior, settings, target):
     """Componentwise discrete harmonic extension of the boundary data, then
     projected to the target."""
     from .manifold import affine_subspace
@@ -353,54 +340,32 @@ def _linear_init(block, interior, settings, target, wx=1.0, wy=1.0, periodic_y=F
     free = affine_subspace(ncomp, ncomp)
     tmp = np.asarray(block, float).copy()
     tmp[interior] = np.mean(block[~interior], axis=0)
-    relax(tmp, interior, free, settings, wx, wy, periodic_y)
+    relax(tmp, interior, free, settings)
     block[interior] = target.project(tmp[interior])
 
 
-def solve_dirichlet(p: DirichletProblem, s: SolverSettings = None):
-    """Energy-minimizing map with the region's boundary values.
+def solve_dirichlet(u: DiscreteMap, fam, s: SolverSettings = None, init="copy"):
+    """Energy-minimizing map on the balls of `fam` with u's values outside,
+    starting from u's interior values (init "copy") or from the projected
+    componentwise harmonic extension (init "linear").
 
     Returns (new DiscreteMap, SolveInfo); per the non-convergence policy the
     best iterate is returned with a flag on the info object.
     """
     s = s or SolverSettings()
-    u = p.map.copy()
-    dom = u.domain
-    infos = []
-    if isinstance(dom, (DiskDomain, CylinderDomain)):
-        block = u.values[0]
-        if isinstance(dom, DiskDomain):
-            interior = _interior_mask_disk(dom)
-            wx = wy = 1.0
-            periodic = False
-        else:
-            interior = np.ones(block.shape[:2], bool)
-            interior[0, :] = interior[-1, :] = False
-            wx, wy = 1.0 / dom.h_t**2, 1.0 / dom.h_theta**2
-            periodic = True
-        if u.target.sff_bound > 0:
-            e0 = 0.5 * masked_grad_square(block, interior, wx, wy, periodic)
-            e0 *= (dom.h**2 if isinstance(dom, DiskDomain) else dom.h_t * dom.h_theta)
-            if e0 > s.small_energy * (1 + 1e-9):
-                raise EnergyTooLarge(f"region energy {e0:.4f} > {s.small_energy}")
-        if p.init == "linear":
-            _linear_init(block, interior, s, u.target, wx, wy, periodic)
-        infos.append(relax(block, interior, u.target, s, wx, wy, periodic))
-    else:
-        fam = p.region if isinstance(p.region, (list, BallFamily)) else [p.region]
-        if u.target.sff_bound > 0:
-            e0 = dm.energy(p.map, BallFamily(fam))
-            if e0 > s.small_energy * (1 + 1e-9):
-                raise EnergyTooLarge(f"region energy {e0:.4f} > {s.small_energy}")
-        for b in fam:
-            infos.append(_solve_ball(u, b, s, init=p.init))
+    if u.target.sff_bound > 0:
+        e0 = dm.energy(u, fam)
+        if e0 > s.small_energy * (1 + 1e-9):
+            raise EnergyTooLarge(f"region energy {e0:.4f} > {s.small_energy}")
+    v = u.copy()
+    infos = [_solve_ball(v, b, s, init) for b in fam]
     info = SolveInfo(
         sweeps=sum(i.sweeps for i in infos),
         converged=all(i.converged for i in infos),
         residual=max((i.residual for i in infos), default=0.0),
         energy_drop=sum(i.energy_drop for i in infos),
     )
-    return u, info
+    return v, info
 
 
 def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):
@@ -418,8 +383,6 @@ def _sync_cap(u: DiscreteMap, b: Ball):
     """Refresh the other chart inside the ball's cap, and where the ball's
     chart owns a node whose interpolation stencil reaches the ball's box."""
     dom = u.domain
-    if not isinstance(dom, SphereDomain):
-        return
     nodes = dom.memoized(("refresh", b), lambda: _cap_refresh_nodes(dom, b))
     dm.refresh_nodes(u, b.chart, nodes)
 
@@ -475,18 +438,6 @@ def replace_chain(u: DiscreteMap, *families):
 # ---------------------------------------------------------------------------
 # convexity and patching diagnostics
 
-def _region_entries(u: DiscreteMap, v: DiscreteMap, region):
-    dom = u.domain
-    if region == "disk":
-        return [(u.values[0], v.values[0], _interior_mask_disk(dom))]
-    fam = region if isinstance(region, (list, BallFamily)) else [region]
-    entries = []
-    for b in fam:
-        box, sub = _ball_block(dom, b)
-        entries.append((u.values[b.chart][box], v.values[b.chart][box], sub))
-    return entries
-
-
 def _boundary_ring(interior):
     grown = interior.copy()
     grown[1:, :] |= interior[:-1, :]
@@ -496,13 +447,15 @@ def _boundary_ring(interior):
     return grown & ~interior
 
 
-def convexity_gap(u: DiscreteMap, v: DiscreteMap, region) -> float:
-    """D(u) - D(v) - 0.5 D(u - v), with D the regional gradient-square
-    integral in the solver's discretization.  Nonnegative up to solver
-    tolerance when v is the small-energy harmonic map with u's boundary
-    values; equals exactly 0.5 D(u - v) for affine targets."""
+def convexity_gap(u: DiscreteMap, v: DiscreteMap, fam) -> float:
+    """D(u) - D(v) - 0.5 D(u - v), with D the gradient-square integral over
+    the balls of `fam` in the solver's discretization.  Nonnegative up to
+    solver tolerance when v is the small-energy harmonic map with u's
+    boundary values; equals exactly 0.5 D(u - v) for affine targets."""
     du = dv = dd = 0.0
-    for bu, bv, sub in _region_entries(u, v, region):
+    for b in fam:
+        box, sub = _ball_block(u.domain, b)
+        bu, bv = u.values[b.chart][box], v.values[b.chart][box]
         ring = _boundary_ring(sub)
         if np.any(ring):
             gap = float(np.max(np.linalg.norm(bu[ring] - bv[ring], axis=-1)))

@@ -1,6 +1,7 @@
-"""Discrete maps from sphere/disk/cylinder domains into an embedded manifold,
-with the energy, area and conformality functionals, smoothing, collar
-interpolation between nearby boundary traces, and conformal dilations.
+"""Discrete maps from the two-chart sphere and from flat cylinders into an
+embedded manifold, with the energy, area and conformality functionals,
+smoothing, collar interpolation between nearby boundary traces, and
+conformal dilations.
 
 Sphere-domain functionals exploit that in two dimensions energy, area and
 the conformality defect are conformally covariant: in stereographic chart

@@ -1,4 +1,4 @@
-"""Discretized map domains: the two-chart sphere, flat disks, flat cylinders.
+"""Discretized map domains: the two-chart sphere and flat cylinders.
 
 The 2-sphere is covered by two stereographic charts (projection from the
 north pole and from the south pole, the latter orientation-flipped so the
@@ -228,32 +228,6 @@ class SphereDomain:
     def descriptor(self):
         return {"kind": "sphere2", "n": self.n, "half_width": self.half_width,
                 "band": self.band}
-
-
-@dataclass
-class DiskDomain:
-    """Uniform grid on [-R, R]^2; quadrature over nodes inside the disk."""
-
-    radius: float = 1.0
-    n: int = 129
-
-    axis: np.ndarray = field(init=False, repr=False)
-    h: float = field(init=False)
-    X: np.ndarray = field(init=False, repr=False)
-    Y: np.ndarray = field(init=False, repr=False)
-    inside: np.ndarray = field(init=False, repr=False)
-    flat_weights: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.axis = np.linspace(-self.radius, self.radius, self.n)
-        self.h = self.axis[1] - self.axis[0]
-        self.X, self.Y = np.meshgrid(self.axis, self.axis, indexing="ij")
-        rr = np.hypot(self.X, self.Y)
-        self.inside = rr <= self.radius + 1e-12
-        self.flat_weights = np.where(self.inside, self.h**2, 0.0)
-
-    def descriptor(self):
-        return {"kind": "disk", "radius": self.radius, "n": self.n}
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dmap as dm
 from . import manifold as mf
-from .domains import CylinderDomain, DiskDomain, SphereDomain
+from .domains import CylinderDomain, SphereDomain
 
 MAP_FORMAT = "widthlab-map/1"
 SWEEPOUT_FORMAT = "widthlab-sweepout/1"
@@ -24,8 +24,6 @@ def _domain_from_descriptor(desc: dict):
     if kind == "sphere2":
         return SphereDomain(n=int(desc["n"]), half_width=float(desc["half_width"]),
                             band=float(desc["band"]))
-    if kind == "disk":
-        return DiskDomain(radius=float(desc["radius"]), n=int(desc["n"]))
     if kind == "cylinder":
         return CylinderDomain(float(desc["t0"]), float(desc["t1"]),
                               int(desc["n_t"]), int(desc["n_theta"]))

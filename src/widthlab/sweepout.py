@@ -432,11 +432,14 @@ def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
     iteration before.  Returns (tightened sweepout, TighteningReport); the
     report's `solves` holds every solve of the run, each iteration's trial
     solves before its applied ones.  Endpoint slices are never touched.
+    The input is not copied: as with `tighten_once`, the returned sweepout
+    shares every slice no stage replaced with it, and is the input itself
+    when no schedule was applied.
     """
     if jobs != 1:
         raise ValueError(f"tighten runs in one thread; jobs={jobs!r}")
     report = TighteningReport()
-    cur = s.copy()
+    cur = s
     w_prev = west = None
     stall = 0
     for it in range(1, max_iters + 1):

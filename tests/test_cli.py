@@ -59,6 +59,24 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert code == 3
 
 
+def test_config_rejects_values_of_another_kind(tmp_path):
+    """A value must have its default's JSON kind; an int stands for a
+    float, and a null default takes null, a number or a list."""
+    for key, value in (("dmap.n", "abc"), ("dmap.n", 64.5), ("dmap.n", True),
+                       ("sweepout.amp", "0.3"), ("sampler.radii", 0.2),
+                       ("run.out_dir", 3), ("manifold.semi_axes", "wide")):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides={key: value})
+    cfg = load_config(overrides={"sweepout.amp": 1, "manifold.ambient_dim": 4,
+                                 "manifold.semi_axes": [1.3, 1, 1, 1]})
+    assert cfg["sweepout.amp"] == 1 and cfg["manifold.ambient_dim"] == 4
+    assert cfg["manifold.semi_axes"] == [1.3, 1, 1, 1]
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text("dmap.n = abc\n")
+    assert run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
+                "--out", str(tmp_path / "o")]) == 3
+
+
 def test_config_defaults_complete():
     cfg = load_config()
     for key in ("dirichlet.small_energy", "dmap.n", "run.seed"):
@@ -114,6 +132,32 @@ def test_width_cli_light(tmp_path):
     for name in ("width-iterations.csv", "width-summary.json", "manifest.json",
                  "solves.csv", "tightened.sweepout"):
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
+
+
+def test_width_cli_judges_the_width_against_4_pi_r_squared(tmp_path):
+    """The latitude width of the round 3-sphere of radius 2 is 16 pi."""
+    cfgfile = tmp_path / "r2.cfg"
+    cfgfile.write_text("dmap.n = 65\nsweepout.n_slices = 8\n"
+                       "sweepout.max_iters = 1\nmanifold.radius = 2.0\n")
+    out = tmp_path / "w"
+    assert run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
+                "--out", str(out)]) == 0
+    summary = json.loads((out / "width-summary.json").read_text())
+    assert abs(summary["final_over_4pi"] - 4.0) <= 0.02
+
+
+def test_width_cli_fails_a_width_below_4_pi(tmp_path):
+    """A sweepout of one constant slice has width 0, far under 4 pi, on
+    every fixture."""
+    cfgfile = tmp_path / "empty.cfg"
+    cfgfile.write_text("dmap.n = 65\nsweepout.n_slices = 0\n"
+                       "sweepout.max_iters = 1\n")
+    for fixture in ("perturbed-latitude-s3", "latitude-s3"):
+        out = tmp_path / fixture
+        assert run(["width", "--fixture", fixture, "--config", str(cfgfile),
+                    "--out", str(out)]) == 2
+        summary = json.loads((out / "width-summary.json").read_text())
+        assert summary["final_w_energy"] == 0.0
 
 
 def test_width_cli_solves_csv_cells_are_numbers(tmp_path):

@@ -9,7 +9,7 @@ from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import io as wio
 from widthlab import varifold as vf
-from widthlab.domains import CylinderDomain, DiskDomain, SphereDomain
+from widthlab.domains import CylinderDomain, SphereDomain
 from widthlab.errors import (DomainMismatch, NoCommonPoint, TraceTooFar,
                              TubeEscape)
 from widthlab.manifold import affine_subspace
@@ -71,13 +71,14 @@ def test_equator_collapse_area_shrinks(dom, s2):
     assert mass[0.2] < 0.15
 
 
-def test_anisotropic_defect_closed_form():
-    d = DiskDomain(1.0, 97)
+def test_anisotropic_defect_closed_form(dom):
+    # (X, Y) -> (2X, Y) on both charts: the differential is the same
+    # constant anisotropic matrix at every node
     plane = affine_subspace(2, 2)
-    vals = np.stack([2.0 * d.X, d.Y], axis=-1)
-    u = dm.DiscreteMap(d, plane, [vals])
+    vals = np.stack([2.0 * dom.X, dom.Y], axis=-1)
+    u = dm.DiscreteMap(dom, plane, [vals, vals.copy()])
     defect = dm.conformality_defect(u)
-    area_quad = float(d.flat_weights.sum())
+    area_quad = float(sum(w.sum() for w in dom.flat_weights))
     assert abs(defect - 1.5 * area_quad) <= 1e-9
     assert abs((dm.energy(u) - dm.area(u)) - 0.5 * area_quad) <= 1e-9
 
@@ -359,7 +360,8 @@ def _record(u, blocks, data):
 
 
 @pytest.mark.parametrize("case", ["one-block sphere", "block shape",
-                                  "cylinder block shape", "truncated"])
+                                  "cylinder block shape", "disk domain",
+                                  "truncated"])
 def test_read_map_rejects_records_that_do_not_fit(s2, case):
     u = dm.identity_sphere_map(SphereDomain(n=9), s2)
     if case == "one-block sphere":
@@ -372,6 +374,12 @@ def test_read_map_rejects_records_that_do_not_fit(s2, case):
         cyl = dm.DiscreteMap(CylinderDomain(0.0, 1.0, 5, 8), s2, [np.zeros((5, 8, 3))])
         rec = _record(cyl, [[8, 5, 3]], bytes(8 * 5 * 3 * 8))
         match = r"expected \[\(5, 8, 3\)\]"
+    elif case == "disk domain":
+        header = {"format": wio.MAP_FORMAT, "target": s2.descriptor(),
+                  "domain": {"kind": "disk", "radius": 1.0, "n": 9},
+                  "blocks": [[9, 9, 3]]}
+        rec = io.BytesIO((json.dumps(header) + "\n").encode() + bytes(9 * 9 * 3 * 8))
+        match = "unknown domain kind 'disk'"
     else:
         buf = io.BytesIO()
         wio.write_map(buf, u)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from widthlab.domains import (CylinderDomain, DiskDomain, catmullrom,
+from widthlab.domains import (CylinderDomain, catmullrom,
                               d_axis, d_axis_periodic)
 
 
@@ -57,11 +57,6 @@ def test_catmullrom_reproduces_smooth_fields(dom):
     py = rng.uniform(-1.0, 1.0, 200)
     got = catmullrom(g[..., None], dom.axis[0], dom.h, px, py)[:, 0]
     assert np.max(np.abs(got - np.sin(px) * np.cos(py))) <= 5e-7
-
-
-def test_disk_domain_weights():
-    d = DiskDomain(1.0, 129)
-    assert abs(d.flat_weights.sum() - np.pi) <= 2e-2 * np.pi
 
 
 def test_cylinder_domain_weights():

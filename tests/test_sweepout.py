@@ -189,6 +189,22 @@ def test_tighten_changes_slices_only_by_replacement(monkeypatch, s3):
     assert handed_over_intact == [True, True, True]
 
 
+def test_tighten_leaves_its_input_intact_and_shares_untouched_slices(s3):
+    """tighten copies nothing up front: its input stays bit-identical, and
+    slices no stage replaced are the input's own objects."""
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                               n_slices=8, amp=0.3)
+    before = swp.copy()
+    out, report = sw.tighten(swp, max_iters=2, eps1=2.0, budget=BUDGET,
+                             settings=SETTINGS)
+    assert report.rows
+    for u, v in zip(swp.slices, before.slices):
+        for x, y in zip(u.values, v.values):
+            assert np.array_equal(x, y)
+    assert out.slices[0] is swp.slices[0] and out.slices[-1] is swp.slices[-1]
+    assert any(a is not b for a, b in zip(out.slices, swp.slices))
+
+
 def test_tighten_runs_no_almost_harmonic_pass(monkeypatch, s3):
     """The almost-harmonic diagnostic is on demand: tighten never calls it
     and its report has no field for it."""
