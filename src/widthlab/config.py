@@ -2,8 +2,8 @@
 
 Grammar (docs/config.md): one `section.key = value` per line, `#` comments,
 values parsed as JSON scalars/lists with bare strings allowed.  Unknown
-keys, and values of another JSON kind than their default's, are rejected
-before any computation starts.
+keys, values of another JSON kind than their default's, and values outside
+their key's admissible range are rejected before any computation starts.
 """
 from __future__ import annotations
 
@@ -13,42 +13,46 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 
+# key: (default, admissible range).  A range is an interval such as
+# "[1, inf)", bounding a number and each entry of a list, a set such as
+# "{a, b}" of strings, or "any"; a null default also admits null.
 DEFAULTS = {
-    "manifold.kind": "sphere",
-    "manifold.dim": 3,
-    "manifold.radius": 1.0,
-    "manifold.semi_axes": None,
-    "manifold.ambient_dim": None,
-    "manifold.tol": 1e-10,
-    "dmap.n": 129,
-    "dmap.half_width": 1.25,
-    "dmap.band": 0.12,
-    "dirichlet.residual_tol": 1e-8,
-    "dirichlet.max_sweeps": 10_000,
-    "dirichlet.small_energy": 2.0,      # the replacement small-energy bound
-    "sampler.center_stride": 12,
-    "sampler.radii": [0.22, 0.16, 0.11, 0.08, 0.055],
-    "sampler.max_families": 8,
-    "sampler.max_balls": 4,
-    "sampler.excess_seeds": 3,
-    "sweepout.n_slices": 64,
-    "sweepout.max_iters": 30,
-    "sweepout.plateau_tol": 1e-4,
-    "sweepout.amp": 0.3,
-    "varifold.n_terms": 64,
-    "certlab.eps2": 0.25,
-    "certlab.eps_su": 4.0,
-    "ricci.r0": 1.0,
-    "ricci.dt": 1e-4,
-    "ricci.c": 1.0,
-    "run.seed": 0,
-    "run.out_dir": "out",
+    "manifold.kind": ("sphere", "{sphere, ellipsoid, affine}"),
+    "manifold.dim": (3, "[1, inf)"),
+    "manifold.radius": (1.0, "(0, inf)"),
+    "manifold.semi_axes": (None, "(0, inf)"),
+    "manifold.ambient_dim": (None, "[1, inf)"),
+    "manifold.tol": (1e-10, "(0, inf)"),
+    "dmap.n": (129, "[3, inf)"),
+    "dmap.half_width": (1.25, "(1, inf)"),
+    "dmap.band": (0.12, "(0, 1)"),
+    "dirichlet.residual_tol": (1e-8, "[0, inf)"),
+    "dirichlet.max_sweeps": (10_000, "[0, inf)"),
+    "dirichlet.small_energy": (2.0, "(0, inf)"),  # the replacement small-energy bound
+    "sampler.center_stride": (12, "[1, inf)"),
+    "sampler.radii": ([0.22, 0.16, 0.11, 0.08, 0.055], "(0, inf)"),
+    "sampler.max_families": (8, "[0, inf)"),
+    "sampler.max_balls": (4, "[1, inf)"),
+    "sampler.excess_seeds": (3, "[0, inf)"),
+    "sweepout.n_slices": (64, "[0, inf)"),
+    "sweepout.max_iters": (30, "[0, inf)"),
+    "sweepout.plateau_tol": (1e-4, "[0, inf)"),
+    "sweepout.amp": (0.3, "(-inf, inf)"),
+    "varifold.n_terms": (64, "[1, inf)"),
+    "certlab.eps2": (0.25, "(0, inf)"),
+    "certlab.eps_su": (4.0, "(0, inf)"),
+    "ricci.r0": (1.0, "(0, inf)"),
+    "ricci.dt": (1e-4, "(0, inf)"),
+    "ricci.c": (1.0, "(0, inf)"),
+    "run.seed": (0, "[0, inf)"),
+    "run.out_dir": ("out", "any"),
 }
 
 
 @dataclass
 class ExperimentConfig:
-    values: dict = field(default_factory=lambda: dict(DEFAULTS))
+    values: dict = field(default_factory=lambda: {
+        k: default for k, (default, _) in DEFAULTS.items()})
 
     def __getitem__(self, key):
         return self.values[key]
@@ -57,9 +61,13 @@ class ExperimentConfig:
         for k, v in overrides.items():
             if k not in DEFAULTS:
                 raise ConfigError(f"unknown config key {k!r}")
-            if not _same_kind(DEFAULTS[k], v):
+            default, admissible = DEFAULTS[k]
+            if not _same_kind(default, v):
                 raise ConfigError(f"config key {k!r} takes a value like "
-                                  f"{DEFAULTS[k]!r}, not {v!r}")
+                                  f"{default!r}, not {v!r}")
+            if not _in_range(v, admissible):
+                raise ConfigError(f"config key {k!r} takes a value in "
+                                  f"{admissible}, not {v!r}")
             self.values[k] = v
         return self
 
@@ -122,6 +130,19 @@ def _same_kind(default, value):
     if isinstance(default, float):
         return number
     return type(value) is type(default)
+
+
+def _in_range(value, admissible):
+    """A value lies in its key's admissible range (see DEFAULTS)."""
+    if value is None or admissible == "any":
+        return True
+    if admissible[0] == "{":
+        return value in admissible[1:-1].split(", ")
+    lo, hi = map(float, admissible[1:-1].split(", "))
+    return all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               and (lo < x if admissible[0] == "(" else lo <= x)
+               and (x < hi if admissible[-1] == ")" else x <= hi)
+               for x in (value if isinstance(value, list) else [value]))
 
 
 def _parse_value(raw: str):

@@ -14,6 +14,9 @@ projection and one scatter across every block still running.  Each block
 keeps its own stopping rule and leaves as soon as it stops, so it gets
 exactly the bits it gets when relaxed alone; `relax` is the one-block call.
 The replacement sampler measures all trial families of a slice this way.
+It reads the slice's `dmap.Measure`: candidate balls come from its
+densities, and the trial families' energy gate is its `dmap.family_energy`;
+only the gates of `solve_dirichlet` and `harmonic_replace` call `dmap.energy`.
 
 Two kinds of region are solved on: ball families in the charts of a
 sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
@@ -423,18 +426,6 @@ def harmonic_replace(u: DiscreteMap, fam, rho: float = 1.0,
     return ReplacementResult(out, [_solve_ball(out, b, s) for b in scaled])
 
 
-def replace_chain(u: DiscreteMap, *families):
-    """H(u, B_1, ..., B_k): successive replacement, left to right."""
-    cur = u
-    total = 0.0
-    ok = True
-    for fam in families:
-        r = harmonic_replace(cur, fam)
-        cur, ok = r.map, ok and r.converged
-        total += r.energy_drop
-    return cur, total, ok
-
-
 # ---------------------------------------------------------------------------
 # convexity and patching diagnostics
 
@@ -465,46 +456,6 @@ def convexity_gap(u: DiscreteMap, v: DiscreteMap, fam) -> float:
         dv += masked_grad_square(bv, sub)
         dd += masked_grad_square(bu - bv, sub)
     return float(du - dv - 0.5 * dd)
-
-
-def replacement_gap_report(u: DiscreteMap, f1: BallFamily, f2: BallFamily) -> dict:
-    """Measured two-family replacement gaps: the quadratic lower-bound shape
-    for successive replacement, and the order-exchange inequality at
-    mu in {1/8, 1/4, 1/2}, with default solver settings."""
-    s = SolverSettings()
-    e_u = dm.energy(u)
-    h12, _, ok = replace_chain(u, f1, f2)
-    lhs = e_u - dm.energy(h12)
-    r_half = harmonic_replace(u, BallFamily(f2).scaled(0.5), 1.0, s)
-    rhs_core = (e_u - dm.energy(r_half.map)) ** 2
-    degenerate = rhs_core <= 1e-16
-    report = {
-        "lhs_drop": float(lhs),
-        "rhs_core": float(rhs_core),
-        "kappa_hat": float("nan") if degenerate else float(lhs / rhs_core),
-        "degenerate": bool(degenerate),
-        "lhs_nonnegative": bool(lhs >= -s.residual_tol * max(e_u, 1.0)),
-        "converged": ok and r_half.converged,
-        "mu_cases": [],
-    }
-    h1 = harmonic_replace(u, f1, 1.0, s).map
-    e_h1 = dm.energy(h1)
-    for mu in (0.125, 0.25, 0.5):
-        h1mu2 = harmonic_replace(h1, BallFamily(f2).scaled(mu), 1.0, s).map
-        h2mu = harmonic_replace(u, BallFamily(f2).scaled(2 * mu), 1.0, s).map
-        gain_after = e_h1 - dm.energy(h1mu2)
-        gain_fresh = e_u - dm.energy(h2mu)
-        drop1 = e_u - e_h1
-        excess = gain_after - gain_fresh
-        report["mu_cases"].append({
-            "mu": mu,
-            "gain_after_first": float(gain_after),
-            "gain_fresh_double": float(gain_fresh),
-            "first_drop": float(drop1),
-            "kappa_needed": (float(np.sqrt(max(drop1, 0.0)) / excess)
-                             if excess > 1e-14 else float("inf")),
-        })
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +493,19 @@ def _candidate_lattice(dom, center_stride, radii):
                  for c in (0, 1))
 
 
-def candidate_balls(u: DiscreteMap, budget: SamplerBudget):
+def candidate_balls(u: DiscreteMap, m: dm.Measure, budget: SamplerBudget):
     """Deterministic center-lattice plus proposals seeded at the peaks of the
-    energy-minus-area density (the removable, non-conformal part); returns
-    (excess, energy, ball) sorted by decreasing contained excess."""
+    energy-minus-area density (the removable, non-conformal part), read
+    from u's Measure m; returns (excess, energy, ball) sorted by decreasing
+    contained excess."""
     dom = u.domain
     stride, radii = budget.center_stride, tuple(budget.radii)
     lattice = dom.memoized(("lattice", stride, radii),
                            lambda: _candidate_lattice(dom, stride, radii))
     cands = []
     for c in (0, 1):
-        du = dm.chart_differential(u, c)
-        dens = dm.energy_density(*du) * dom.h**2
-        excess = dens - dm.jacobian_density(*du) * dom.h**2
+        dens = m.energy_density[c] * dom.h**2
+        excess = dens - m.jacobian_density[c] * dom.h**2
         order = np.argsort(-excess, axis=None)
         hot = np.unravel_index(order[: budget.excess_seeds], excess.shape)
         balls = list(lattice[c])
@@ -569,10 +520,12 @@ def candidate_balls(u: DiscreteMap, budget: SamplerBudget):
     return cands
 
 
-def propose_families(u: DiscreteMap, eps: float, budget: SamplerBudget):
+def propose_families(u: DiscreteMap, m: dm.Measure, eps: float,
+                     budget: SamplerBudget):
     """Disjoint families with contained energy at most eps, ranked by the
-    non-conformal excess they contain; singles plus greedy extensions."""
-    cands = [(x, e, b) for x, e, b in candidate_balls(u, budget) if e <= eps]
+    non-conformal excess they contain; singles plus greedy extensions.
+    m is u's Measure."""
+    cands = [(x, e, b) for x, e, b in candidate_balls(u, m, budget) if e <= eps]
     dom = u.domain
     fams = [(e_b, BallFamily([b])) for _, e_b, b in cands[: budget.max_families]]
     for seed in range(min(3, len(cands))):
@@ -594,12 +547,13 @@ def propose_families(u: DiscreteMap, eps: float, budget: SamplerBudget):
     return fams
 
 
-def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
-                       s: SolverSettings = None):
+def energy_improvement(u: DiscreteMap, m: dm.Measure, eps: float,
+                       budget: SamplerBudget = None, s: SolverSettings = None):
     """Largest measured energy drop from replacement on half-scaled sampled
     families with contained energy at most eps, the family that gave it
     (None when no family drops the energy), and the trial solves: a triple
-    (drop, family, solves).
+    (drop, family, solves).  m is u's Measure: the families come from its
+    densities, and their energy gate is its `dm.family_energy`.
 
     Each drop is the one `harmonic_replace(u, fam, 0.5, s)` measures, bit
     for bit, and `solves` holds the SolveInfos those replacements return,
@@ -610,10 +564,11 @@ def energy_improvement(u: DiscreteMap, eps: float, budget: SamplerBudget = None,
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
     dom = u.domain
+    gate = s.small_energy / 3.0 + 1e-12 if u.target.sff_bound > 0 else np.inf
     trials = []
-    for _, fam in propose_families(u, eps, budget):
+    for _, fam in propose_families(u, m, eps, budget):
         half = BallFamily(fam).validate(dom).scaled(0.5)
-        if u.target.sff_bound > 0 and dm.energy(u, half) > s.small_energy / 3.0 + 1e-12:
+        if dm.family_energy(dom, m.energy_density, half) > gate:
             continue
         trials.append((fam, half))
     # a family with a later ball to feed gets a private copy of u

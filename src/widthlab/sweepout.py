@@ -8,6 +8,9 @@ each family over an interval of t on which it keeps working, (c) prunes
 the intervals so every high-energy t is covered while at most two families
 are active anywhere, and (d) applies the replacements with trapezoidal
 radius envelopes.
+
+Each phase reads a slice through one record, a `dmap.Measure` that
+`Sweepout.measure` takes once per slice object and keeps with the slice.
 """
 from __future__ import annotations
 
@@ -29,6 +32,18 @@ class Sweepout:
     slices: list            # T+1 DiscreteMaps
     target: object
     degree: int = 0
+    # slice index -> (the slice object, its dm.Measure); see `measure`
+    _measures: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+
+    def measure(self, i) -> dm.Measure:
+        """Slice i's `dm.Measure`, kept with the slice object it was taken
+        of, and taken afresh when slices[i] is no longer that object."""
+        u = self.slices[i]
+        kept = self._measures.get(i)
+        if kept is None or kept[0] is not u:
+            kept = self._measures[i] = (u, dm.measure(u))
+        return kept[1]
 
     @property
     def n_slices(self):
@@ -176,16 +191,12 @@ def standard_sweepout(kind: str, target, dom: SphereDomain,
 # ---------------------------------------------------------------------------
 # width and degree
 
-def width_estimate(s: Sweepout, known=None) -> WidthEstimate:
-    """Energy and area of every slice, and the widest slice by energy.
-
-    known: per slice, an (energy, area) pair measured earlier on the same
-    slice, or None where the slice must be measured."""
-    known = known or [None] * s.n_slices
-    pairs = [(dm.energy(u), dm.area(u)) if k is None else k
-             for u, k in zip(s.slices, known)]
-    es = np.array([e for e, _ in pairs])
-    ar = np.array([a for _, a in pairs])
+def width_estimate(s: Sweepout) -> WidthEstimate:
+    """Energy and area of every slice, read from the slices' records
+    (`Sweepout.measure`), and the widest slice by energy."""
+    records = [s.measure(i) for i in range(s.n_slices)]
+    es = np.array([m.energy for m in records])
+    ar = np.array([m.area for m in records])
     return WidthEstimate(float(es.max()), float(ar.max()), int(es.argmax()), es, ar)
 
 
@@ -223,8 +234,7 @@ def _improvement_tol(w: float) -> float:
 
 def select_ball_schedule(s: Sweepout, eps1: float,
                          budget: dr.SamplerBudget,
-                         settings: dr.SolverSettings,
-                         energies=None) -> BallSchedule:
+                         settings: dr.SolverSettings) -> BallSchedule:
     """Families plus radius envelopes covering the high-energy slices.
 
     For every uncovered high-energy slice, the replacement sampler proposes
@@ -232,34 +242,33 @@ def select_ball_schedule(s: Sweepout, eps1: float,
     interval grows while the drop persists at half strength and the family
     energy stays under eps1/3.  The finite cover is pruned so each closed
     interval meets at most two others, and envelope supports are truncated
-    so at most two radii are positive at any t.  `energies`, when given,
-    are the slices' energies, already measured.  With no improving family
-    the schedule has no stages; it still carries the trial solves.
+    so at most two radii are positive at any t.  Every slice is read
+    through its record.  With no improving family the schedule has no
+    stages; it still carries the trial solves.
     """
     T = s.n_slices - 1
     ts = s.times
-    es = np.array([dm.energy(u) for u in s.slices]) if energies is None else energies
+    es = np.array([s.measure(i).energy for i in range(s.n_slices)])
     w = float(es.max())
     tol = _improvement_tol(w)
     high = [i for i in range(s.n_slices) if es[i] >= w / 2]
     high.sort(key=lambda i: (-es[i], i))  # most energetic slices pick first
-    dens = [None] * s.n_slices
     intervals = []  # (a_idx, b_idx, fam, seed_drop)
     covered = np.zeros(s.n_slices, bool)
     solves = []
     for i in high:
         if covered[i]:
             continue
-        drop, fam, trials = dr.energy_improvement(s.slices[i], eps1 / 4.0,
-                                                  budget, settings)
+        drop, fam, trials = dr.energy_improvement(s.slices[i], s.measure(i),
+                                                  eps1 / 4.0, budget, settings)
         solves += trials
         if fam is None or drop <= tol:
             continue  # harmonic at tolerance: exempt
         a = b = i
         gate = min(eps1 / 8.0, drop / 2.0)
-        while a - 1 >= 0 and _transfers(s, dens, a - 1, i, fam, eps1, gate):
+        while a - 1 >= 0 and _transfers(s, a - 1, i, fam, eps1, gate):
             a -= 1
-        while b + 1 <= T and _transfers(s, dens, b + 1, i, fam, eps1, gate):
+        while b + 1 <= T and _transfers(s, b + 1, i, fam, eps1, gate):
             b += 1
         covered[a:b + 1] = True
         intervals.append([a, b, fam, drop])
@@ -269,22 +278,21 @@ def select_ball_schedule(s: Sweepout, eps1: float,
                         solves)
 
 
-def _slice_density(s: Sweepout, dens, i):
-    if dens[i] is None:
-        dens[i] = [dm.energy_density(*dm.chart_differential(s.slices[i], c))
-                   for c in (0, 1)]
-    return dens[i]
+def _over_family_bound(s: Sweepout, j, fam, eps1):
+    """The family's energy on slice j exceeds eps1/3, less a 0.1% margin."""
+    dens = s.measure(j).energy_density
+    return dm.family_energy(s.slices[j].domain, dens, fam) > eps1 / 3.0 * 0.999
 
 
-def _transfers(s: Sweepout, dens, j, i, fam, eps1, gate):
+def _transfers(s: Sweepout, j, i, fam, eps1, gate):
     """Neighbor slice j inherits slice i's improving family: the family
     energy bound holds at j and the energy densities are L1-close enough
     that the measured drop carries over at half strength."""
-    if dm.energy(s.slices[j], fam) > eps1 / 3.0 * 0.999:
+    if _over_family_bound(s, j, fam, eps1):
         return False
     dom = s.slices[0].domain
-    di = _slice_density(s, dens, i)
-    dj = _slice_density(s, dens, j)
+    di = s.measure(i).energy_density
+    dj = s.measure(j).energy_density
     l1 = sum(float(np.sum(dom.flat_weights[c] * np.abs(di[c] - dj[c])))
              for c in (0, 1))
     return l1 <= gate
@@ -346,12 +354,12 @@ def _build_envelopes(kept, s, eps1, ts, T):
         half = max(b - a, 1)
         lo = a
         while lo > max(0, a - half):
-            if dm.energy(s.slices[lo - 1], fam) > eps1 / 3.0 * 0.999:
+            if _over_family_bound(s, lo - 1, fam, eps1):
                 break
             lo -= 1
         hi = b
         while hi < min(T, b + half):
-            if dm.energy(s.slices[hi + 1], fam) > eps1 / 3.0 * 0.999:
+            if _over_family_bound(s, hi + 1, fam, eps1):
                 break
             hi += 1
         supports.append([lo, hi])
@@ -393,7 +401,9 @@ def tighten_once(s: Sweepout, sched: BallSchedule,
     non-increasing and untouched slices are bit-identical.  Each stage acts
     on the slices the previous stage left, and touches each slice at most
     once.  Returns (sweepout, total drop, flagged count, the SolveInfos of
-    every replacement run, unconverged ones included).
+    every replacement run, unconverged ones included).  The records of the
+    untouched slices move to the returned sweepout, so s keeps none, and a
+    replaced slice's record is freed with the slice.
     """
     settings = settings or dr.SolverSettings()
     slices = list(s.slices)
@@ -416,7 +426,10 @@ def tighten_once(s: Sweepout, sched: BallSchedule,
                 continue
             slices[i] = res.map
             total_drop += res.energy_drop
-    return Sweepout(slices, s.target, s.degree), total_drop, flagged, solves
+    out = Sweepout(slices, s.target, s.degree)
+    records, s._measures = s._measures, {}
+    out._measures = {i: kept for i, kept in records.items() if kept[0] is slices[i]}
+    return out, total_drop, flagged, solves
 
 
 def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
@@ -427,11 +440,12 @@ def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
     """Iterate schedule selection and replacement until the width plateaus.
 
     Each iteration selects a ball schedule, applies it with `tighten_once`
-    and measures the width; nothing else changes a slice.  A slice that
-    `tighten_once` left alone keeps the energy and area measured on it the
-    iteration before.  Returns (tightened sweepout, TighteningReport); the
-    report's `solves` holds every solve of the run, each iteration's trial
-    solves before its applied ones.  Endpoint slices are never touched.
+    and measures the width; nothing else changes a slice.  Each phase reads
+    a slice's record (`Sweepout.measure`), which a slice that `tighten_once`
+    left alone keeps, so an iteration measures only the slices it replaced.
+    Returns (tightened sweepout, TighteningReport); the report's `solves`
+    holds every solve of the run, each iteration's trial solves before its
+    applied ones.  Endpoint slices are never touched.
     The input is not copied: as with `tighten_once`, the returned sweepout
     shares every slice no stage replaced with it, and is the input itself
     when no schedule was applied.
@@ -443,19 +457,14 @@ def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
     w_prev = west = None
     stall = 0
     for it in range(1, max_iters + 1):
-        sched = select_ball_schedule(
-            cur, eps1, budget, settings,
-            energies=None if west is None else west.per_slice_energy)
+        sched = select_ball_schedule(cur, eps1, budget, settings)
         report.solves += sched.solves
         if not sched.families:
             report.stopped = "schedule-empty"
             break
-        before = cur.slices
         cur, drop, flagged, applied = tighten_once(cur, sched, settings)
         report.solves += applied
-        known = _kept_measurements(west, before, cur.slices)
-        del before  # the replaced slices are freed before the width is measured
-        west = width_estimate(cur, known)
+        west = width_estimate(cur)
         report.rows.append(IterationRow(
             iteration=it, w_energy=west.w_energy, w_area=west.w_area,
             argmax_t=west.argmax_t, total_drop=float(drop),
@@ -482,16 +491,6 @@ def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
     return cur, report
 
 
-def _kept_measurements(west, before, after):
-    """Per slice of `after`: its (energy, area) from `west`, the estimate of
-    `before`, when the slice is the same object, else None; None when there
-    is no estimate."""
-    if west is None:
-        return None
-    return [(e, a) if u is v else None for u, v, e, a in
-            zip(after, before, west.per_slice_energy, west.per_slice_area)]
-
-
 # ---------------------------------------------------------------------------
 # the almost-harmonic diagnostic
 
@@ -511,10 +510,11 @@ def almost_harmonic_check(u: DiscreteMap) -> AlmostHarmonicReport:
     gradient deviation) pairs trace the empirical relation between the two,
     for families where both are measurable."""
     dom = u.domain
+    m = dm.measure(u)
     worst = 0.0
     witness = None
     pairs = []
-    for e_f, fam in dr.propose_families(u, ALMOST_HARMONIC_EPS0,
+    for e_f, fam in dr.propose_families(u, m, ALMOST_HARMONIC_EPS0,
                                         dr.SamplerBudget()):
         try:
             res = dr.harmonic_replace(u, fam, rho=0.125)
@@ -528,7 +528,7 @@ def almost_harmonic_check(u: DiscreteMap) -> AlmostHarmonicReport:
         pairs.append((float(res.energy_drop), float(gap)))
         if gap > worst:
             worst, witness = float(gap), fam
-    e_minus_a = dm.energy(u) - dm.area(u)
+    e_minus_a = m.energy - m.area
     return AlmostHarmonicReport(worst, witness, float(e_minus_a), len(pairs),
                                 pairs)
 

@@ -81,7 +81,41 @@ def test_config_defaults_complete():
     cfg = load_config()
     for key in ("dirichlet.small_energy", "dmap.n", "run.seed"):
         assert key in DEFAULTS
-        assert cfg[key] == DEFAULTS[key]
+        assert cfg[key] == DEFAULTS[key][0]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sweepout.n_slices", -1), ("dmap.n", 0), ("sweepout.max_iters", -2),
+    ("dirichlet.small_energy", -1)])
+def test_config_rejects_values_out_of_range(tmp_path, key, value):
+    """A value outside its key's range is a configuration error, exit 3,
+    before any computation."""
+    with pytest.raises(ConfigError, match=key):
+        load_config(overrides={key: value})
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"dmap.n = 17\nsweepout.n_slices = 2\n{key} = {value}\n")
+    assert run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
+                "--out", str(tmp_path / "o")]) == 3
+
+
+def test_config_ranges_admit_the_defaults_and_are_documented():
+    """Every default lies in its range, the docs table states each range,
+    and a range's bounds, sets and list entries are checked as written."""
+    import re
+    from pathlib import Path
+    load_config(overrides={k: default for k, (default, _) in DEFAULTS.items()})
+    docs = (Path(__file__).parents[1] / "docs" / "config.md").read_text()
+    row = r"^\| `([a-z_]+\.[a-z_0-9]+)` \| [^|]* \| `([^`]*)` \|"
+    ranges = re.findall(row, docs, re.M)
+    assert dict(ranges) == {k: admissible for k, (_, admissible) in DEFAULTS.items()}
+    for key, value in (("dmap.band", 1.0), ("dmap.band", 0), ("manifold.kind", "torus"),
+                       ("sampler.radii", [0.2, -0.1]), ("manifold.semi_axes", [1, 0])):
+        with pytest.raises(ConfigError, match=key):
+            load_config(overrides={key: value})
+    cfg = load_config(overrides={"sweepout.n_slices": 0, "sweepout.max_iters": 0,
+                                 "dmap.n": 3, "manifold.semi_axes": None,
+                                 "manifold.kind": "affine", "sweepout.amp": -0.2})
+    assert cfg["dmap.n"] == 3 and cfg["manifold.kind"] == "affine"
 
 
 def test_ricci_cli(tmp_path):

@@ -100,6 +100,16 @@ def test_replace_bump_drops_energy(dom, s2, bump_map):
     assert r.energy_drop >= -1e-8
 
 
+def test_full_ball_replacement_drops_at_least_the_half_ball(bump_map):
+    """Replacement on the full ball gains at least the half-ball gain (the
+    half-replaced map is a competitor), exactly in the solver energy."""
+    f = BallFamily([BALL])
+    full = dr.harmonic_replace(bump_map, f)
+    half = dr.harmonic_replace(bump_map, f.scaled(0.5))
+    assert half.energy_drop > 0
+    assert full.energy_drop >= half.energy_drop - 1e-10
+
+
 def test_replace_locality_bit_identical(dom, s2, bump_map):
     rho = 0.7
     r = dr.harmonic_replace(bump_map, [BALL], rho=rho)
@@ -183,51 +193,15 @@ def test_convexity_boundary_mismatch(dom, s2, bump_map):
 
 
 # ---------------------------------------------------------------------------
-# replacement gap report
-
-def test_gap_report_harmonic_degenerate(dom, s2):
-    u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
-    f1 = BallFamily([Ball(0, (0.0, 0.0), 0.1)])
-    rep = dr.replacement_gap_report(u, f1, f1)
-    assert rep["degenerate"]
-    assert np.isnan(rep["kappa_hat"])
-    assert rep["lhs_nonnegative"]
-
-
-def test_gap_report_same_family(dom, s2, bump_map):
-    f = BallFamily([BALL])
-    rep = dr.replacement_gap_report(bump_map, f, f)
-    assert rep["lhs_nonnegative"]
-    assert np.isfinite(rep["kappa_hat"])
-    # replacement on the full ball gains at least the half-ball gain (the
-    # half-replaced map is a competitor), exactly in the solver energy
-    full = dr.harmonic_replace(bump_map, f)
-    half = dr.harmonic_replace(bump_map, f.scaled(0.5))
-    assert full.energy_drop >= half.energy_drop - 1e-10
-    assert rep["lhs_drop"] >= 0.9 * half.energy_drop
-
-
-def test_gap_report_distinct_families(dom, s2, bump_map):
-    f1 = BallFamily([Ball(0, (0.07, -0.02), 0.09)])
-    f2 = BallFamily([BALL])
-    rep = dr.replacement_gap_report(bump_map, f1, f2)
-    assert rep["lhs_drop"] > 0
-    assert np.isfinite(rep["kappa_hat"])
-    assert len(rep["mu_cases"]) == 3
-    for case in rep["mu_cases"]:
-        assert case["gain_after_first"] >= -1e-8
-
-
-# ---------------------------------------------------------------------------
 # energy improvement sampler
 
 def test_improvement_constant_zero(dom, s2):
     u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
-    assert dr.energy_improvement(u, 0.5)[0] == 0.0
+    assert dr.energy_improvement(u, dm.measure(u), 0.5)[0] == 0.0
 
 
 def test_improvement_identity_tolerance(identity_map):
-    assert dr.energy_improvement(identity_map, 0.5)[0] <= 1e-6
+    assert dr.energy_improvement(identity_map, dm.measure(identity_map), 0.5)[0] <= 1e-6
 
 
 def test_improvement_bump_positive_and_budget_monotone(dom, s2, bump_map):
@@ -235,16 +209,18 @@ def test_improvement_bump_positive_and_budget_monotone(dom, s2, bump_map):
                              excess_seeds=1)
     big = dr.SamplerBudget(center_stride=12, radii=(0.22, 0.16, 0.11, 0.08),
                            max_families=10, excess_seeds=3)
-    e_small = dr.energy_improvement(bump_map, 0.5, small)[0]
-    e_big = dr.energy_improvement(bump_map, 0.5, big)[0]
+    m = dm.measure(bump_map)
+    e_small = dr.energy_improvement(bump_map, m, 0.5, small)[0]
+    e_big = dr.energy_improvement(bump_map, m, 0.5, big)[0]
     assert e_small > 0
     assert e_big >= e_small - 1e-12
 
 
 def test_improvement_monotone_in_eps(dom, s2, bump_map):
     budget = dr.SamplerBudget(max_families=10**9)  # no cap: same sample set
-    lo = dr.energy_improvement(bump_map, 0.25, budget)[0]
-    hi = dr.energy_improvement(bump_map, 0.5, budget)[0]
+    m = dm.measure(bump_map)
+    lo = dr.energy_improvement(bump_map, m, 0.25, budget)[0]
+    hi = dr.energy_improvement(bump_map, m, 0.5, budget)[0]
     assert hi >= lo - 1e-12
 
 
@@ -361,14 +337,15 @@ def test_candidate_balls_equal_the_per_ball_loop(n, budget, s2):
     du = dm.chart_differential(peak, 0)
     excess = dm.energy_density(*du) - dm.jacobian_density(*du)
     assert np.unravel_index(np.argmax(excess), excess.shape) == node
-    assert dr.candidate_balls(bump, budget)
+    assert dr.candidate_balls(bump, dm.measure(bump), budget)
     for u in (bump, peak):
-        got = dr.candidate_balls(u, budget)
+        got = dr.candidate_balls(u, dm.measure(u), budget)
         assert _bits(got) == _bits(_reference_candidate_balls(u, budget))
     # an equal domain built apart gives the same list
     twin = dm.DiscreteMap(SphereDomain(n=n), s2, [v.copy() for v in bump.values])
     assert twin.domain is not dom
-    assert _bits(dr.candidate_balls(twin, budget)) == _bits(dr.candidate_balls(bump, budget))
+    assert _bits(dr.candidate_balls(twin, dm.measure(twin), budget)) == \
+        _bits(dr.candidate_balls(bump, dm.measure(bump), budget))
 
 
 def _cylinder_map(n_t=17, n_theta=12, seed=0):
@@ -537,14 +514,15 @@ def test_memo_is_per_domain_and_read_only(s2, s3):
     dr._sync_cap(u, b)
     budget = dr.SamplerBudget()
     bump = chart0_bump_map(one, s2)
-    first = dr.candidate_balls(bump, budget)
+    m = dm.measure(bump)
+    first = dr.candidate_balls(bump, m, budget)
     key = ("lattice", budget.center_stride, tuple(budget.radii))
     assert [k for k in one.memo if k[0] == "lattice"] == [key]
     assert not any(k[0] == "lattice" for k in two.memo)
     lattice = one.memo[key]
     with pytest.MonkeyPatch.context() as mp:  # a second call reads the store
         mp.setattr(dr, "_candidate_lattice", lambda *a: pytest.fail("rebuilt"))
-        assert dr.candidate_balls(bump, budget) == first
+        assert dr.candidate_balls(bump, m, budget) == first
     assert one.memo[key] is lattice
     hot = [idx for k, balls in one.memo.items() if k[0] == "centre"
            for _, idx in balls]
@@ -619,7 +597,7 @@ def _reference_improvement(u, eps, budget, s):
     best drop, its family and the replacements' solves, and the count of
     families the energy gate skipped."""
     best, best_fam, solves, gated = 0.0, None, [], 0
-    for _, fam in dr.propose_families(u, eps, budget):
+    for _, fam in dr.propose_families(u, dm.measure(u), eps, budget):
         try:
             r = dr.harmonic_replace(u, fam, 0.5, s)
         except EnergyTooLarge:
@@ -638,14 +616,14 @@ def test_energy_improvement_equals_the_replacement_loop(s3, n, gate, overrelax):
     u = sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=8,
                              amp=0.3).slices[4 if n == 65 else 2]
     eps, budget = 0.5, dr.SamplerBudget()
-    fams = [f for _, f in dr.propose_families(u, eps, budget)]
+    fams = [f for _, f in dr.propose_families(u, dm.measure(u), eps, budget)]
     multi = sorted(dm.energy(u, f.scaled(0.5)) for f in fams if len(f) > 1)
     assert len(multi) >= 2 and max(len(f) for f in fams) >= 3
     # with the gate, the half-scale energy bound falls between the two
     # lowest multi-ball families, so one is measured and one is skipped
     small = 1.5 * (multi[0] + multi[1]) if gate else 2.0
     s = dr.SolverSettings(small_energy=small, overrelax=overrelax)
-    got = dr.energy_improvement(u, eps, budget, s)
+    got = dr.energy_improvement(u, dm.measure(u), eps, budget, s)
     want, gated = _reference_improvement(u, eps, budget, s)
     assert (gated > 0) == gate
     assert got[1] is not None and got[0] > 0.0
@@ -671,6 +649,6 @@ def test_energy_improvement_refreshes_the_other_chart_between_balls(monkeypatch,
     pair = dr.harmonic_replace(u, fams[1][1], 0.5, s).energy_drop
     assert pair != skipped
     budget = dr.SamplerBudget()
-    got = dr.energy_improvement(u, 0.5, budget, s)
+    got = dr.energy_improvement(u, dm.measure(u), 0.5, budget, s)
     want, _ = _reference_improvement(u, 0.5, budget, s)
     assert _bits(got) == _bits(want) and len(got[2]) == 4

@@ -3,16 +3,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chart0_bump_map
-from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import io as wio
 from widthlab import varifold as vf
-from widthlab.domains import CylinderDomain, SphereDomain
+from widthlab.domains import CylinderDomain, SphereDomain, d_axis
 from widthlab.errors import (DomainMismatch, NoCommonPoint, TraceTooFar,
                              TubeEscape)
-from widthlab.manifold import affine_subspace
+from widthlab.manifold import affine_subspace, round_sphere
 
 FOUR_PI = 4 * np.pi
 
@@ -109,23 +110,9 @@ def test_defect_zero_implies_equality(identity_map):
 
 
 # ---------------------------------------------------------------------------
-# jacobian L1 distance
+# jacobian density and distances between maps
 
-def test_jacobian_distance_examples(dom, s2, identity_map):
-    assert dm.jacobian_l1_distance(identity_map, identity_map) == 0.0
-    plane3 = affine_subspace(3, 3)
-    base = dm.DiscreteMap(dom, plane3, [v.copy() for v in identity_map.values])
-    dists = []
-    for eps in (0.02, 0.01, 0.005):
-        scaled = dm.DiscreteMap(dom, plane3,
-                                [(1 + eps) * v for v in identity_map.values])
-        dists.append(dm.jacobian_l1_distance(base, scaled))
-        expect = ((1 + eps) ** 2 - 1) * dm.area(base)
-        assert abs(dists[-1] - expect) <= 1e-6 * expect
-    assert dists[0] > dists[1] > dists[2]
-
-
-def test_jacobian_distance_nodewise_bound(dom, s2, identity_map, bump_map):
+def test_jacobian_density_nodewise_difference_bound(dom, s2, identity_map, bump_map):
     for c in (0, 1):
         ux, uy = dm.chart_differential(identity_map, c)
         vx, vy = dm.chart_differential(bump_map, c)
@@ -139,17 +126,15 @@ def test_jacobian_distance_nodewise_bound(dom, s2, identity_map, bump_map):
         assert np.all(lhs <= rhs + 1e-10)
 
 
-def test_jacobian_distance_domain_mismatch(identity_map, s2):
+def test_c0_w12_distance_domain_mismatch(identity_map, s2):
     other = SphereDomain(n=65)
     v = dm.identity_sphere_map(other, s2)
     with pytest.raises(DomainMismatch):
-        dm.jacobian_l1_distance(identity_map, v)
+        dm.c0_w12_distance(identity_map, v)
 
 
-@pytest.mark.parametrize("caller", [
-    lambda u: dr.candidate_balls(u, dr.SamplerBudget()),
-    vf.varifold_of_map,
-], ids=["candidate_balls", "varifold_of_map"])
+@pytest.mark.parametrize("caller", [dm.measure, vf.varifold_of_map],
+                         ids=["measure", "varifold_of_map"])
 def test_both_densities_from_one_differential_per_chart(monkeypatch, bump_map,
                                                         caller):
     calls = []
@@ -162,6 +147,63 @@ def test_both_densities_from_one_differential_per_chart(monkeypatch, bump_map,
     monkeypatch.setattr(dm, "chart_differential", spy)
     caller(bump_map)
     assert sorted(calls) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# the measurement record and the one formula of a family's energy
+
+def _region_energy(u, fam):
+    """A family's energy differentiated on each ball's box widened by two
+    nodes, so every ball node gets the stencil it gets on the whole chart:
+    the reference `family_energy` must equal bit for bit."""
+    dom = u.domain
+    n = len(dom.axis)
+    total = 0.0
+    for b in fam:
+        box, mask = dm.ball_box(dom, b)
+        if not mask.any():
+            continue
+        wide = tuple(slice(max(s.start - 2, 0), min(s.stop + 2, n)) for s in box)
+        v = u.values[b.chart][wide]
+        dens = dm.energy_density(d_axis(v, dom.h, 0), d_axis(v, dom.h, 1))
+        inner = tuple(slice(s.start - w.start, s.stop - w.start)
+                      for s, w in zip(box, wide))
+        total += float(np.sum(dens[inner][mask])) * dom.h**2
+    return total
+
+
+_S2 = round_sphere(2, 1.0)
+_MAPS = {n: chart0_bump_map(SphereDomain(n=n), _S2, width=0.3) for n in (33, 65)}
+# centres reach past the chart square (half-width 1.25), so boxes are
+# clipped at the chart edge or lie wholly outside it
+_ball = st.builds(dm.Ball, st.integers(0, 1),
+                  st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                  st.floats(0.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(sorted(_MAPS)), fam=st.lists(_ball, min_size=1, max_size=3))
+@example(n=33, fam=[dm.Ball(0, (1.5, 1.5), 0.1)])        # clipped box, no node
+@example(n=33, fam=[dm.Ball(1, (0.01, 0.01), 0.001)])    # inner box, no node
+@example(n=65, fam=[dm.Ball(0, (1.2, -1.2), 0.3), dm.Ball(1, (-1.25, 0.0), 0.2)])
+def test_family_energy_equals_the_widened_box_energy(n, fam):
+    u = _MAPS[n]
+    want = _region_energy(u, fam).hex()
+    assert dm.family_energy(u.domain, dm.measure(u).energy_density, fam).hex() == want
+    assert dm.energy(u, fam).hex() == want
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_measure_equals_energy_and_area_bit_for_bit(n, s2):
+    for u in (dm.identity_sphere_map(SphereDomain(n=n), s2),
+              chart0_bump_map(SphereDomain(n=n), s2)):
+        m = dm.measure(u)
+        assert m.energy.hex() == dm.energy(u).hex()
+        assert m.area.hex() == dm.area(u).hex()
+        for c in (0, 1):
+            du = dm.chart_differential(u, c)
+            assert np.array_equal(m.energy_density[c], dm.energy_density(*du))
+            assert np.array_equal(m.jacobian_density[c], dm.jacobian_density(*du))
 
 
 def test_matrix_determinant_perturbation_bound():

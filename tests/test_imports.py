@@ -2,8 +2,10 @@
 no function of the package has a defaulted parameter that no caller
 passes, or one that every caller passes: a default that never applies is
 either a required parameter or a constant; and no function of the package
-changes module state, so results travel by return value.  The project
-ships no linter, so the checks read the syntax trees with `ast`."""
+changes module state, so results travel by return value; and neither
+`sweepout` nor `dirichlet` differentiates a map, so slices are measured
+only through `dmap.measure`.  The project ships no linter, so the checks
+read the syntax trees with `ast`."""
 import ast
 from pathlib import Path
 
@@ -237,3 +239,37 @@ def test_no_function_changes_module_state():
     found = {p.stem: _module_state_writes(p.read_text())
              for p in sorted(package.glob("*.py"))}
     assert {mod: fns for mod, fns in found.items() if fns} == {}
+
+
+DIFFERENTIALS = ("chart_differential", "energy_density", "jacobian_density")
+
+
+def _differential_calls(source):
+    """`name (line n)` of each call, by bare name or as an attribute, of a
+    function that differentiates a map or takes a density of its
+    differential."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in DIFFERENTIALS:
+                found.append(f"{name} (line {node.lineno})")
+    return sorted(found)
+
+
+def test_slices_are_measured_only_through_measure():
+    """sweepout and dirichlet read a slice's functionals from its
+    dm.Measure and never differentiate a map themselves, so a second
+    measurement path cannot come back unseen."""
+    module = ("from . import dmap as dm\n"
+              "du = dm.chart_differential(u, 0)\n"
+              "e = energy_density(*du)\n"
+              "m = dm.measure(u)\n"
+              "d = m.energy_density[0] + m.jacobian_density[1]\n"
+              "j = dm.jacobian_density(ux, uy)\n")
+    assert _differential_calls(module) == \
+        ["chart_differential (line 2)", "energy_density (line 3)",
+         "jacobian_density (line 6)"]
+    package = Path(widthlab.__file__).parent
+    for name in ("sweepout.py", "dirichlet.py"):
+        assert _differential_calls((package / name).read_text()) == [], name

@@ -277,9 +277,9 @@ def test_tighten_final_width_is_the_last_estimate(monkeypatch, s3, stop):
     width_estimate = sw.width_estimate
     measured = []
 
-    def spy(s, known=None):
+    def spy(s):
         measured.append(s)
-        return width_estimate(s, known)
+        return width_estimate(s)
 
     monkeypatch.setattr(sw, "width_estimate", spy)
     out, report = sw.tighten(swp, max_iters=4 if stop == "max-iters" else 8,
@@ -307,44 +307,47 @@ def _fresh_width_rows(swp, iters):
 
 
 def test_tighten_measures_only_the_replaced_slices(monkeypatch, s3):
-    """Schedule selection measures whole slices on the first iteration only,
-    and each width estimate measures only the slices tighten_once replaced;
-    the rows are those of fresh estimates, bit for bit."""
+    """Each slice object is measured once: the first iteration measures
+    every input slice, and each iteration, right after tighten_once, the
+    slices it replaced.  Every chart differential belongs to one of those
+    measurements or to the energy gate of a replacement, counted apart.
+    The rows are those of fresh estimates, bit for bit."""
     swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
                                n_slices=8, amp=0.3)
     want_rows, want_west = _fresh_width_rows(swp, 3)
-    energy, area = dm.energy, dm.area
-    select, estimate, once = sw.select_ball_schedule, sw.width_estimate, sw.tighten_once
-    phase, calls, measured, applied = [None], {}, [], []
+    measure, energy, differential = dm.measure, dm.energy, dm.chart_differential
+    once = sw.tighten_once
+    events, inside, diffs, gates = [], [None], [], []
+
+    def within(label, fn, *args):
+        inside[0] = label
+        try:
+            return fn(*args)
+        finally:
+            inside[0] = None
+
+    def spy_measure(u):
+        events.append(u)
+        return within("measure", measure, u)
 
     def spy_energy(u, region=None):
         if region is None:
-            measured.append((phase[0], "energy", u))
-        return energy(u, region)
+            return within("energy", energy, u)
+        gates.append({b.chart for b in region})
+        return within("gate", energy, u, region)
 
-    def spy_area(u):
-        measured.append((phase[0], "area", u))
-        return area(u)
-
-    def in_phase(name, fn):
-        def wrapped(*args, **kwargs):
-            phase[0] = (name, calls.setdefault(name, 0))
-            calls[name] += 1
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                phase[0] = None
-        return wrapped
+    def spy_differential(u, c):
+        diffs.append(inside[0])
+        return differential(u, c)
 
     def spy_once(s, *args, **kwargs):
         res = once(s, *args, **kwargs)
-        applied.append((s.slices, res[0].slices))
+        events.append((s.slices, res[0].slices))
         return res
 
+    monkeypatch.setattr(dm, "measure", spy_measure)
     monkeypatch.setattr(dm, "energy", spy_energy)
-    monkeypatch.setattr(dm, "area", spy_area)
-    monkeypatch.setattr(sw, "select_ball_schedule", in_phase("select", select))
-    monkeypatch.setattr(sw, "width_estimate", in_phase("width", estimate))
+    monkeypatch.setattr(dm, "chart_differential", spy_differential)
     monkeypatch.setattr(sw, "tighten_once", spy_once)
     _, report = sw.tighten(swp, max_iters=3, eps1=2.0, budget=BUDGET,
                            settings=SETTINGS)
@@ -352,17 +355,33 @@ def test_tighten_measures_only_the_replaced_slices(monkeypatch, s3):
     for field_ in ("per_slice_energy", "per_slice_area"):
         assert getattr(report.final_width, field_).tobytes() == \
             getattr(want_west, field_).tobytes()
-    assert len(applied) == 3
-    for k, (before, after) in enumerate(applied):
+    marks = [k for k, e in enumerate(events) if isinstance(e, tuple)]
+    assert len(marks) == 3
+    assert len(events[:marks[0]]) == swp.n_slices
+    assert all(a is b for a, b in zip(events, swp.slices))
+    for k, at in enumerate(marks):
+        before, after = events[at]
         replaced = [v for u, v in zip(before, after) if u is not v]
         assert 0 < len(replaced) < swp.n_slices
-        picked = [u for ph, _, u in measured if ph == ("select", k)]
-        assert len(picked) == (swp.n_slices if k == 0 else 0)
-        for kind in ("energy", "area"):
-            got = [u for ph, what, u in measured if ph == ("width", k) and what == kind]
-            want = after if k == 0 else replaced
-            assert len(got) == len(want)
-            assert all(g is w for g, w in zip(got, want))
+        got = events[at + 1:(marks + [len(events)])[k + 1]]
+        assert len(got) == len(replaced)
+        assert all(g is w for g, w in zip(got, replaced))
+    assert diffs.count("measure") == 2 * (len(events) - len(marks))
+    assert diffs.count("gate") == sum(len(charts) for charts in gates) > 0
+    assert set(diffs) == {"measure", "gate"}
+
+
+def test_measure_follows_a_slice_assigned_after_it_was_measured(s3):
+    """A record belongs to the slice object it was taken of: a map assigned
+    into slices[i] after slice i was measured gets a record of its own,
+    taken once."""
+    swp = sw.standard_sweepout("latitude-s3", s3, SphereDomain(n=17), n_slices=4)
+    old = swp.measure(1)
+    assert swp.measure(1) is old
+    swp.slices[1] = swp.slices[2].copy()
+    new = swp.measure(1)
+    assert new.energy == dm.energy(swp.slices[2]) != old.energy
+    assert swp.measure(1) is new
 
 
 def test_tighten_latitude_plateaus_immediately(dom, s3):
