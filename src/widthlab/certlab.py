@@ -17,7 +17,8 @@ import numpy as np
 from . import dirichlet as dr
 from . import dmap as dm
 from .dmap import DiscreteMap
-from .domains import CylinderDomain, SphereDomain, bump_weight, d_axis, d_axis_periodic
+from .domains import (CylinderDomain, SphereDomain, bump_weight, d_axis, d_axis_periodic,
+                      frozen)
 from .errors import EnergyTooLarge, NoZero, PreconditionFail
 from .manifold import round_sphere
 
@@ -76,7 +77,12 @@ def _finite_or_null(x):
 def _polar_grid():
     x, w = np.polynomial.legendre.leggauss(64)
     theta = np.arange(256) * (2 * np.pi / 256)
-    return 0.5 * (x + 1.0), 0.5 * w, theta, 2 * np.pi / 256
+    return (frozen(0.5 * (x + 1.0)), frozen(0.5 * w), frozen(theta),
+            2 * np.pi / 256)
+
+
+# (radii, radial weights, angles, angular step), built once on import
+POLAR_GRID = _polar_grid()
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +92,7 @@ def wente_hardy_check(zeta_coeffs, cos_coeffs, sin_coeffs) -> dict:
     """Integrals for h^2 |zeta|^2 <= 8 (int |grad h|^2)(int |zeta|^2) on the
     unit disk, with zeta the polynomial with given complex coefficients and
     h = (1 - r^2) * sum_k r^k (a_k cos k theta + b_k sin k theta)."""
-    r, wr, theta, dth = _polar_grid()
+    r, wr, theta, dth = POLAR_GRID
     z = r[:, None] * np.exp(1j * theta[None, :])
     zeta = np.zeros_like(z)
     for ck in reversed(zeta_coeffs):

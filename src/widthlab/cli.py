@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from . import certlab, io
 from . import ricci as rc
-from .config import load_config
+from .config import check_value, load_config
 from .errors import ConfigError, WidthlabError
 
 EXIT_OK, EXIT_CHECK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3, 4
@@ -85,6 +85,13 @@ def cmd_width(args, cfg):
     from . import dmap as dmod
     from . import sweepout as sw
     from . import varifold as vf
+    if args.max_iters is not None:
+        # the flag overrides sweepout.max_iters, so it takes that key's range
+        try:
+            check_value("sweepout.max_iters", args.max_iters)
+        except ConfigError as e:
+            print(f"config error: --max-iters: {e}", file=sys.stderr)
+            return EXIT_CONFIG
     out = _out_dir(cfg, args)
     _write_manifest(out, cfg, {"command": "width", "fixture": args.fixture})
     dom = cfg.sphere_domain()

@@ -59,15 +59,7 @@ class ExperimentConfig:
 
     def update(self, overrides: dict):
         for k, v in overrides.items():
-            if k not in DEFAULTS:
-                raise ConfigError(f"unknown config key {k!r}")
-            default, admissible = DEFAULTS[k]
-            if not _same_kind(default, v):
-                raise ConfigError(f"config key {k!r} takes a value like "
-                                  f"{default!r}, not {v!r}")
-            if not _in_range(v, admissible):
-                raise ConfigError(f"config key {k!r} takes a value in "
-                                  f"{admissible}, not {v!r}")
+            check_value(k, v)
             self.values[k] = v
         return self
 
@@ -130,6 +122,20 @@ def _same_kind(default, value):
     if isinstance(default, float):
         return number
     return type(value) is type(default)
+
+
+def check_value(key, value):
+    """Raise ConfigError unless `key` is a config key and `value` is of its
+    default's kind and in its admissible range."""
+    if key not in DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    default, admissible = DEFAULTS[key]
+    if not _same_kind(default, value):
+        raise ConfigError(f"config key {key!r} takes a value like "
+                          f"{default!r}, not {value!r}")
+    if not _in_range(value, admissible):
+        raise ConfigError(f"config key {key!r} takes a value in "
+                          f"{admissible}, not {value!r}")
 
 
 def _in_range(value, admissible):

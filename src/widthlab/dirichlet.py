@@ -49,6 +49,7 @@ from . import dmap as dm
 from .dmap import Ball, BallFamily, DiscreteMap, ball_box
 from .domains import SphereDomain, frozen
 from .errors import BoundaryMismatch, EnergyTooLarge
+from .manifold import row_dot
 
 @dataclass
 class SolverSettings:
@@ -176,7 +177,8 @@ def _tangential_norms(g, target, wx, wy):
     a gathered stencil."""
     l_int = _neighbor_sums(g, wx, wy) - 2.0 * (wx + wy) * g[0]
     pn = target.normal_space_projector(g[0])
-    return np.linalg.norm(l_int - np.einsum("kij,kj->ki", pn, l_int), axis=-1)
+    tangential = l_int - np.einsum("kij,kj->ki", pn, l_int)
+    return np.sqrt(row_dot(tangential, tangential))
 
 
 class _Layout:
@@ -391,19 +393,17 @@ def _sync_cap(u: DiscreteMap, b: Ball):
 
 
 def _cap_refresh_nodes(dom: SphereDomain, b: Ball):
-    """The other-chart nodes `_sync_cap` refreshes, as read-only (rows,
-    columns, X, Y) in the form `dm.refresh_nodes` takes."""
+    """The other-chart nodes `_sync_cap` refreshes, as the read-only
+    `dom.refresh_stencil` that `dm.refresh_nodes` takes."""
     other = 1 - b.chart
     axis, theta = b.cap(dom)
-    reach = dom.node_owner[other] == b.chart
+    reach = dom.owned_by_other[other].copy()
     for coord, s in zip(dom.cross_coords[other], ball_box(dom, b)[0]):
-        # catmullrom reads rows floor(f) - 1 .. floor(f) + 2
+        # a Catmull-Rom stencil reads rows floor(f) - 1 .. floor(f) + 2
         f = (coord - dom.axis[0]) / dom.h
         reach &= (f >= s.start - 2) & (f < s.stop + 1)
     in_cap = np.tensordot(dom.points[other], axis, axes=(-1, -1)) >= np.cos(theta)
-    ii, jj = np.nonzero(dom.cross_safe[other] & (reach | in_cap))
-    X, Y = dom.cross_coords[other]
-    return tuple(frozen(a) for a in (ii, jj, X[ii, jj], Y[ii, jj]))
+    return dom.refresh_stencil(b.chart, reach | in_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,17 @@ coordinates they are plain flat integrals, weighted only by the partition
 of unity that splits the sphere between the two charts.
 
 `measure` differentiates a map once per chart into a `Measure` record,
-which the tightening loop reads.  A ball family's energy has one formula,
-`family_energy`, the whole-chart energy density summed over its nodes.
+which the tightening loop reads; its densities sum the components of the
+differential with `manifold.row_dot`.  A ball family's energy has one
+formula, `family_energy`, the whole-chart energy density summed over its
+nodes.
+
+Owner charts are authoritative on the chart overlap: `sync_owner`
+refreshes every node its chart does not own from the chart that does,
+through the Catmull-Rom stencils the domain prepared once for those nodes
+(`SphereDomain.owner_refresh`).  `refresh_nodes` applies any prepared
+refresh set, such as the ball-cap sets `dirichlet` keeps in the domain's
+memo.
 """
 from __future__ import annotations
 
@@ -23,7 +32,7 @@ from . import domains
 from .domains import CylinderDomain, SphereDomain, d_axis, d_axis_periodic
 from .errors import (DomainMismatch, NoCommonPoint, OutsideTube, OverlapViolation,
                      TraceTooFar, TubeEscape)
-from .manifold import EmbeddedManifold
+from .manifold import EmbeddedManifold, row_dot
 
 OVERLAP_TOL = 1e-6
 
@@ -74,7 +83,7 @@ def sync_owner(u: DiscreteMap):
     that owns its sphere point."""
     dom = u.domain
     for c in (0, 1):
-        sync_overlap(u, chart=c, mask=dom.node_owner[1 - c] == c)
+        sync_overlap(u, chart=c, mask=dom.owned_by_other[1 - c])
     return u
 
 
@@ -117,13 +126,11 @@ def overlap_disagreement(u: DiscreteMap) -> float:
     worst = 0.0
     for c in (0, 1):
         other = 1 - c
-        Xo, Yo = dom.cross_coords[c]
-        m = (dom.node_owner[c] == other) & dom.cross_safe[c]
-        if not np.any(m):
+        ii, jj, *stencil = dom.owner_refresh[other]
+        if len(ii) == 0:
             continue
-        ref = u.target.project(
-            domains.catmullrom(u.values[other], dom.axis[0], dom.h, Xo[m], Yo[m]))
-        worst = max(worst, float(np.max(np.linalg.norm(u.values[c][m] - ref, axis=-1))))
+        ref = u.target.project(domains.interpolate(u.values[other], stencil))
+        worst = max(worst, float(np.max(np.linalg.norm(u.values[c][ii, jj] - ref, axis=-1))))
     return worst
 
 
@@ -131,27 +138,27 @@ def sync_overlap(u: DiscreteMap, chart: int, mask):
     """Re-interpolate the other chart's nodes from `chart` after its nodes changed.
 
     mask: boolean (n,n) over the *other* chart selecting nodes to refresh,
-    among those the source chart can interpolate safely.
+    among those the source chart can interpolate safely.  The nodes that
+    `chart` owns, `dom.owned_by_other[1 - chart]`, are refreshed through
+    the stencil the domain prepared for them once.
     """
     dom = u.domain
-    other = 1 - chart
-    Xs, Ys = dom.cross_coords[other]
-    m = dom.cross_safe[other] & mask
-    ii, jj = np.nonzero(m)
-    refresh_nodes(u, chart, (ii, jj, Xs[ii, jj], Ys[ii, jj]))
+    if mask is dom.owned_by_other[1 - chart]:
+        refresh_nodes(u, chart, dom.owner_refresh[chart])
+    else:
+        refresh_nodes(u, chart, dom.refresh_stencil(chart, mask))
 
 
 def refresh_nodes(u: DiscreteMap, chart: int, nodes):
     """Re-interpolate the given nodes of the other chart from `chart`.
 
-    nodes: (rows, columns, X, Y) of other-chart nodes, with their
-    coordinates (X, Y) in `chart`; row-major order, as boolean masks select.
+    nodes: a `SphereDomain.refresh_stencil` of `chart`, (rows, columns,
+    corner, wx, wy).
     """
-    ii, jj, xs, ys = nodes
+    ii, jj, *stencil = nodes
     if len(ii) == 0:
         return
-    dom = u.domain
-    vals = domains.catmullrom(u.values[chart], dom.axis[0], dom.h, xs, ys)
+    vals = domains.interpolate(u.values[chart], stencil)
     u.values[1 - chart][ii, jj] = u.target.project(vals)
 
 
@@ -174,7 +181,7 @@ def _weights(dom):
 
 def energy_density(ux, uy):
     """Pointwise energy density 1/2 |du|^2 of a chart differential."""
-    return 0.5 * (np.sum(ux * ux, -1) + np.sum(uy * uy, -1))
+    return 0.5 * (row_dot(ux, ux) + row_dot(uy, uy))
 
 
 def energy(u: DiscreteMap, region=None) -> float:
@@ -201,9 +208,9 @@ def family_energy(dom, density, fam) -> float:
 def jacobian_density(ux, uy):
     """Pointwise Jacobian |du/dX ^ du/dY| of a chart differential; at most
     the energy density, with equality exactly where du is conformal."""
-    a = np.sum(ux * ux, -1)
-    b = np.sum(uy * uy, -1)
-    cc = np.sum(ux * uy, -1)
+    a = row_dot(ux, ux)
+    b = row_dot(uy, uy)
+    cc = row_dot(ux, uy)
     return np.sqrt(np.maximum(a * b - cc * cc, 0.0))
 
 

@@ -8,6 +8,14 @@ smooth partition of unity in the height z blends the two quadratures;
 because energy, area and the conformality defect are conformally covariant
 in two dimensions, all of them reduce to flat integrals in chart
 coordinates weighted by the partition alone.
+
+Charts exchange values by bicubic Catmull-Rom interpolation.  Where the
+points depend only on the domain, the interpolation is prepared once as a
+stencil (`catmullrom_stencil`, flat node indices and kernel weights) and
+applied to each grid by `interpolate`: the owner-chart refresh sets of
+`SphereDomain.owner_refresh` and the ball-cap refresh sets in the domain's
+memo hold their stencils.  `catmullrom` prepares and applies in one call,
+for points that move from call to call.
 """
 from __future__ import annotations
 
@@ -73,24 +81,39 @@ def _cr_weights(t):
             0.5 * t3 - 0.5 * t2)
 
 
-def catmullrom(grid, xs0, h, px, py):
-    """Bicubic (Catmull-Rom) sampling of grid (n, n, ...) at points (px, py)."""
-    g = np.asarray(grid)
-    n = g.shape[0]
+def catmullrom_stencil(n, xs0, h, px, py):
+    """The Catmull-Rom sampling of an n x n grid with first node xs0 and
+    spacing h at points (px, py), prepared once for any number of grids:
+    arrays (corner, wx, wy), `corner` the int32 flat grid index of the first
+    of each point's 4 x 4 nodes, `wx` and `wy` (4, *points, 1) the kernel
+    weights of its rows and columns."""
     fx = np.clip((np.asarray(px) - xs0) / h, 1.0, n - 2.000001)
     fy = np.clip((np.asarray(py) - xs0) / h, 1.0, n - 2.000001)
-    i = fx.astype(int)
-    j = fy.astype(int)
-    wx = _cr_weights((fx - i)[..., None])
-    wy = _cr_weights((fy - j)[..., None])
-    flat = g.reshape(n, n, -1)
+    i = fx.astype(np.int32)
+    j = fy.astype(np.int32)
+    return ((i - 1) * n + (j - 1), np.stack(_cr_weights((fx - i)[..., None])),
+            np.stack(_cr_weights((fy - j)[..., None])))
+
+
+def interpolate(grid, stencil):
+    """Sample grid (n, n, ...) through a `catmullrom_stencil`, gathering one
+    node term at a time."""
+    corner, wx, wy = stencil
+    g = np.asarray(grid)
+    n = g.shape[0]
+    flat = g.reshape(n * n, -1)
     acc = 0.0
     for a in range(4):
         row = 0.0
         for b in range(4):
-            row = row + flat[i + a - 1, j + b - 1] * wy[b]
+            row = row + flat.take(corner + (a * n + b), axis=0) * wy[b]
         acc = acc + row * wx[a]
-    return acc.reshape(np.shape(px) + g.shape[2:])
+    return acc.reshape(corner.shape + g.shape[2:])
+
+
+def catmullrom(grid, xs0, h, px, py):
+    """Bicubic (Catmull-Rom) sampling of grid (n, n, ...) at points (px, py)."""
+    return interpolate(grid, catmullrom_stencil(np.shape(grid)[0], xs0, h, px, py))
 
 
 def frozen(a):
@@ -182,13 +205,39 @@ class SphereDomain:
         safe = self.interp_safe_radius()
         return tuple(frozen(np.hypot(X, Y) <= safe) for X, Y in self.cross_coords)
 
+    @cached_property
+    def owned_by_other(self):
+        """Per chart c: the nodes that chart 1 - c owns."""
+        return tuple(frozen(owner != c) for c, owner in enumerate(self.node_owner))
+
+    @cached_property
+    def owner_refresh(self):
+        """Per chart c: the `refresh_stencil` of the chart 1 - c nodes that
+        chart c owns, the nodes `dmap.sync_owner` refreshes from c and
+        `dmap.overlap_disagreement` compares with c."""
+        return tuple(self.refresh_stencil(c, self.owned_by_other[1 - c]) for c in (0, 1))
+
+    def refresh_stencil(self, c, mask):
+        """How chart c refreshes the nodes of chart 1 - c that `mask`
+        selects and c can interpolate safely: read-only (rows, columns,
+        corner, wx, wy), the nodes' int32 rows and columns in row-major
+        order, as boolean masks select them, and the `catmullrom_stencil`
+        of chart c at them."""
+        ii, jj = (a.astype(np.int32) for a in np.nonzero(self.cross_safe[1 - c] & mask))
+        X, Y = self.cross_coords[1 - c]
+        stencil = catmullrom_stencil(self.n, self.axis[0], self.h, X[ii, jj], Y[ii, jj])
+        return tuple(frozen(a) for a in (ii, jj) + stencil)
+
     def memoized(self, key, build):
         """The value stored under `key`, built by `build()` on first use.
 
         The store holds geometry that depends only on this domain and the
-        key (ball caps, other-chart refresh sets, candidate lattices,
-        hot-seed balls, trial-ball solve blocks and the edge lists of their
-        shapes), lives as long as the domain, and starts empty."""
+        key (ball caps, other-chart refresh sets with their prepared
+        Catmull-Rom stencils, candidate lattices, hot-seed balls, trial-ball
+        solve blocks and the edge lists of their shapes), lives as long as
+        the domain, and starts empty.  The owner charts' refresh sets are
+        not stored here but in `owner_refresh`, computed on first use like
+        the other cross-chart geometry."""
         try:
             return self.memo[key]
         except KeyError:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from widthlab import dmap as dm
-from widthlab.domains import SphereDomain, bump_weight
+from widthlab.domains import SphereDomain, _cr_weights, bump_weight
 from widthlab.manifold import round_sphere
 
 
@@ -19,6 +19,28 @@ def s2():
 @pytest.fixture(scope="session")
 def s3():
     return round_sphere(3, 1.0)
+
+
+def reference_catmullrom(grid, xs0, h, px, py):
+    """Bicubic (Catmull-Rom) sampling as it was first written, preparing its
+    indices and weights on every call: the reference the prepared stencils
+    of `domains` must equal bit for bit."""
+    g = np.asarray(grid)
+    n = g.shape[0]
+    fx = np.clip((np.asarray(px) - xs0) / h, 1.0, n - 2.000001)
+    fy = np.clip((np.asarray(py) - xs0) / h, 1.0, n - 2.000001)
+    i = fx.astype(int)
+    j = fy.astype(int)
+    wx = _cr_weights((fx - i)[..., None])
+    wy = _cr_weights((fy - j)[..., None])
+    flat = g.reshape(n, n, -1)
+    acc = 0.0
+    for a in range(4):
+        row = 0.0
+        for b in range(4):
+            row = row + flat[i + a - 1, j + b - 1] * wy[b]
+        acc = acc + row * wx[a]
+    return acc.reshape(np.shape(px) + g.shape[2:])
 
 
 @pytest.fixture(scope="session")

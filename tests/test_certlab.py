@@ -35,6 +35,25 @@ def test_wente_suite_small():
     assert json.loads(rep.to_json())["name"] == "wente"
 
 
+def test_wente_suite_reads_the_quadrature_grid_built_on_import(monkeypatch):
+    """The polar grid is built once, on import: a suite run asks leggauss
+    for nothing, and the grid holds leggauss(64)'s nodes and weights."""
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    rep = cl.wente_hardy_suite(seed=5, instances=20)
+    assert calls == [] and rep.passed and rep.instances == 20
+    x, w = leggauss(64)
+    r, wr, theta, dth = cl.POLAR_GRID
+    assert r.tobytes() == (0.5 * (x + 1.0)).tobytes()
+    assert wr.tobytes() == (0.5 * w).tobytes()
+    assert theta.tobytes() == (np.arange(256) * (2 * np.pi / 256)).tobytes()
+    assert dth == 2 * np.pi / 256
+    with pytest.raises(ValueError):
+        r[0] = 0.0
+
+
 # ---------------------------------------------------------------------------
 # ODE comparison
 

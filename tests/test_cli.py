@@ -234,6 +234,18 @@ def test_width_cli_max_iters_zero(tmp_path):
         "iter,w_energy,w_area,argmax_t,total_drop,max_improvement,stages,flagged"]
 
 
+def test_width_cli_rejects_a_negative_max_iters(tmp_path, capsys):
+    """--max-iters takes the range of sweepout.max_iters: a negative count is
+    a configuration error, exit 3, before any output is written."""
+    cfgfile = tmp_path / "light.cfg"
+    cfgfile.write_text("dmap.n = 17\nsweepout.n_slices = 2\n")
+    out = tmp_path / "w"
+    assert run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
+                "--max-iters", "-2", "--out", str(out)]) == 3
+    assert "--max-iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_width_cli_latitude_fails_a_rising_width_series(monkeypatch, tmp_path):
     """latitude-s3 must end at 4 pi and with a monotone series: a rising
     series fails the check even at the right final width."""

@@ -3,12 +3,12 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import chart0_bump_map
+from conftest import chart0_bump_map, reference_catmullrom
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import sweepout as sw
 from widthlab.dmap import Ball, BallFamily
-from widthlab.domains import CylinderDomain, SphereDomain, bump_weight, catmullrom
+from widthlab.domains import CylinderDomain, SphereDomain, bump_weight
 from widthlab.errors import BoundaryMismatch, EnergyTooLarge, OverlapViolation
 from widthlab.manifold import affine_subspace, round_sphere
 
@@ -427,8 +427,8 @@ def test_relax_rejects_interior_on_a_non_periodic_edge():
 
 # ---------------------------------------------------------------------------
 # oracles: the per-domain memo of ball caps and refresh sets against
-# reference copies of the unmemoized cap and the full-grid refresh mask,
-# compared bit for bit
+# reference copies of the unmemoized cap, the full-grid refresh mask and the
+# per-call Catmull-Rom sampling, compared bit for bit
 
 def _reference_cap(b, dom):
     cx, cy = b.center
@@ -457,7 +457,7 @@ def _reference_sync_cap(u, b):
     Xs, Ys = dom.cross_coords[other]
     m = dom.cross_safe[other] & refresh
     if np.any(m):
-        vals = catmullrom(u.values[b.chart], dom.axis[0], dom.h, Xs[m], Ys[m])
+        vals = reference_catmullrom(u.values[b.chart], dom.axis[0], dom.h, Xs[m], Ys[m])
         u.values[other][m] = u.target.project(vals)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chart0_bump_map
+from conftest import chart0_bump_map, reference_catmullrom
 from widthlab import dmap as dm
 from widthlab import io as wio
 from widthlab import varifold as vf
@@ -361,6 +361,58 @@ def test_overlap_agreement_invariant(identity_map, bump_map):
     assert dm.overlap_disagreement(bump_map) <= 1e-6
     identity_map.validate()
     bump_map.validate()
+
+
+def _reference_refresh(u, c, mask):
+    """Refresh from chart c, per call as first written, the chart 1 - c
+    nodes of mask that chart c can interpolate safely."""
+    dom = u.domain
+    m = dom.cross_safe[1 - c] & mask
+    X, Y = dom.cross_coords[1 - c]
+    vals = reference_catmullrom(u.values[c], dom.axis[0], dom.h, X[m], Y[m])
+    u.values[1 - c][m] = u.target.project(vals)
+
+
+def _reference_sync_owner(u):
+    for c in (0, 1):
+        _reference_refresh(u, c, u.domain.node_owner[1 - c] == c)
+    return u
+
+
+def _reference_overlap_disagreement(u):
+    dom = u.domain
+    worst = 0.0
+    for c in (0, 1):
+        other = 1 - c
+        m = (dom.node_owner[c] == other) & dom.cross_safe[c]
+        X, Y = dom.cross_coords[c]
+        ref = u.target.project(
+            reference_catmullrom(u.values[other], dom.axis[0], dom.h, X[m], Y[m]))
+        worst = max(worst, float(np.max(np.linalg.norm(u.values[c][m] - ref, axis=-1))))
+    return worst
+
+
+@pytest.mark.parametrize("n", [17, 33, 129])
+def test_owner_refresh_equals_the_per_call_formula(n, s2):
+    """sync_owner, through the owner stencils the domain prepared once,
+    writes the bytes of the per-call refresh, and overlap_disagreement reads
+    the same value; a mask other than the domain's own owner mask is
+    refreshed through a stencil prepared on the spot."""
+    dom = SphereDomain(n=n)
+    rng = np.random.default_rng(n)
+    u = chart0_bump_map(dom, s2, width=0.3, sync=False)
+    u.values = [s2.project(v + 0.01 * rng.standard_normal(v.shape)) for v in u.values]
+    assert dm.overlap_disagreement(u) == _reference_overlap_disagreement(u) > 1e-3
+    synced = dm.sync_owner(u.copy())
+    assert [v.tobytes() for v in synced.values] == \
+        [v.tobytes() for v in _reference_sync_owner(u.copy()).values]
+    assert dm.overlap_disagreement(synced) == _reference_overlap_disagreement(synced)
+    got, want = u.copy(), u.copy()
+    for c in (0, 1):
+        upper = dom.owned_by_other[1 - c] & (dom.X < 0.3)
+        dm.sync_overlap(got, c, upper)
+        _reference_refresh(want, c, upper)
+    assert [v.tobytes() for v in got.values] == [v.tobytes() for v in want.values]
 
 
 def test_ball_family_disjointness(dom):

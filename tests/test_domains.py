@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from widthlab.domains import (CylinderDomain, catmullrom,
-                              d_axis, d_axis_periodic)
+from conftest import reference_catmullrom
+from widthlab.domains import (CylinderDomain, SphereDomain, catmullrom, catmullrom_stencil,
+                              d_axis, d_axis_periodic, interpolate)
 
 
 def test_total_quadrature_weight(dom):
@@ -57,6 +60,45 @@ def test_catmullrom_reproduces_smooth_fields(dom):
     py = rng.uniform(-1.0, 1.0, 200)
     got = catmullrom(g[..., None], dom.axis[0], dom.h, px, py)[:, 0]
     assert np.max(np.abs(got - np.sin(px) * np.cos(py))) <= 5e-7
+
+
+_GRIDS = {n: np.random.default_rng(n).standard_normal((n, n, 3)) for n in (17, 33, 129)}
+
+
+@st.composite
+def _grid_points(draw):
+    """A grid size and points in grid units: inside the grid, on the clip
+    bounds 1 and n - 2.000001 (and next to them) and beyond the grid."""
+    n = draw(st.sampled_from(sorted(_GRIDS)))
+    special = [-2.5, 0.0, 1.0, 1.5, n - 2.000001, n - 2.0, n - 1.0, n + 1.5]
+    unit = st.one_of(st.floats(-3.0, n + 2.0), st.sampled_from(special))
+    size = draw(st.integers(1, 12))
+    return n, [draw(st.lists(unit, min_size=size, max_size=size)) for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_grid_points())
+@example(case=(17, [[1.0, 14.999999, -2.5], [15.0, 0.0, 18.5]]))
+@example(case=(129, [[64.25], [127.0]]))
+def test_prepared_catmullrom_equals_the_per_call_formula(case):
+    """A stencil prepared once samples every grid bit for bit as the formula
+    that prepares its indices and weights on each call, for points inside
+    the grid, on the clip bounds and beyond them."""
+    n, (fx, fy) = case
+    dom = SphereDomain(n=n)
+    x0, h = dom.axis[0], dom.h
+    px, py = x0 + h * np.array(fx), x0 + h * np.array(fy)
+    stencil = catmullrom_stencil(n, x0, h, px, py)
+    g = _GRIDS[n]
+    for grid in (g, g[..., 1], g.reshape(n, n, 3, 1), g[:, :, ::2]):
+        want = reference_catmullrom(grid, x0, h, px, py).tobytes()
+        assert interpolate(grid, stencil).tobytes() == want
+        assert catmullrom(grid, x0, h, px, py).tobytes() == want
+    assert catmullrom(g, x0, h, px[0], py[0]).tobytes() == \
+        reference_catmullrom(g, x0, h, px[0], py[0]).tobytes()
+    rows = np.array([px[:1], py[:1]])  # a two-dimensional point array
+    assert catmullrom(g, x0, h, rows, rows[::-1]).tobytes() == \
+        reference_catmullrom(g, x0, h, rows, rows[::-1]).tobytes()
 
 
 def test_cylinder_domain_weights():

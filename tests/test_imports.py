@@ -2,10 +2,12 @@
 no function of the package has a defaulted parameter that no caller
 passes, or one that every caller passes: a default that never applies is
 either a required parameter or a constant; and no function of the package
-changes module state, so results travel by return value; and neither
+changes module state, so results travel by return value; neither
 `sweepout` nor `dirichlet` differentiates a map, so slices are measured
-only through `dmap.measure`.  The project ships no linter, so the checks
-read the syntax trees with `ast`."""
+only through `dmap.measure`; and neither `dmap` nor `dirichlet` prepares a
+Catmull-Rom stencil, so chart refreshes read the stencils the domain
+prepared once.  The project ships no linter, so the checks read the syntax
+trees with `ast`."""
 import ast
 from pathlib import Path
 
@@ -242,17 +244,18 @@ def test_no_function_changes_module_state():
 
 
 DIFFERENTIALS = ("chart_differential", "energy_density", "jacobian_density")
+# what prepares a Catmull-Rom stencil on every call
+STENCIL_BUILDERS = ("catmullrom", "catmullrom_stencil", "sample_chart")
 
 
-def _differential_calls(source):
+def _calls_of(names, source):
     """`name (line n)` of each call, by bare name or as an attribute, of a
-    function that differentiates a map or takes a density of its
-    differential."""
+    function of the given names."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in DIFFERENTIALS:
+            if name in names:
                 found.append(f"{name} (line {node.lineno})")
     return sorted(found)
 
@@ -267,9 +270,29 @@ def test_slices_are_measured_only_through_measure():
               "m = dm.measure(u)\n"
               "d = m.energy_density[0] + m.jacobian_density[1]\n"
               "j = dm.jacobian_density(ux, uy)\n")
-    assert _differential_calls(module) == \
+    assert _calls_of(DIFFERENTIALS, module) == \
         ["chart_differential (line 2)", "energy_density (line 3)",
          "jacobian_density (line 6)"]
     package = Path(widthlab.__file__).parent
     for name in ("sweepout.py", "dirichlet.py"):
-        assert _differential_calls((package / name).read_text()) == [], name
+        assert _calls_of(DIFFERENTIALS, (package / name).read_text()) == [], name
+
+
+def test_refreshes_interpolate_only_through_prepared_stencils():
+    """dmap and dirichlet call catmullrom nowhere and prepare no stencil:
+    they interpolate with `domains.interpolate` through the refresh sets
+    the domain prepares once (`SphereDomain.owner_refresh`, and the ball
+    caps' `refresh_stencil` in its memo), so a per-call path cannot come
+    back unseen.  Resampling at points that move with every call goes
+    through `SphereDomain.evaluate`."""
+    module = ("from . import domains\n"
+              "v = domains.catmullrom(g, x0, h, px, py)\n"
+              "st = catmullrom_stencil(n, x0, h, px, py)\n"
+              "w = domains.interpolate(g, dom.owner_refresh[0][2:])\n"
+              "r = dom.refresh_stencil(0, mask)\n"
+              "s = dom.sample_chart(g, px, py)\n")
+    assert _calls_of(STENCIL_BUILDERS, module) == \
+        ["catmullrom (line 2)", "catmullrom_stencil (line 3)", "sample_chart (line 6)"]
+    package = Path(widthlab.__file__).parent
+    for name in ("dmap.py", "dirichlet.py"):
+        assert _calls_of(STENCIL_BUILDERS, (package / name).read_text()) == [], name

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from widthlab.errors import OutsideTube
-from widthlab.manifold import affine_subspace, ellipsoid, from_descriptor, round_sphere
+from widthlab.manifold import (ROW_DOT_COLUMNS_FROM, affine_subspace, ellipsoid,
+                               from_descriptor, round_sphere, row_dot)
 
 
 def test_radial_projection_examples(s2):
@@ -151,7 +152,8 @@ def _norm_form_projection(m, x):
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=arrays(np.float64, st.tuples(st.integers(1, 6), st.sampled_from([3, 4])),
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 6) | st.integers(256, 300),
+                                      st.sampled_from([3, 4])),
                 elements=st.floats(-3.0, 3.0)),
        radius=st.sampled_from([0.5, 1.0, 2.5]), at_inner=st.booleans())
 @example(x=np.array([[0.0, 1.0, 0.0]]), radius=1.0, at_inner=True)
@@ -170,3 +172,43 @@ def test_round_projection_equals_the_norm_form(x, radius, at_inner):
             continue
         assert not at_inner
         assert m.project(pts).tobytes() == want.tobytes()
+
+
+_ROW_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 1e-300, -1e300, 7e15, np.pi])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=st.integers(1, 7), rows=st.integers(1, 4) | st.integers(140, 400),
+       layout=st.sampled_from(["contiguous", "gathered", "strided", "fortran"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(cols=1, rows=1, layout="contiguous", seed=0)
+@example(cols=4, rows=ROW_DOT_COLUMNS_FROM // 4, layout="fortran", seed=1)
+@example(cols=7, rows=150, layout="strided", seed=2)
+def test_row_dot_is_numpy_row_sum_bit_for_bit(cols, rows, layout, seed):
+    """row_dot gives the bytes of np.sum(a * b, -1), and its square root
+    those of np.linalg.norm, for every column count below 8, on both sides
+    of the size at which it starts adding columns, and on arrays whose
+    rows are contiguous, gathered by index, strided or column-major; signed
+    zeros included."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        pick = rng.random((rows, 2 * cols)) < 0.3
+        v = np.where(pick, rng.choice(_ROW_VALUES, (rows, 2 * cols)),
+                     rng.standard_normal((rows, 2 * cols)))
+        if layout == "gathered":
+            return v[:, :cols][rng.permutation(rows)]
+        if layout == "strided":
+            return v[:, ::2]
+        if layout == "fortran":
+            return np.asfortranarray(v[:, :cols])
+        return np.ascontiguousarray(v[:, :cols])
+
+    a, b = draw(), draw()
+    zeros = np.full_like(a, -0.0)  # every product -0.0: np.sum gives 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert row_dot(a, b).tobytes() == np.sum(a * b, -1).tobytes()
+        assert row_dot(zeros, b).tobytes() == np.sum(zeros * b, -1).tobytes()
+        assert np.sqrt(row_dot(a, a)).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
+        stacked = np.stack([a, b])  # a leading axis
+        assert row_dot(stacked, stacked).tobytes() == np.sum(stacked * stacked, -1).tobytes()
