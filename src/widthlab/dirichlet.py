@@ -397,7 +397,7 @@ def _cap_refresh_nodes(dom: SphereDomain, b: Ball):
     `dom.refresh_stencil` that `dm.refresh_nodes` takes."""
     other = 1 - b.chart
     axis, theta = b.cap(dom)
-    reach = dom.owned_by_other[other].copy()
+    reach = dom.node_owner[other] == b.chart
     for coord, s in zip(dom.cross_coords[other], ball_box(dom, b)[0]):
         # a Catmull-Rom stencil reads rows floor(f) - 1 .. floor(f) + 2
         f = (coord - dom.axis[0]) / dom.h

@@ -83,7 +83,7 @@ def sync_owner(u: DiscreteMap):
     that owns its sphere point."""
     dom = u.domain
     for c in (0, 1):
-        sync_overlap(u, chart=c, mask=dom.owned_by_other[1 - c])
+        sync_overlap(u, chart=c, mask=dom.node_owner[1 - c] == c)
     return u
 
 
@@ -135,18 +135,16 @@ def overlap_disagreement(u: DiscreteMap) -> float:
 
 
 def sync_overlap(u: DiscreteMap, chart: int, mask):
-    """Re-interpolate the other chart's nodes from `chart` after its nodes changed.
+    """Re-interpolate the other chart's nodes that `chart` owns from `chart`
+    after its nodes changed, through the stencil the domain prepared once.
 
-    mask: boolean (n,n) over the *other* chart selecting nodes to refresh,
-    among those the source chart can interpolate safely.  The nodes that
-    `chart` owns, `dom.owned_by_other[1 - chart]`, are refreshed through
-    the stencil the domain prepared for them once.
+    mask: boolean (n,n) over the *other* chart, the nodes `chart` owns,
+    `dom.node_owner[1 - chart] == chart`; any other mask is an error.
     """
     dom = u.domain
-    if mask is dom.owned_by_other[1 - chart]:
-        refresh_nodes(u, chart, dom.owner_refresh[chart])
-    else:
-        refresh_nodes(u, chart, dom.refresh_stencil(chart, mask))
+    if not np.array_equal(mask, dom.node_owner[1 - chart] == chart):
+        raise ValueError(f"sync_overlap refreshes the nodes chart {chart} owns, not others")
+    refresh_nodes(u, chart, dom.owner_refresh[chart])
 
 
 def refresh_nodes(u: DiscreteMap, chart: int, nodes):

@@ -206,16 +206,11 @@ class SphereDomain:
         return tuple(frozen(np.hypot(X, Y) <= safe) for X, Y in self.cross_coords)
 
     @cached_property
-    def owned_by_other(self):
-        """Per chart c: the nodes that chart 1 - c owns."""
-        return tuple(frozen(owner != c) for c, owner in enumerate(self.node_owner))
-
-    @cached_property
     def owner_refresh(self):
         """Per chart c: the `refresh_stencil` of the chart 1 - c nodes that
         chart c owns, the nodes `dmap.sync_owner` refreshes from c and
         `dmap.overlap_disagreement` compares with c."""
-        return tuple(self.refresh_stencil(c, self.owned_by_other[1 - c]) for c in (0, 1))
+        return tuple(self.refresh_stencil(c, self.node_owner[1 - c] == c) for c in (0, 1))
 
     def refresh_stencil(self, c, mask):
         """How chart c refreshes the nodes of chart 1 - c that `mask`

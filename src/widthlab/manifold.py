@@ -66,17 +66,14 @@ class EmbeddedManifold:
         raise NotImplementedError
 
 
-# below this many entries numpy's reduction, with fewer calls, is the
-# faster; from about 250 rows of 3 or 4 columns on, adding columns is
-ROW_DOT_COLUMNS_FROM = 1024
-
-
 def row_dot(a, b):
-    """Sum over the last axis of a * b: bit for bit np.sum(a * b, -1) for
-    fewer than 8 columns.  numpy sums such short rows left to right after
-    0.0, one row at a time; from ROW_DOT_COLUMNS_FROM entries on, the
-    columns are added in that order, all rows at once."""
-    if a.size < ROW_DOT_COLUMNS_FROM:
+    """Sum over the last axis of a * b, bit for bit np.sum(a * b, -1).
+
+    numpy sums a row of fewer than 8 terms left to right after 0.0, one
+    row at a time; here the columns are added in that order, all rows at
+    once.  Rows of 8 or more terms, which numpy sums in another order,
+    go to numpy."""
+    if a.shape[-1] >= 8:
         return np.add.reduce(a * b, axis=-1)
     out = a[..., 0] * b[..., 0]
     out += 0.0  # np.sum starts from 0.0, which turns a -0.0 into 0.0

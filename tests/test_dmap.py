@@ -396,8 +396,7 @@ def _reference_overlap_disagreement(u):
 def test_owner_refresh_equals_the_per_call_formula(n, s2):
     """sync_owner, through the owner stencils the domain prepared once,
     writes the bytes of the per-call refresh, and overlap_disagreement reads
-    the same value; a mask other than the domain's own owner mask is
-    refreshed through a stencil prepared on the spot."""
+    the same value; sync_overlap refuses a mask other than the owner mask."""
     dom = SphereDomain(n=n)
     rng = np.random.default_rng(n)
     u = chart0_bump_map(dom, s2, width=0.3, sync=False)
@@ -407,12 +406,9 @@ def test_owner_refresh_equals_the_per_call_formula(n, s2):
     assert [v.tobytes() for v in synced.values] == \
         [v.tobytes() for v in _reference_sync_owner(u.copy()).values]
     assert dm.overlap_disagreement(synced) == _reference_overlap_disagreement(synced)
-    got, want = u.copy(), u.copy()
     for c in (0, 1):
-        upper = dom.owned_by_other[1 - c] & (dom.X < 0.3)
-        dm.sync_overlap(got, c, upper)
-        _reference_refresh(want, c, upper)
-    assert [v.tobytes() for v in got.values] == [v.tobytes() for v in want.values]
+        with pytest.raises(ValueError, match="owns"):
+            dm.sync_overlap(u, c, (dom.node_owner[1 - c] == c) & (dom.X < 0.3))
 
 
 def test_ball_family_disjointness(dom):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from widthlab.errors import OutsideTube
-from widthlab.manifold import (ROW_DOT_COLUMNS_FROM, affine_subspace, ellipsoid,
-                               from_descriptor, round_sphere, row_dot)
+from widthlab.manifold import (affine_subspace, ellipsoid, from_descriptor, round_sphere,
+                               row_dot)
 
 
 def test_radial_projection_examples(s2):
@@ -152,8 +152,7 @@ def _norm_form_projection(m, x):
 
 
 @settings(max_examples=200, deadline=None)
-@given(x=arrays(np.float64, st.tuples(st.integers(1, 6) | st.integers(256, 300),
-                                      st.sampled_from([3, 4])),
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 6), st.sampled_from([3, 4])),
                 elements=st.floats(-3.0, 3.0)),
        radius=st.sampled_from([0.5, 1.0, 2.5]), at_inner=st.booleans())
 @example(x=np.array([[0.0, 1.0, 0.0]]), radius=1.0, at_inner=True)
@@ -178,17 +177,18 @@ _ROW_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 1e-300, -1e300, 7e15, 
 
 
 @settings(max_examples=150, deadline=None)
-@given(cols=st.integers(1, 7), rows=st.integers(1, 4) | st.integers(140, 400),
+@given(cols=st.integers(1, 12), rows=st.integers(1, 300),
        layout=st.sampled_from(["contiguous", "gathered", "strided", "fortran"]),
        seed=st.integers(0, 2**32 - 1))
 @example(cols=1, rows=1, layout="contiguous", seed=0)
-@example(cols=4, rows=ROW_DOT_COLUMNS_FROM // 4, layout="fortran", seed=1)
+@example(cols=4, rows=256, layout="fortran", seed=1)
 @example(cols=7, rows=150, layout="strided", seed=2)
+@example(cols=8, rows=200, layout="gathered", seed=3)
 def test_row_dot_is_numpy_row_sum_bit_for_bit(cols, rows, layout, seed):
     """row_dot gives the bytes of np.sum(a * b, -1), and its square root
-    those of np.linalg.norm, for every column count below 8, on both sides
-    of the size at which it starts adding columns, and on arrays whose
-    rows are contiguous, gathered by index, strided or column-major; signed
+    those of np.linalg.norm, for rows shorter than 8, which it sums by
+    columns, and longer ones, which it hands to numpy; on arrays whose rows
+    are contiguous, gathered by index, strided or column-major; signed
     zeros included."""
     rng = np.random.default_rng(seed)
 
