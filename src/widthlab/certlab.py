@@ -1,8 +1,8 @@
 """Randomized numerical certificate suites for the quantitative inequalities
 behind the replacement machinery: the Hardy-type bound for holomorphic
-densities, the ODE comparison bound, angular-energy decay and the
-differential inequality driving it on flat cylinders, constancy of the
-Hopf integrand, and the one-dimensional trace inequality.
+densities, the ODE comparison bound, angular-energy decay on flat
+cylinders, constancy of the Hopf integrand, and the one-dimensional trace
+inequality.
 
 Every suite is deterministic given its seed; instance parameters are drawn
 once and reports are byte-stable.
@@ -221,11 +221,11 @@ def ode_comparison_suite(seed: int, instances: int = 1000) -> CertificateReport:
 
 
 # ---------------------------------------------------------------------------
-# cylinder maps: solves, angular-energy profile, decay, Hopf constancy
+# cylinder maps: solves, angular-energy decay, Hopf constancy
 
-def cylinder_domain(ell: float, n_t: int, n_theta: int,
-                    halves: int = 3) -> CylinderDomain:
-    return CylinderDomain(-halves * ell, halves * ell, n_t, n_theta)
+def cylinder_domain(ell: float, n_t: int, n_theta: int) -> CylinderDomain:
+    """The cylinder [-3 ell, 3 ell] x S^1."""
+    return CylinderDomain(-3 * ell, 3 * ell, n_t, n_theta)
 
 
 def solve_cylinder_map(dom: CylinderDomain, target, trace_low, trace_high) -> DiscreteMap:
@@ -241,21 +241,6 @@ def solve_cylinder_map(dom: CylinderDomain, target, trace_low, trace_high) -> Di
     dr.relax(vals, interior, target, settings,
              1.0 / dom.h_t**2, 1.0 / dom.h_theta**2, periodic_y=True)
     return DiscreteMap(dom, target, [vals])
-
-
-def theta_energy_profile(u: DiscreteMap, sff_bound: float = None) -> dict:
-    """Per-level angular energy f(t), its second differences, and the margins
-    of  f'' >= 1.5 f - 2 sup|A|^2 * int |grad u|^4  at interior levels."""
-    dom = u.domain
-    sff = u.target.sff_bound if sff_bound is None else sff_bound
-    ut, uth = dm.chart_differential(u, 0)
-    f = np.sum(uth**2, axis=(1, 2)) * dom.h_theta
-    grad2 = np.sum(ut**2, axis=-1) + np.sum(uth**2, axis=-1)
-    quart = np.sum(grad2**2, axis=1) * dom.h_theta
-    fpp = (f[2:] - 2 * f[1:-1] + f[:-2]) / dom.h_t**2
-    rhs = 1.5 * f[1:-1] - 2.0 * sff**2 * quart[1:-1]
-    return {"t": dom.t, "f": f, "fpp": fpp, "rhs": rhs,
-            "margins": fpp - rhs, "scale": float(np.max(f) + 1e-300)}
 
 
 def theta_energy_decay_check(u: DiscreteMap, ell: float, delta: float,
@@ -295,50 +280,6 @@ def hopf_constancy(u: DiscreteMap) -> dict:
     return {"c": c, "mean": mean, "deviation": deviation,
             "hopf_field": phi, "dbar_max": float(np.max(np.abs(dbar[interior, :]))),
             "scale": scale}
-
-
-def cylinder_decomposition_report(u: DiscreteMap, ell: float, mu: float,
-                                  delta: float) -> dict:
-    """Unit-subcylinder decomposition: a subcylinder is good when replacing
-    its interior by the harmonic solve moves the gradient by at most mu
-    times the total energy; angular decay is summed over the good ones and
-    the bad ones are charged to the replacement deviation."""
-    dom = u.domain
-    settings = dr.SolverSettings(residual_tol=1e-11, max_sweeps=50_000, overrelax=1.8)
-    total = 2.0 * dm.energy(u)
-    n_sub = max(int((dom.t1 - dom.t0) / ell) - 2, 1)
-    good, bad = [], []
-    inner_theta = 0.0
-    uth = dm.chart_differential(u, 0)[1]
-    for k in range(n_sub):
-        a = dom.t0 + k * ell
-        b = a + 3 * ell
-        sel = (dom.t >= a - 1e-12) & (dom.t <= b + 1e-12)
-        ii = np.nonzero(sel)[0]
-        block = u.values[0][ii[0]:ii[-1] + 1].copy()
-        interior = np.ones(block.shape[:2], bool)
-        interior[0, :] = interior[-1, :] = False
-        sub = block.copy()
-        dr.relax(sub, interior, u.target, settings,
-                 1.0 / dom.h_t**2, 1.0 / dom.h_theta**2, periodic_y=True)
-        gap = dr.masked_grad_square(block - sub, interior,
-                                    1.0 / dom.h_t**2, 1.0 / dom.h_theta**2,
-                                    periodic_y=True) * dom.h_t * dom.h_theta
-        mid = (np.abs(dom.t - (a + 1.5 * ell)) <= 0.5 * ell)
-        th_energy = float(np.sum((uth[mid] ** 2).sum(-1) * dom.flat_weights[mid]))
-        entry = {"window": (float(a), float(b)), "gap": float(gap),
-                 "theta_energy": th_energy}
-        if gap <= mu * total:
-            good.append(entry)
-            inner_theta += th_energy
-        else:
-            bad.append(entry)
-    bad_gap = sum(e["gap"] for e in bad)
-    measured = inner_theta / max(total, 1e-300)
-    return {"good": good, "bad": bad, "total_energy": total,
-            "good_theta_fraction": measured,
-            "bound_shape": 6 * delta + (10.0 / mu) * (bad_gap / max(total, 1e-300)),
-            "n_subcylinders": n_sub}
 
 
 # ---------------------------------------------------------------------------

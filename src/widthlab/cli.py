@@ -8,7 +8,6 @@ Subcommands
              concentration detection
   ricci      round-flow extinction demonstration plus the integrated bound
   calibrate  dyadic scan of the small-energy threshold
-  plots      turn emitted CSVs into gnuplot-ready .dat files
 
 Exit codes: 0 all checks passed, 2 a required check failed, 3 bad
 configuration, 4 a solver failed to converge on a required path.
@@ -51,6 +50,23 @@ def _finish(out, name, payload):
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
+def _flags_in_range(flags):
+    """Check flags that override config keys against those keys' ranges.
+
+    flags: flag -> (config key, value or None when the flag is absent).
+    Prints the first error and returns False when a value is out of range.
+    """
+    for flag, (key, value) in flags.items():
+        if value is None:
+            continue
+        try:
+            check_value(key, value)
+        except ConfigError as e:
+            print(f"config error: {flag}: {e}", file=sys.stderr)
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -85,13 +101,8 @@ def cmd_width(args, cfg):
     from . import dmap as dmod
     from . import sweepout as sw
     from . import varifold as vf
-    if args.max_iters is not None:
-        # the flag overrides sweepout.max_iters, so it takes that key's range
-        try:
-            check_value("sweepout.max_iters", args.max_iters)
-        except ConfigError as e:
-            print(f"config error: --max-iters: {e}", file=sys.stderr)
-            return EXIT_CONFIG
+    if not _flags_in_range({"--max-iters": ("sweepout.max_iters", args.max_iters)}):
+        return EXIT_CONFIG
     out = _out_dir(cfg, args)
     _write_manifest(out, cfg, {"command": "width", "fixture": args.fixture})
     dom = cfg.sphere_domain()
@@ -200,6 +211,9 @@ def cmd_bubble(args, cfg):
 
 
 def cmd_ricci(args, cfg):
+    if not _flags_in_range({"--r0": ("ricci.r0", args.r0), "--dt": ("ricci.dt", args.dt),
+                            "--c": ("ricci.c", args.c)}):
+        return EXIT_CONFIG
     out = _out_dir(cfg, args)
     _write_manifest(out, cfg, {"command": "ricci"})
     r0 = float(args.r0 if args.r0 is not None else cfg["ricci.r0"])
@@ -307,31 +321,6 @@ def cmd_calibrate(args, cfg):
     return EXIT_OK if best is not None else EXIT_CHECK
 
 
-def cmd_plots(args, cfg):
-    out = _out_dir(cfg, args)
-    _write_manifest(out, cfg, {"command": "plots", "inputs": list(args.csv)})
-    produced = []
-    for path in args.csv:
-        if not os.path.exists(path):
-            print(f"missing input: {path}", file=sys.stderr)
-            return EXIT_CONFIG
-        base = os.path.splitext(os.path.basename(path))[0]
-        dat = os.path.join(out, base + ".dat")
-        with open(path) as src, open(dat, "w") as dst:
-            header = src.readline().strip().split(",")
-            dst.write("# " + "  ".join(header) + "\n")
-            for line in src:
-                dst.write("  ".join(line.strip().split(",")) + "\n")
-        stub = os.path.join(out, base + ".gp")
-        with open(stub, "w") as fh:
-            fh.write(f'set datafile commentschars "#"\n'
-                     f'plot "{os.path.basename(dat)}" using 1:2 with lines '
-                     f'title "{header[1] if len(header) > 1 else base}"\n')
-        produced.extend([dat, stub])
-    print("\n".join(produced))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -371,10 +360,6 @@ def make_parser():
                        help="scan the small-energy threshold")
     c.set_defaults(fn=cmd_calibrate)
 
-    g = sub.add_parser("plots", parents=[common],
-                       help="emit plot-ready .dat files from CSVs")
-    g.add_argument("csv", nargs="+")
-    g.set_defaults(fn=cmd_plots)
     return p
 
 

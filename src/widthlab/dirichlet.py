@@ -102,19 +102,14 @@ def edge_energy(values, wx=1.0, wy=1.0, periodic_y=False):
     return 0.5 * e
 
 
-def masked_grad_square(block, interior, wx=1.0, wy=1.0, periodic_y=False):
-    """Gradient-square integral over edges incident to the interior set."""
+def masked_grad_square(block, interior):
+    """Gradient-square sum over the grid edges incident to the interior set."""
     b = np.asarray(block, float)
     gx = b[1:, :] - b[:-1, :]
     mx = interior[1:, :] | interior[:-1, :]
     gy = b[:, 1:] - b[:, :-1]
     my = interior[:, 1:] | interior[:, :-1]
-    total = wx * np.sum(gx * gx * mx[..., None]) + wy * np.sum(gy * gy * my[..., None])
-    if periodic_y:
-        seam = b[:, 0] - b[:, -1]
-        ms = interior[:, 0] | interior[:, -1]
-        total += wy * np.sum(seam * seam * ms[..., None])
-    return float(total)
+    return float(np.sum(gx * gx * mx[..., None]) + np.sum(gy * gy * my[..., None]))
 
 
 def _interior_nodes(interior, periodic_y):

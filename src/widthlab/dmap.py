@@ -1,7 +1,7 @@
 """Discrete maps from the two-chart sphere and from flat cylinders into an
 embedded manifold, with the energy, area and conformality functionals,
-smoothing, collar interpolation between nearby boundary traces, and
-conformal dilations.
+smoothing, collar interpolation between nearby boundary traces, and exact
+Moebius self-maps.
 
 Sphere-domain functionals exploit that in two dimensions energy, area and
 the conformality defect are conformally covariant: in stereographic chart
@@ -364,7 +364,7 @@ def ball_in_pure_region(dom: SphereDomain, b: Ball) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Moebius transformations / conformal dilations
+# Moebius transformations
 
 def _homog(pts):
     """Chart-0 homogeneous coordinates (a : b), w = a/b, robust at both poles."""
@@ -394,54 +394,6 @@ class Mobius:
         a, b = _homog(pts)
         return _from_homog(self.m[0, 0] * a + self.m[0, 1] * b,
                            self.m[1, 0] * a + self.m[1, 1] * b)
-
-    def inverse(self) -> "Mobius":
-        (A, B), (C, D) = self.m
-        return Mobius(np.array([[D, -B], [-C, A]]) / (A * D - B * C))
-
-    def __matmul__(self, other: "Mobius") -> "Mobius":
-        return Mobius(self.m @ other.m)
-
-    @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(np.eye(2, dtype=complex))
-
-    @staticmethod
-    def rotation_to_south(p) -> "Mobius":
-        a, b = _homog(np.asarray(p, float))
-        return Mobius(np.array([[b, -a], [np.conj(a), np.conj(b)]], dtype=complex))
-
-    @staticmethod
-    def chart0_dilation(lam: float) -> "Mobius":
-        return Mobius(np.array([[lam, 0.0], [0.0, 1.0]], dtype=complex))
-
-
-@dataclass(frozen=True)
-class ConformalDilation:
-    """Self-map of the sphere taking a given ball to the southern hemisphere."""
-
-    mob: Mobius
-    factor: float  # dilation factor in the rotated chart
-
-    def apply(self, pts):
-        return self.mob.apply(pts)
-
-
-def conformal_dilation(dom: SphereDomain, b: Ball) -> ConformalDilation:
-    axis, theta = b.cap(dom)
-    rot = Mobius.rotation_to_south(axis)
-    lam = 1.0 / np.tan(0.5 * theta)
-    return ConformalDilation(Mobius.chart0_dilation(lam) @ rot, float(lam))
-
-
-def compose_mobius(u: DiscreteMap, mob: Mobius) -> DiscreteMap:
-    """The map x -> u(mob(x)), resampling u's charts at the moved points."""
-    dom = u.domain
-    vals = []
-    for c in (0, 1):
-        moved = mob.apply(dom.points[c])
-        vals.append(u.target.project(dom.evaluate(u.values, moved)))
-    return DiscreteMap(dom, u.target, vals)
 
 
 def mobius_as_map(dom: SphereDomain, mob: Mobius, target) -> DiscreteMap:

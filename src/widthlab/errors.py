@@ -45,10 +45,6 @@ class KindUnknown(WidthlabError):
     pass
 
 
-class NotConcentrated(WidthlabError):
-    """Not enough energy in the ball to renormalize at the requested level."""
-
-
 class NonPositiveC(WidthlabError):
     pass
 

@@ -73,16 +73,6 @@ def read_map(fh, domain=None) -> dm.DiscreteMap:
     return dm.DiscreteMap(dom, target, vals)
 
 
-def save_map(path, u: dm.DiscreteMap):
-    with open(path, "wb") as fh:
-        write_map(fh, u)
-
-
-def load_map(path) -> dm.DiscreteMap:
-    with open(path, "rb") as fh:
-        return read_map(fh)
-
-
 def save_sweepout(path, s):
     with open(path, "wb") as fh:
         manifest = {"format": SWEEPOUT_FORMAT, "n_slices": s.n_slices,
@@ -112,18 +102,6 @@ def load_sweepout(path):
 
 def fmt(x) -> str:
     return repr(float(x))
-
-
-def energy_density_csv(path, u: dm.DiscreteMap):
-    dom = u.domain
-    with open(path, "w") as fh:
-        fh.write("chart,i,j,x,y,density\n")
-        for c in range(u.n_charts):
-            dens = dm.energy_density(*dm.chart_differential(u, c))
-            for i in range(dens.shape[0]):
-                for j in range(dens.shape[1]):
-                    fh.write(f"{c},{i},{j},{fmt(dom.X[i, j])},{fmt(dom.Y[i, j])},"
-                             f"{fmt(dens[i, j])}\n")
 
 
 def varifold_csv(path, v):

@@ -1,9 +1,9 @@
 """Compact target manifolds embedded in Euclidean space.
 
 Each kind carries a nearest-point projection, tubular-neighborhood radii,
-a second-fundamental-form bound, and tangent frames.  All kinds are
-analytic (round sphere, ellipsoid, affine subspace); projections are
-closed form up to a scalar root solve for the ellipsoid.
+a second-fundamental-form bound, and its normal-space projectors.  All
+kinds are analytic (round sphere, ellipsoid, affine subspace); projections
+are closed form up to a scalar root solve for the ellipsoid.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ class EmbeddedManifold:
     tubular_radius: float        # inward well-posedness margin for projection
     safe_tubular_radius: float   # half of the above; |dΠ|² ≤ 2 holds inside
     sff_bound: float             # sup |A| over the manifold
-    projection_lipschitz: float  # C with |dΠ_x| ≤ 1 + C·dist(x, M) in the tube
     on_tol: float = DEFAULT_ON_TOL
 
     # -- interface -----------------------------------------------------
@@ -41,28 +40,6 @@ class EmbeddedManifold:
         raise NotImplementedError
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
-
-    # -- shared helpers ------------------------------------------------
-    def normal_part(self, x, y):
-        """Component of (x - y) normal to the tangent space at x; x, y on M."""
-        x = np.asarray(x, float)
-        y = np.asarray(y, float)
-        d = x - y
-        pn = self.normal_space_projector(x)
-        return np.einsum("...ij,...j->...i", pn, d)
-
-    def tangent_basis(self, x):
-        """Orthonormal frame of the tangent space at x ∈ M, shape (..., dim, N)."""
-        x = np.asarray(x, float)
-        pn = self.normal_space_projector(x)
-        pt = np.eye(self.ambient_dim) - pn
-        # orthonormalize the dominant columns of the tangent projector
-        q = _projector_basis(pt, self.dim)
-        return q
-
-    def normal_part_constant(self) -> float:
-        """C with |normal_part(x, y)| ≤ C·|x - y|² for x, y on M."""
         raise NotImplementedError
 
 
@@ -80,29 +57,6 @@ def row_dot(a, b):
     for k in range(1, a.shape[-1]):
         out += a[..., k] * b[..., k]
     return out
-
-
-def _projector_basis(p, rank):
-    """Deterministic orthonormal basis of the range of symmetric projector(s) p."""
-    p = np.asarray(p, float)
-    n = p.shape[-1]
-    cols = p.reshape(-1, n, n)
-    out = np.empty((cols.shape[0], rank, n))
-    for k, m in enumerate(cols):
-        # Gram-Schmidt over columns picked by decreasing norm; deterministic
-        order = np.argsort(-np.einsum("ij,ij->j", m, m), kind="stable")
-        basis = []
-        for j in order:
-            v = m[:, j].copy()
-            for b in basis:
-                v -= (v @ b) * b
-            nv = np.linalg.norm(v)
-            if nv > 1e-8:
-                basis.append(v / nv)
-            if len(basis) == rank:
-                break
-        out[k] = np.stack(basis)
-    return out.reshape(p.shape[:-2] + (rank, n))
 
 
 # ---------------------------------------------------------------------------
@@ -129,9 +83,6 @@ class RoundSphere(EmbeddedManifold):
         n = x / np.sqrt(row_dot(x, x))[..., None]
         return n[..., :, None] * n[..., None, :]
 
-    def normal_part_constant(self):
-        return 0.5 / self.radius
-
     def descriptor(self):
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
 
@@ -145,7 +96,6 @@ def round_sphere(dim: int, radius: float = 1.0, on_tol=DEFAULT_ON_TOL) -> RoundS
         tubular_radius=0.9 / kappa,
         safe_tubular_radius=0.45 / kappa,
         sff_bound=np.sqrt(dim) / radius,
-        projection_lipschitz=2.0 * kappa,
         on_tol=on_tol,
         radius=radius,
     )
@@ -198,11 +148,6 @@ class Ellipsoid(EmbeddedManifold):
         n = g / np.linalg.norm(g, axis=-1, keepdims=True)
         return n[..., :, None] * n[..., None, :]
 
-    def normal_part_constant(self):
-        # curvature-based bound, conservative
-        a2 = self._axes2
-        return float(np.sqrt(a2.max()) / a2.min())
-
     def descriptor(self):
         return {"kind": "ellipsoid", "semi_axes": list(self.semi_axes)}
 
@@ -218,7 +163,6 @@ def ellipsoid(semi_axes, on_tol=DEFAULT_ON_TOL) -> Ellipsoid:
         tubular_radius=0.45 / kappa,
         safe_tubular_radius=0.225 / kappa,
         sff_bound=float(np.sqrt(2.0) * kappa),
-        projection_lipschitz=2.0 * kappa,
         on_tol=on_tol,
         semi_axes=tuple(float(a) for a in ax),
     )
@@ -247,14 +191,6 @@ class AffineSubspace(EmbeddedManifold):
         pn[..., idx, idx] = 1.0
         return pn
 
-    def tangent_basis(self, x):
-        x = np.asarray(x, float)
-        b = np.eye(self.ambient_dim)[: self.dim]
-        return np.broadcast_to(b, x.shape[:-1] + b.shape).copy()
-
-    def normal_part_constant(self):
-        return 0.0
-
     def descriptor(self):
         return {"kind": "affine", "dim": self.dim, "ambient_dim": self.ambient_dim}
 
@@ -267,7 +203,6 @@ def affine_subspace(dim: int, ambient_dim: int, on_tol=DEFAULT_ON_TOL) -> Affine
         tubular_radius=np.inf,
         safe_tubular_radius=np.inf,
         sff_bound=0.0,
-        projection_lipschitz=0.0,
         on_tol=on_tol,
     )
 

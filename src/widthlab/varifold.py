@@ -1,6 +1,6 @@
 """Varifold measures of discrete maps, the weighted test-function distance,
-the quadratic-form pairing used by the curvature bounds, conformal
-renormalization at concentration scales, and the degree-two bubble family.
+the quadratic-form pairing used by the curvature bounds, the degree-two
+bubble family, and the points where the energy of a map concentrates.
 
 A map's varifold is the collection (point, unoriented tangent plane,
 Jacobian-weighted quadrature mass) over nodes with nondegenerate
@@ -18,9 +18,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import dmap as dm
-from .dmap import Ball, DiscreteMap, Mobius, ball_box
+from .dmap import Ball, DiscreteMap, Mobius
 from .domains import SphereDomain
-from .errors import DimensionMismatch, NotConcentrated
+from .errors import DimensionMismatch
 from .manifold import round_sphere
 
 J_CUT = 1e-12
@@ -224,67 +224,7 @@ def inversion_map(dom: SphereDomain) -> DiscreteMap:
 
 
 # ---------------------------------------------------------------------------
-# conformal renormalization and concentration detection
-
-def _disk_energy(dens, dom, center, radius):
-    box, mask = ball_box(dom, Ball(0, center, radius))
-    return float(np.sum(dens[box][mask]))
-
-
-def renormalize_at(u: DiscreteMap, x, rho: float, eps3: float):
-    """Smallest r (with best recentering y) at which the annulus
-    B_rho(x) minus B_r(y) holds energy eps3; returns (r, y, renormalized map)
-    with the renormalized map given by composing with the dilation that
-    expands B_r(y) to the southern hemisphere."""
-    dom = u.domain
-    x = np.asarray(x, float)
-    chart = int(dom.owner_chart(x))
-    cx, cy = (float(t) for t in dom.sphere_to_chart(chart, x))
-    dens = dm.energy_density(*dm.chart_differential(u, chart)) * dom.h**2
-    e_rho = _disk_energy(dens, dom, (cx, cy), rho)
-    if e_rho <= eps3:
-        raise NotConcentrated(
-            f"ball energy {e_rho:.4f} does not exceed the level {eps3:.4f}")
-
-    idx = np.arange(0, dom.n, 2)
-    gx, gy = np.meshgrid(dom.axis[idx], dom.axis[idx], indexing="ij")
-    gx, gy = gx.ravel(), gy.ravel()
-
-    def annulus_min(r):
-        ok = (gx - cx) ** 2 + (gy - cy) ** 2 <= (rho - r) ** 2
-        best = None
-        arg = (cx, cy)
-        for px, py in zip(gx[ok], gy[ok]):
-            e_in = _disk_energy(dens, dom, (float(px), float(py)), r)
-            val = e_rho - e_in
-            if best is None or val < best:
-                best, arg = val, (float(px), float(py))
-        if best is None:
-            best = e_rho - _disk_energy(dens, dom, (cx, cy), r)
-        return best, arg
-
-    lo, hi = dom.h, rho - dom.h
-    best_y = (cx, cy)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        val, arg = annulus_min(mid)
-        if val > eps3:
-            lo = mid
-        else:
-            hi = mid
-            best_y = arg
-        if hi - lo < 1e-3 * rho:
-            break
-    r = hi
-    ball = Ball(chart, best_y, r)
-    if chart == 1:
-        bx, by = dom.sphere_to_chart(0, dom.chart_to_sphere(1, *best_y))
-        ball = Ball(0, (float(bx), float(by)), r)  # dilations act in chart 0
-    dil = dm.conformal_dilation(dom, ball)
-    renorm = dm.compose_mobius(u, dil.mob.inverse())
-    y_sphere = dom.chart_to_sphere(chart, np.array(best_y[0]), np.array(best_y[1]))
-    return float(r), np.asarray(y_sphere), renorm
-
+# concentration detection
 
 def detect_concentration(seq, eps_su: float, radii):
     """Points where every test radius keeps at least eps_su of energy in the
@@ -293,15 +233,16 @@ def detect_concentration(seq, eps_su: float, radii):
     dom = u.domain
     radii = sorted(radii)
     hits = []
+    dens = dm.measure(u).energy_density
     for c in (0, 1):
-        dens = dm.energy_density(*dm.chart_differential(u, c)) * dom.h**2
         idx = np.arange(0, dom.n, 4)
         for i in idx:
             for jj in idx:
                 cx, cy = float(dom.axis[i]), float(dom.axis[jj])
                 if cx * cx + cy * cy > 1.0:  # owner region is enough
                     continue
-                conc = min(_disk_energy(dens, dom, (cx, cy), r) for r in radii)
+                conc = min(dm.family_energy(dom, dens, [Ball(c, (cx, cy), r)])
+                           for r in radii)
                 if conc >= eps_su:
                     hits.append((conc, dom.chart_to_sphere(c, np.array(cx), np.array(cy))))
     hits.sort(key=lambda t: -t[0])

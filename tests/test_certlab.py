@@ -7,7 +7,7 @@ from widthlab import certlab as cl
 from widthlab import dmap as dm
 from widthlab.domains import CylinderDomain
 from widthlab.errors import NoZero, PreconditionFail
-from widthlab.manifold import affine_subspace, round_sphere
+from widthlab.manifold import round_sphere
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_wirtinger_suite_small():
 # ---------------------------------------------------------------------------
 # cylinder machinery
 
-def test_theta_profile_radial_map():
+def test_hopf_constancy_radial_map():
     dom = CylinderDomain(-1.0, 1.0, 65, 48)
     tgt = round_sphere(2, 1.0)
     # unit-speed geodesic sweep, independent of theta
@@ -124,41 +124,9 @@ def test_theta_profile_radial_map():
     vals[..., 0] = np.cos(dom.t)[:, None]
     vals[..., 2] = np.sin(dom.t)[:, None]
     u = dm.DiscreteMap(dom, tgt, [vals])
-    prof = cl.theta_energy_profile(u)
-    assert np.max(np.abs(prof["f"])) <= 1e-20
     rep = cl.hopf_constancy(u)
     assert rep["deviation"] <= 1e-12
     assert abs(rep["mean"] - 2 * np.pi) <= 1e-3  # |u_t| = 1 up to stencils
-
-
-def test_theta_profile_separable_harmonic_functions():
-    dom = CylinderDomain(-1.0, 1.0, 129, 96)
-    free = affine_subspace(3, 3)
-    a, b = 0.7, 0.25
-    tt = dom.t[:, None]
-    th = dom.theta[None, :]
-    vals = np.stack([a * tt * np.ones_like(th),
-                     b * np.exp(tt) * np.cos(th),
-                     b * np.exp(tt) * np.sin(th)], axis=-1)
-    u = dm.DiscreteMap(dom, free, [vals])
-    prof = cl.theta_energy_profile(u, sff_bound=0.0)
-    f_exact = 2 * np.pi * b**2 * np.exp(2 * dom.t)
-    assert np.max(np.abs(prof["f"] - f_exact)) <= 1e-3 * np.max(f_exact)
-    # f'' = 4f >= 1.5 f: margins strictly positive
-    assert np.min(prof["margins"]) >= 0.0
-    expect = 2.5 * f_exact[1:-1]
-    assert np.max(np.abs(prof["margins"] - expect)) <= 0.01 * np.max(expect)
-
-
-def test_theta_profile_solver_map_margins():
-    s2 = round_sphere(2, 1.0)
-    dom = CylinderDomain(-1.0, 1.0, 97, 64)
-    th = dom.theta
-    trace = np.stack([np.sin(0.25) * np.cos(th), np.sin(0.25) * np.sin(th),
-                      np.full_like(th, np.cos(0.25))], -1)
-    u = cl.solve_cylinder_map(dom, s2, trace, trace)
-    prof = cl.theta_energy_profile(u)
-    assert np.min(prof["margins"]) >= -1e-4 * prof["scale"]
 
 
 def test_hopf_constant_map():
@@ -197,20 +165,6 @@ def test_theta_decay_gate_excludes_large_energy():
     u = cl.solve_cylinder_map(dom, s2, trace, trace)
     out = cl.theta_energy_decay_check(u, 1.0, 0.1, eps2=0.25)
     assert not out["applicable"]
-
-
-def test_cylinder_decomposition_report():
-    s2 = round_sphere(2, 1.0)
-    dom = cl.cylinder_domain(1.0, 193, 48, halves=4)
-    th = dom.theta
-    base = np.array([0.0, 0.0, 1.0])
-    trace = base[None, :] + 0.05 * np.stack(
-        [np.cos(th), np.zeros_like(th), np.zeros_like(th)], -1)
-    u = cl.solve_cylinder_map(dom, s2, trace, trace)
-    rep = cl.cylinder_decomposition_report(u, 1.0, mu=0.05, delta=0.1)
-    assert rep["n_subcylinders"] >= 4
-    assert len(rep["bad"]) == 0  # a harmonic map is good everywhere
-    assert rep["good_theta_fraction"] <= rep["bound_shape"]
 
 
 def test_report_json_stable():

@@ -87,15 +87,26 @@ def test_config_defaults_complete():
 @pytest.mark.parametrize("key, value", [
     ("sweepout.n_slices", -1), ("dmap.n", 0), ("sweepout.max_iters", -2),
     ("dirichlet.small_energy", -1)])
-def test_config_rejects_values_out_of_range(tmp_path, key, value):
+def test_config_rejects_values_out_of_range(monkeypatch, tmp_path, key, value):
     """A value outside its key's range is a configuration error, exit 3,
-    before any computation."""
+    before any computation: neither the tightening nor a certificate suite
+    runs, and no output directory is made."""
+    from widthlab import certlab, sweepout
+
+    def ran(*args, **kwargs):
+        raise AssertionError("computation started")
+
+    monkeypatch.setattr(sweepout, "tighten", ran)
+    for name in certlab.SUITES:
+        monkeypatch.setitem(certlab.SUITES, name, ran)
     with pytest.raises(ConfigError, match=key):
         load_config(overrides={key: value})
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text(f"dmap.n = 17\nsweepout.n_slices = 2\n{key} = {value}\n")
-    assert run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
-                "--out", str(tmp_path / "o")]) == 3
+    for command in (["width", "--fixture", "latitude-s3"], ["verify"]):
+        out = tmp_path / command[0]
+        assert run(command + ["--config", str(cfgfile), "--out", str(out)]) == 3
+        assert not out.exists()
 
 
 def test_config_ranges_admit_the_defaults_and_are_documented():
@@ -118,6 +129,19 @@ def test_config_ranges_admit_the_defaults_and_are_documented():
     assert cfg["dmap.n"] == 3 and cfg["manifold.kind"] == "affine"
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dt", "0"), ("--dt", "-1"), ("--r0", "0"), ("--r0", "-1"), ("--c", "0"),
+    ("--c", "-1")])
+def test_ricci_cli_rejects_flags_out_of_range(tmp_path, capsys, flag, value):
+    """--r0, --dt and --c take the ranges of ricci.r0, ricci.dt and ricci.c:
+    a value outside is a configuration error, exit 3, before any output is
+    written."""
+    out = tmp_path / "r"
+    assert run(["ricci", flag, value, "--out", str(out)]) == 3
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ricci_cli(tmp_path):
     out = tmp_path / "r"
     assert run(["ricci", "--r0", "1", "--dt", "1e-4", "--out", str(out)]) == 0
@@ -126,23 +150,6 @@ def test_ricci_cli(tmp_path):
     assert summary["extinction_closed_form"] == 1.44140625
     header = (out / "ricci.csv").read_text().splitlines()[0]
     assert header == "t,w_true,w_bound,rate_true,rate_bound"
-
-
-def test_plots_from_csv(tmp_path):
-    out = tmp_path / "p"
-    src = tmp_path / "data.csv"
-    src.write_text("iter,w\n1,2.0\n2,1.5\n")
-    assert run(["plots", str(src), "--out", str(out)]) == 0
-    dat = (out / "data.dat").read_text().splitlines()
-    assert dat[0].startswith("#")
-    assert dat[1].split() == ["1", "2.0"]
-    assert (out / "data.gp").exists()
-    assert (out / "manifest.json").exists()
-
-
-def test_plots_missing_input(tmp_path):
-    assert run(["plots", str(tmp_path / "absent.csv"),
-                "--out", str(tmp_path / "o")]) == 3
 
 
 def test_width_cli_light(tmp_path):

@@ -309,48 +309,15 @@ def test_collar_no_common_point(s2):
 # ---------------------------------------------------------------------------
 # conformal dilations
 
-def test_dilation_of_southern_hemisphere_is_identity(dom):
-    b = dm.Ball(0, (0.0, 0.0), 1.0)  # chart-0 unit disk = southern hemisphere
-    dil = dm.conformal_dilation(dom, b)
-    assert abs(dil.factor - 1.0) <= 1e-12
-    south = np.array([0.0, 0.0, -1.0])
-    assert np.allclose(dil.apply(south), south, atol=1e-12)
-    rng = np.random.default_rng(13)
-    pts = rng.normal(size=(20, 3))
-    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
-    assert np.max(np.linalg.norm(dil.apply(pts) - pts, axis=-1)) <= 1e-9
-
-
-def test_dilation_factor_formula(dom):
-    for r in (0.2, 0.5, 0.8):
-        b = dm.Ball(0, (0.0, 0.0), r)
-        dil = dm.conformal_dilation(dom, b)
-        theta = 2 * np.arctan(r)
-        assert abs(dil.factor - np.tan(np.pi / 4) / np.tan(theta / 2)) <= 1e-9
-        # the ball's rim lands on the equator
-        rim = dom.chart_to_sphere(0, np.array(r), np.array(0.0))
-        assert abs(dil.apply(rim)[2]) <= 1e-9
-
-
 def test_dilation_conformal_invariance_of_energy(dom, s2, identity_map):
     # resolved regime at the default grid is lam <= 16 (decisions ledger);
     # the defect envelope 1e-3 holds through lam = 8
     e0 = dm.energy(identity_map)
     for lam in (2.0, 4.0, 8.0, 16.0):
-        mob = dm.Mobius.chart0_dilation(lam)
+        mob = dm.Mobius(np.array([[lam, 0.0], [0.0, 1.0]], dtype=complex))
         m = dm.mobius_as_map(dom, mob, s2)
         assert abs(dm.energy(m) - e0) <= 0.01 * e0
         assert dm.conformality_defect(m) <= (1e-3 if lam <= 8 else 1e-2) * e0
-
-
-def test_compose_with_dilation(dom, s2, identity_map):
-    b = dm.Ball(0, (0.1, 0.2), 0.3)
-    dil = dm.conformal_dilation(dom, b)
-    comp = dm.compose_mobius(identity_map, dil.mob)
-    exact = dm.mobius_as_map(dom, dil.mob, s2)
-    sup = max(np.max(np.linalg.norm(comp.values[c] - exact.values[c], axis=-1))
-              for c in (0, 1))
-    assert sup <= 1e-5  # resampling the identity is interpolation-exact-ish
 
 
 # ---------------------------------------------------------------------------
@@ -433,11 +400,12 @@ def test_scaled_ball_convention():
     assert half.radius == 0.2
 
 
-def test_map_serialization_roundtrip(identity_map, tmp_path, bump_map):
+def test_map_serialization_roundtrip(identity_map, bump_map):
     for u in (identity_map, bump_map):
-        path = tmp_path / "m.bin"
-        wio.save_map(path, u)
-        v = wio.load_map(path)
+        buf = io.BytesIO()
+        wio.write_map(buf, u)
+        buf.seek(0)
+        v = wio.read_map(buf)
         assert v.target.descriptor() == u.target.descriptor()
         for a, b in zip(u.values, v.values):
             assert np.array_equal(a, b)
@@ -477,12 +445,3 @@ def test_read_map_rejects_records_that_do_not_fit(s2, case):
         match = "block 1 is truncated"
     with pytest.raises(ValueError, match=match):
         wio.read_map(rec)
-
-
-def test_energy_density_csv(identity_map, tmp_path):
-    small = dm.identity_sphere_map(SphereDomain(n=17))
-    p = tmp_path / "dens.csv"
-    wio.energy_density_csv(p, small)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "chart,i,j,x,y,density"
-    assert len(lines) == 1 + 2 * 17 * 17

@@ -6,8 +6,10 @@ changes module state, so results travel by return value; neither
 `sweepout` nor `dirichlet` differentiates a map, so slices are measured
 only through `dmap.measure`; and neither `dmap` nor `dirichlet` prepares a
 Catmull-Rom stencil, so chart refreshes read the stencils the domain
-prepared once.  The project ships no linter, so the checks read the syntax
-trees with `ast`."""
+prepared once; and every function, class and method of the package is
+named by some package module, or is listed with the reason it stays
+without a caller.  The project ships no linter, so the checks read the
+syntax trees with `ast`."""
 import ast
 from pathlib import Path
 
@@ -296,3 +298,107 @@ def test_refreshes_interpolate_only_through_prepared_stencils():
     package = Path(widthlab.__file__).parent
     for name in ("dmap.py", "dirichlet.py"):
         assert _calls_of(STENCIL_BUILDERS, (package / name).read_text()) == [], name
+
+
+BENCHMARK_PROBE = "the benchmark wraps it (perfbench/layers.py probes)"
+SWEEPOUT_CHECK = "measures whether a tightened family is still a sweepout; " \
+                 "the ROADMAP plans its caller in the tightening report"
+RICCI_GATE = "bounds width decay under non-round Ricci flows; the ROADMAP plans its gate"
+TEST_REFERENCE = "reference implementation that tests compare other code with"
+# Package functions, classes and methods that no package module names, and
+# why each one stays.
+WITHOUT_PACKAGE_CALLER = {
+    "dmap.mollify": BENCHMARK_PROBE,
+    "sweepout.almost_harmonic_check": BENCHMARK_PROBE,
+    "sweepout.curve_latitude_sweepout": "acceptance criterion 11 (Birkhoff curve mode)",
+    "sweepout.birkhoff_tighten": "acceptance criterion 11 (Birkhoff curve mode)",
+    "dmap.collar_interpolate": "acceptance criterion 12 (collar interpolation)",
+    "sweepout.numerical_degree": SWEEPOUT_CHECK,
+    "sweepout.continuity_gap": SWEEPOUT_CHECK,
+    "ricci.comparison_constant": RICCI_GATE,
+    "ricci.scalar_min_bound": RICCI_GATE,
+    "ricci.integrating_factor_residuals": RICCI_GATE,
+    "ricci.ModelFlow.tabulated": RICCI_GATE,
+    "ricci.ModelFlow.min_scalar_at": RICCI_GATE,
+    "io.load_sweepout": "reads the sweepout container that `widthlab width` writes",
+    "dmap.constant_sphere_map": "builds a test fixture",
+    "dirichlet.edge_energy": TEST_REFERENCE,
+    "dmap.conformality_defect": TEST_REFERENCE,
+    "domains.SphereDomain.total_weight": TEST_REFERENCE,
+    "domains.SphereDomain.overlap_band_width_deg": TEST_REFERENCE,
+    "varifold.VarifoldMeasure.total_weight": TEST_REFERENCE,
+    "cli.main": "entry point: the `widthlab` console script and `python -m widthlab.cli`",
+}
+
+
+def _definitions(source):
+    """Qualified names of the functions, classes and methods a module
+    defines, nested ones included, dunders excluded."""
+    found = []
+
+    def scan(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (child.name.startswith("__") and child.name.endswith("__")):
+                    found.append(prefix + child.name)
+                scan(child, f"{prefix}{child.name}.")
+            else:
+                scan(child, prefix)
+
+    scan(ast.parse(source), "")
+    return found
+
+
+def _names_used(source):
+    """Every name a module uses as a Name, an Attribute or in an import,
+    outside its `if __name__ == "__main__":` block, which runs the module
+    as a script and calls nothing for the package."""
+    names = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.If) and getattr(getattr(top.test, "left", None),
+                                               "id", None) == "__name__":
+            continue
+        for n in ast.walk(top):
+            if isinstance(n, ast.Name):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.alias):
+                names.add(n.name.split(".")[-1])
+    return names
+
+
+def _caller_faults(modules, allowed):
+    """(definitions of the modules (name -> source) that no module names and
+    `allowed` does not list, entries of `allowed` that are not such a
+    definition: gone, or named after all)."""
+    used = set().union(*(_names_used(s) for s in modules.values()))
+    uncalled = {f"{mod}.{q}" for mod, source in modules.items()
+                for q in _definitions(source) if q.rsplit(".", 1)[-1] not in used}
+    return sorted(uncalled - set(allowed)), sorted(set(allowed) - uncalled)
+
+
+def test_every_package_function_has_a_package_caller():
+    """A function, class or method that no package module names either gets
+    a caller or is listed with its reason in WITHOUT_PACKAGE_CALLER, and the
+    list holds nothing else; tests and the benchmark are not callers."""
+    m = ("import sys\n"
+         "def called(): pass\n"
+         "def orphan(): pass\n"
+         "def listed(): pass\n"
+         "def named_after_all(): pass\n"
+         "class K:\n"
+         "    def __init__(self): pass\n"
+         "    def method(self): return called()\n"
+         "    def lost(self):\n"
+         "        def inner(): pass\n"
+         "        return inner\n"
+         "def main(): return K().method()\n"
+         "if __name__ == '__main__':\n    sys.exit(main())\n")
+    n = "from .m import named_after_all as f\n"
+    allowed = {"m.listed": "why", "m.named_after_all": "why", "m.gone": "why"}
+    assert _caller_faults({"m": m, "n": n}, allowed) == \
+        (["m.K.lost", "m.main", "m.orphan"], ["m.gone", "m.named_after_all"])
+    package = Path(widthlab.__file__).parent
+    modules = {p.stem: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert _caller_faults(modules, WITHOUT_PACKAGE_CALLER) == ([], [])

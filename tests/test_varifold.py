@@ -3,7 +3,7 @@ import pytest
 
 from widthlab import dmap as dm
 from widthlab import varifold as vf
-from widthlab.errors import DimensionMismatch, NotConcentrated
+from widthlab.errors import DimensionMismatch
 
 FOUR_PI = 4 * np.pi
 
@@ -177,41 +177,7 @@ def test_bubble_varifold_distance_to_limit(dom, s2, identity_map, fam2):
 
 
 # ---------------------------------------------------------------------------
-# renormalization and concentration
-
-def test_renormalize_radius_shrinks_with_j(dom):
-    south = np.array([0.0, 0.0, -1.0])
-    rs = []
-    for j in (2, 4, 8):
-        u = vf.bubble_example(j, dom)
-        r, y, ren = vf.renormalize_at(u, south, 1.0, 2 * np.pi)
-        rs.append(r)
-        # annulus energy matches the requested level, via the public
-        # functionals (independent of the bisection bookkeeping)
-        e_outer = dm.energy(u, dm.BallFamily([dm.Ball(0, (0.0, 0.0), 1.0)]))
-        cy = dom.sphere_to_chart(0, y)
-        e_inner = dm.energy(u, dm.BallFamily(
-            [dm.Ball(0, (float(cy[0]), float(cy[1])), r)]))
-        assert abs((e_outer - e_inner) - 2 * np.pi) <= 0.15 * 2 * np.pi
-    assert rs[0] > rs[1] > rs[2]
-
-
-def test_renormalize_not_concentrated(dom, identity_map):
-    with pytest.raises(NotConcentrated):
-        vf.renormalize_at(identity_map, np.array([0.0, 0.0, -1.0]), 0.3,
-                          2 * np.pi)
-
-
-def test_renormalized_map_conserves_region_energy(dom):
-    u = vf.bubble_example(8, dom)
-    r, y, ren = vf.renormalize_at(u, np.array([0.0, 0.0, -1.0]), 1.0, 2 * np.pi)
-    # conformal invariance: energy of the renormalized map over the preimage
-    # region (southern hemisphere) matches the inner-ball energy of u
-    cy = dom.sphere_to_chart(0, y)
-    e_inner = dm.energy(u, dm.BallFamily([dm.Ball(0, (float(cy[0]), float(cy[1])), r)]))
-    e_ren_south = dm.energy(ren, dm.BallFamily([dm.Ball(0, (0.0, 0.0), 1.0)]))
-    assert abs(e_ren_south - e_inner) <= 0.05 * max(e_inner, 1.0)
-
+# concentration
 
 def test_detect_concentration_bubbles(dom):
     seq = [vf.bubble_example(j, dom) for j in (1, 2, 4, 8)]
