@@ -13,10 +13,13 @@ gather of the colour's nodes and their neighbours, one update, one
 projection and one scatter across every block still running.  Each block
 keeps its own stopping rule and leaves as soon as it stops, so it gets
 exactly the bits it gets when relaxed alone; `relax` is the one-block call.
-The replacement sampler measures all trial families of a slice this way.
-It reads the slice's `dmap.Measure`: candidate balls come from its
-densities, and the trial families' energy gate is its `dmap.family_energy`;
-only the gates of `solve_dirichlet` and `harmonic_replace` call `dmap.energy`.
+Two callers run it in lock step.  The replacement sampler measures all trial
+families of a slice this way.  It reads the slice's `dmap.Measure`:
+candidate balls come from its densities, and the trial families' energy
+gate is its `dmap.family_energy`; only `check_small_energy` and the gate of
+`harmonic_replace` call `dmap.energy`.  `relax_balls` is the second: it
+solves one ball on each of many maps, as the convexity suite does with its
+independent instances.
 
 Two kinds of region are solved on: ball families in the charts of a
 sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
@@ -163,8 +166,16 @@ def _block_edges(shape, periodic_y):
 
 
 def _neighbor_sums(g, wx, wy):
-    """wx*(up + down) + wy*(left + right) over a gathered stencil."""
-    return wx * (g[1] + g[2]) + wy * (g[3] + g[4])
+    """wx*(up + down) + wy*(left + right) over a gathered stencil; a weight
+    of 1.0 is not multiplied, which leaves every bit as it is."""
+    x = g[1] + g[2]
+    y = g[3] + g[4]
+    if wx != 1.0:
+        x *= wx
+    if wy != 1.0:
+        y *= wy
+    x += y
+    return x
 
 
 def _tangential_norms(g, target, wx, wy):
@@ -193,11 +204,12 @@ class _Layout:
 
     def select(self, blocks):
         """The two colour stencils of the given blocks, the heads and tails
-        of their edges, and the bounds of each block's edge segments."""
+        of their edges stacked in one (2, E) index, and the bounds of each
+        block's edge segments."""
         colours = tuple(self._joined(blocks, c, 1) for c in (0, 1))
-        heads, tails = (self._joined(blocks, c, 0) for c in (2, 3))
+        ends = np.stack([self._joined(blocks, c, 0) for c in (2, 3)])
         counts = [m for k in blocks for m in self.stencils[k][4]]
-        return colours, (heads, tails, np.cumsum([0] + counts).tolist())
+        return colours, (ends, np.cumsum([0] + counts).tolist())
 
     def residuals(self, f, blocks, target, wx, wy):
         """The largest tangential Laplacian norm over each given block's
@@ -216,15 +228,17 @@ class _Layout:
         """`edge_energy` of each block whose edges are given, bit for bit:
         each segment of squared jumps is summed by `.sum()`, as np.sum sums
         the block's own array (np.add.reduceat sums in another order)."""
-        heads, tails, bounds = edges
-        d = f.take(heads, axis=0) - f.take(tails, axis=0)
+        ends, bounds = edges
+        d = f.take(ends, axis=0)
+        d = d[0] - d[1]
         d *= d
-        sums = np.array([d[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])])
-        sums = sums.reshape(-1, self.kinds)
-        e = wx * sums[:, 0] + wy * sums[:, 1]
-        if self.kinds == 3:
-            e += wy * sums[:, 2]
-        return 0.5 * e
+        s = [d[lo:hi].sum() for lo, hi in zip(bounds[:-1], bounds[1:])]
+        k = self.kinds
+        if k == 2:
+            return np.array([0.5 * (wx * s[i] + wy * s[i + 1])
+                             for i in range(0, len(s), k)])
+        return np.array([0.5 * ((wx * s[i] + wy * s[i + 1]) + wy * s[i + 2])
+                         for i in range(0, len(s), k)])
 
 
 def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
@@ -353,10 +367,7 @@ def solve_dirichlet(u: DiscreteMap, fam, s: SolverSettings = None, init="copy"):
     best iterate is returned with a flag on the info object.
     """
     s = s or SolverSettings()
-    if u.target.sff_bound > 0:
-        e0 = dm.energy(u, fam)
-        if e0 > s.small_energy * (1 + 1e-9):
-            raise EnergyTooLarge(f"region energy {e0:.4f} > {s.small_energy}")
+    check_small_energy(u, fam, s)
     v = u.copy()
     infos = [_solve_ball(v, b, s, init) for b in fam]
     info = SolveInfo(
@@ -366,6 +377,39 @@ def solve_dirichlet(u: DiscreteMap, fam, s: SolverSettings = None, init="copy"):
         energy_drop=sum(i.energy_drop for i in infos),
     )
     return v, info
+
+
+def check_small_energy(u: DiscreteMap, fam, s: SolverSettings):
+    """Raise EnergyTooLarge when u's energy on the balls of `fam` exceeds
+    the small-energy bound of `s`; affine targets pass ungated."""
+    if u.target.sff_bound > 0:
+        e0 = dm.energy(u, fam)
+        if e0 > s.small_energy * (1 + 1e-9):
+            raise EnergyTooLarge(f"region energy {e0:.4f} > {s.small_energy}")
+
+
+def relax_balls(pairs, s: SolverSettings):
+    """Relax ball b of map u in place for every (u, b) pair, all in one
+    `relax_blocks` call, then refresh each map's other chart in pair order.
+
+    With each pair on its own map, each gets the bits that
+    `solve_dirichlet(u, [b], s)` gives it alone (no gate, init "copy").
+    All maps must have the same target, or ValueError.  Returns one
+    SolveInfo per pair.
+    """
+    if not pairs:
+        return []
+    target = pairs[0][0].target
+    if any(u.target != target for u, _ in pairs):
+        raise ValueError("relax_balls takes maps into one target")
+    blocks = []
+    for u, b in pairs:
+        box, sub = _ball_block(u.domain, b)
+        blocks.append((u.values[b.chart][box], block_stencil(sub, False)))
+    infos = relax_blocks(blocks, target, s, 1.0, 1.0)
+    for u, b in pairs:
+        _sync_cap(u, b)
+    return infos
 
 
 def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):

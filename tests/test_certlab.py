@@ -1,12 +1,14 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from widthlab import certlab as cl
+from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab.domains import CylinderDomain
-from widthlab.errors import NoZero, PreconditionFail
+from widthlab.errors import EnergyTooLarge, NoZero, PreconditionFail
 from widthlab.manifold import round_sphere
 
 
@@ -220,6 +222,35 @@ def test_convexity_suite_counts_skips(monkeypatch):
     rep = cl.convexity_suite(seed=0, instances=3)
     assert not rep.passed
     assert rep.instances == 0 and rep.skipped == 3
+
+
+def test_convexity_report_does_not_depend_on_the_group_width(monkeypatch):
+    """Groups of 1, of 3 (the last one partial) and of the default width
+    give the same report, also when the energy gate skips instances inside
+    a group."""
+    widths = (1, 3, cl.CONVEXITY_GROUP)
+    gate = dr.check_small_energy
+
+    def reports(reject_every=0):
+        out = []
+        for width in widths:
+            monkeypatch.setattr(cl, "CONVEXITY_GROUP", width)
+            calls = itertools.count(1)
+
+            def check(u, fam, s):
+                if reject_every and next(calls) % reject_every == 0:
+                    raise EnergyTooLarge("rejected")
+                gate(u, fam, s)
+
+            monkeypatch.setattr(dr, "check_small_energy", check)
+            out.append(cl.convexity_suite(seed=3, instances=7).to_json())
+        return out
+
+    for reject_every, skipped in ((0, 0), (3, 2)):
+        runs = reports(reject_every)
+        assert runs == [runs[0]] * len(widths)
+        rep = json.loads(runs[0])
+        assert rep["pass"] and (rep["instances"], rep["skipped"]) == (7 - skipped, skipped)
 
 
 # the suites of the verify run (every suite but hopf), with small instance

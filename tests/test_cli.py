@@ -1,6 +1,9 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from widthlab import cli
 from widthlab.config import DEFAULTS, load_config
@@ -84,13 +87,43 @@ def test_config_defaults_complete():
         assert cfg[key] == DEFAULTS[key][0]
 
 
-@pytest.mark.parametrize("key, value", [
-    ("sweepout.n_slices", -1), ("dmap.n", 0), ("sweepout.max_iters", -2),
-    ("dirichlet.small_energy", -1)])
-def test_config_rejects_values_out_of_range(monkeypatch, tmp_path, key, value):
+# numeric keys whose range has a finite bound: key -> (default, brackets, bounds)
+BOUNDED = {k: (default, (r[0], r[-1]), tuple(map(float, r[1:-1].split(", "))))
+           for k, (default, r) in DEFAULTS.items()
+           if r[0] in "[(" and r != "(-inf, inf)"
+           and (default is None or isinstance(default, (int, float)))}
+
+
+def _out_of_range(key):
+    """Values of the key's kind below its lower bound or above its upper
+    (no integer key is bounded above)."""
+    default, (left, right), (lo, hi) = BOUNDED[key]
+    sides = []
+    if lo > -np.inf:
+        sides.append(st.integers(max_value=int(lo) - (left == "["))
+                     if isinstance(default, int) else
+                     st.floats(max_value=lo, exclude_max=left == "[",
+                               allow_infinity=False))
+    if hi < np.inf:
+        sides.append(st.floats(min_value=hi, exclude_min=right == "]",
+                               allow_infinity=False))
+    return st.one_of(sides)
+
+
+# the patches and the output path are the same for every example
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(sorted(BOUNDED)).flatmap(
+    lambda key: st.tuples(st.just(key), _out_of_range(key))))
+@example(case=("sweepout.n_slices", -1))
+@example(case=("dmap.n", 0))
+@example(case=("sweepout.max_iters", -2))
+@example(case=("dirichlet.small_energy", -1))
+def test_config_rejects_values_out_of_range(monkeypatch, tmp_path, case):
     """A value outside its key's range is a configuration error, exit 3,
     before any computation: neither the tightening nor a certificate suite
     runs, and no output directory is made."""
+    key, value = case
     from widthlab import certlab, sweepout
 
     def ran(*args, **kwargs):

@@ -592,6 +592,31 @@ def test_relax_blocks_periodic_equals_each_cylinder_alone(name):
         assert _bits(info) == _bits(ref_info)
 
 
+def test_relax_balls_equals_solve_dirichlet_on_each_pair(dom, s3, bump_map):
+    """Balls with boxes of distinct shapes, one on chart 1 and one with no
+    interior node, each on its own map, relaxed in lock step: every map's
+    two charts and every SolveInfo are those `solve_dirichlet` gives the
+    pair alone, bit for bit."""
+    s = dr.SolverSettings(residual_tol=1e-12, max_sweeps=5000)
+    # centred between nodes, too small to hold one
+    empty = Ball(0, (float(dom.axis[70] + dom.h / 2), float(dom.axis[60] + dom.h / 2)),
+                 0.3 * dom.h)
+    balls = [BALL, Ball(1, (0.4, 0.3), 0.08), empty, Ball(0, (0.06, -0.1), 0.05)]
+    masks = [dr._ball_block(dom, b)[1] for b in balls]
+    assert not masks[2].any() and len({m.shape for m in masks}) == len(balls)
+    maps = [bump_map.copy() for _ in balls]
+    infos = dr.relax_balls(list(zip(maps, balls)), s)
+    for u, b, info in zip(maps, balls, infos):
+        want, want_info = dr.solve_dirichlet(bump_map, [b], s)
+        assert all(np.array_equal(g, w) for g, w in zip(u.values, want.values))
+        assert _bits(info) == _bits(want_info)
+    assert infos[2].sweeps == 0 and len({i.sweeps for i in infos}) >= 3
+    assert dr.relax_balls([], s) == []
+    other = dm.constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, -1.0))
+    with pytest.raises(ValueError):
+        dr.relax_balls([(bump_map.copy(), BALL), (other, BALL)], s)
+
+
 def _reference_improvement(u, eps, budget, s):
     """The sampler as a loop of harmonic replacements, one per family: the
     best drop, its family and the replacements' solves, and the count of
