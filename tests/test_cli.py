@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from widthlab import cli
@@ -110,20 +110,10 @@ def _out_of_range(key):
     return st.one_of(sides)
 
 
-# the patches and the output path are the same for every example
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(case=st.sampled_from(sorted(BOUNDED)).flatmap(
-    lambda key: st.tuples(st.just(key), _out_of_range(key))))
-@example(case=("sweepout.n_slices", -1))
-@example(case=("dmap.n", 0))
-@example(case=("sweepout.max_iters", -2))
-@example(case=("dirichlet.small_energy", -1))
-def test_config_rejects_values_out_of_range(monkeypatch, tmp_path, case):
+def _assert_rejected(monkeypatch, tmp_path, key, value):
     """A value outside its key's range is a configuration error, exit 3,
     before any computation: neither the tightening nor a certificate suite
     runs, and no output directory is made."""
-    key, value = case
     from widthlab import certlab, sweepout
 
     def ran(*args, **kwargs):
@@ -140,6 +130,23 @@ def test_config_rejects_values_out_of_range(monkeypatch, tmp_path, case):
         out = tmp_path / command[0]
         assert run(command + ["--config", str(cfgfile), "--out", str(out)]) == 3
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sweepout.n_slices", -1), ("dmap.n", 0), ("sweepout.max_iters", -2),
+    ("dirichlet.small_energy", -1)])
+def test_config_rejects_values_out_of_range(monkeypatch, tmp_path, key, value):
+    _assert_rejected(monkeypatch, tmp_path, key, value)
+
+
+# the patches and the output path are the same for every example
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.sampled_from(sorted(BOUNDED)).flatmap(
+    lambda key: st.tuples(st.just(key), _out_of_range(key))))
+def test_config_rejects_drawn_values_out_of_range(monkeypatch, tmp_path, case):
+    """Any key with a finite bound, any value beyond it."""
+    _assert_rejected(monkeypatch, tmp_path, *case)
 
 
 def test_config_ranges_admit_the_defaults_and_are_documented():
