@@ -29,20 +29,23 @@ from .errors import ConfigError, WidthlabError
 
 EXIT_OK, EXIT_CHECK, EXIT_CONFIG, EXIT_SOLVER = 0, 2, 3, 4
 
+# flag -> the config key it overrides, which is also the flag's argparse dest
+FLAG_KEYS = {"--seed": "run.seed", "--out": "run.out_dir",
+             "--max-iters": "sweepout.max_iters", "--r0": "ricci.r0",
+             "--dt": "ricci.dt", "--c": "ricci.c"}
 
-def _out_dir(cfg, args):
-    out = args.out or cfg["run.out_dir"]
+
+def _out_dir(cfg):
+    out = cfg["run.out_dir"]
     os.makedirs(out, exist_ok=True)
     return out
 
 
 def _write_manifest(out, cfg, extra):
-    payload = {"tool": "widthlab", "version": __version__,
-               "config_digest": cfg.digest(), "seed": int(cfg["run.seed"]),
-               "config": cfg.semantic_values()}
-    payload.update(extra)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+    _finish(out, "manifest.json", {
+        "tool": "widthlab", "version": __version__,
+        "config_digest": cfg.digest(), "seed": int(cfg["run.seed"]),
+        "config": cfg.semantic_values(), **extra})
 
 
 def _finish(out, name, payload):
@@ -50,33 +53,16 @@ def _finish(out, name, payload):
         json.dump(payload, fh, sort_keys=True, indent=1)
 
 
-def _flags_in_range(flags):
-    """Check flags that override config keys against those keys' ranges.
-
-    flags: flag -> (config key, value or None when the flag is absent).
-    Prints the first error and returns False when a value is out of range.
-    """
-    for flag, (key, value) in flags.items():
-        if value is None:
-            continue
-        try:
-            check_value(key, value)
-        except ConfigError as e:
-            print(f"config error: {flag}: {e}", file=sys.stderr)
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 
 
 def cmd_verify(args, cfg):
-    out = _out_dir(cfg, args)
     names = args.suites or sorted(certlab.SUITES)
-    if any(n not in certlab.SUITES for n in names):
-        bad = [n for n in names if n not in certlab.SUITES]
+    bad = [n for n in names if n not in certlab.SUITES]
+    if bad:
         print(f"unknown suite(s): {', '.join(bad)}", file=sys.stderr)
         return EXIT_CONFIG
+    out = _out_dir(cfg)
     _write_manifest(out, cfg, {"command": "verify", "suites": names})
     seed = int(cfg["run.seed"])
     all_ok = True
@@ -101,19 +87,9 @@ def cmd_width(args, cfg):
     from . import dmap as dmod
     from . import sweepout as sw
     from . import varifold as vf
-    if not _flags_in_range({"--max-iters": ("sweepout.max_iters", args.max_iters)}):
-        return EXIT_CONFIG
-    out = _out_dir(cfg, args)
-    _write_manifest(out, cfg, {"command": "width", "fixture": args.fixture})
+    from .manifold import round_sphere
     dom = cfg.sphere_domain()
-    try:
-        s3 = cfg.manifold()
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    if s3.dim != 3 or s3.kind != "sphere":
-        print("width fixtures need a round 3-sphere target", file=sys.stderr)
-        return EXIT_CONFIG
+    s3 = round_sphere(3, float(cfg["manifold.radius"]))
     fixture = args.fixture.lower()
     try:
         swp = sw.standard_sweepout(fixture, s3, dom,
@@ -122,13 +98,14 @@ def cmd_width(args, cfg):
     except WidthlabError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    out = _out_dir(cfg)
+    _write_manifest(out, cfg, {"command": "width", "fixture": args.fixture})
     w0 = sw.width_estimate(swp)
     print(f"initial W_E {w0.w_energy:.6f}  W_A {w0.w_area:.6f}  "
           f"argmax t-index {w0.argmax_t}")
     ref = vf.varifold_of_map(dmod.equator_map(dom, s3))
     tightened, report = sw.tighten(
-        swp, max_iters=int(args.max_iters if args.max_iters is not None
-                           else cfg["sweepout.max_iters"]),
+        swp, max_iters=int(cfg["sweepout.max_iters"]),
         plateau_tol=cfg["sweepout.plateau_tol"],
         eps1=cfg["dirichlet.small_energy"],
         budget=cfg.sampler_budget(),
@@ -176,7 +153,7 @@ def cmd_bubble(args, cfg):
     from . import dmap as dmod
     from . import varifold as vf
     from .manifold import round_sphere
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     _write_manifest(out, cfg, {"command": "bubble"})
     dom = cfg.sphere_domain()
     fam = vf.TestFunctionFamily.for_manifold(round_sphere(2, 1.0))
@@ -211,14 +188,9 @@ def cmd_bubble(args, cfg):
 
 
 def cmd_ricci(args, cfg):
-    if not _flags_in_range({"--r0": ("ricci.r0", args.r0), "--dt": ("ricci.dt", args.dt),
-                            "--c": ("ricci.c", args.c)}):
-        return EXIT_CONFIG
-    out = _out_dir(cfg, args)
-    _write_manifest(out, cfg, {"command": "ricci"})
-    r0 = float(args.r0 if args.r0 is not None else cfg["ricci.r0"])
-    dt = float(args.dt if args.dt is not None else cfg["ricci.dt"])
-    c = float(args.c if args.c is not None else cfg["ricci.c"])
+    out = _out_dir(cfg)
+    _write_manifest(out, cfg, {"command": "ricci", "end_to_end": args.end_to_end})
+    r0, dt, c = (float(cfg[k]) for k in ("ricci.r0", "ricci.dt", "ricci.c"))
     try:
         rep = rc.round_extinction_demo(r0, c_for_bound=c,
                                        check_pairing=args.end_to_end)
@@ -226,11 +198,9 @@ def cmd_ricci(args, cfg):
     except WidthlabError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    rows = []
-    for t, w in zip(rep.t, rep.width_true):
-        min_r = 6.0 / (r0**2 - 4.0 * t)
-        rows.append((t, w, float(np.interp(t, traj.t, np.maximum(traj.w_closed, 0.0))),
-                     rep.rate_true, rc.minimal_sphere_rate(w, min_r)))
+    w_bound = np.maximum(traj.w_closed, 0.0)
+    rows = [(t, w, float(np.interp(t, traj.t, w_bound)), rep.rate_true, b)
+            for t, w, b in zip(rep.t, rep.width_true, rep.rate_bound)]
     io.table_csv(os.path.join(out, "ricci.csv"),
                  ["t", "w_true", "w_bound", "rate_true", "rate_bound"], rows)
     summary = {
@@ -282,7 +252,7 @@ def cmd_calibrate(args, cfg):
     from . import dirichlet as dr
     from . import dmap as dmod
     from .manifold import round_sphere
-    out = _out_dir(cfg, args)
+    out = _out_dir(cfg)
     _write_manifest(out, cfg, {"command": "calibrate"})
     seed = int(cfg["run.seed"])
     dom = cfg.sphere_domain()
@@ -324,11 +294,18 @@ def cmd_calibrate(args, cfg):
 # ---------------------------------------------------------------------------
 
 
+def _key_flag(parser, flag, kind):
+    """Add a flag that overrides its config key (FLAG_KEYS)."""
+    key = FLAG_KEYS[flag]
+    parser.add_argument(flag, type=kind, dest=key, help=f"override {key}",
+                        metavar=flag[2:].upper().replace("-", "_"))
+
+
 def make_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key-value config file")
-    common.add_argument("--seed", type=int, help="override run.seed")
-    common.add_argument("--out", help="override run.out_dir")
+    _key_flag(common, "--seed", int)
+    _key_flag(common, "--out", str)
     p = argparse.ArgumentParser(prog="widthlab", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
@@ -340,7 +317,7 @@ def make_parser():
 
     w = sub.add_parser("width", parents=[common], help="tighten a fixture sweepout")
     w.add_argument("--fixture", default="perturbed-latitude-s3")
-    w.add_argument("--max-iters", type=int, dest="max_iters")
+    _key_flag(w, "--max-iters", int)
     w.add_argument("--strict-solver", action="store_true")
     w.set_defaults(fn=cmd_width)
 
@@ -349,9 +326,8 @@ def make_parser():
 
     r = sub.add_parser("ricci", parents=[common],
                        help="round-flow extinction demonstration")
-    r.add_argument("--r0", type=float)
-    r.add_argument("--dt", type=float)
-    r.add_argument("--c", type=float)
+    for flag in ("--r0", "--dt", "--c"):
+        _key_flag(r, flag, float)
     r.add_argument("--end-to-end", action="store_true",
                    help="also cross-check the area rate on the discretized equator")
     r.set_defaults(fn=cmd_ricci)
@@ -366,10 +342,16 @@ def make_parser():
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     overrides = {}
-    if args.seed is not None:
-        overrides["run.seed"] = args.seed
-    if args.out is not None:
-        overrides["run.out_dir"] = args.out
+    for flag, key in FLAG_KEYS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            continue
+        try:
+            check_value(key, value)
+        except ConfigError as e:
+            print(f"config error: {flag}: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        overrides[key] = value
     try:
         cfg = load_config(args.config, overrides)
     except (ConfigError, OSError) as e:

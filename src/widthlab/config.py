@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 # key: (default, admissible range).  A range is an interval such as
-# "[1, inf)", bounding a number and each entry of a list, a set such as
-# "{a, b}" of strings, or "any"; a null default also admits null.
+# "[1, inf)", bounding a number and each entry of a list, or "any".
 DEFAULTS = {
-    "manifold.kind": ("sphere", "{sphere, ellipsoid, affine}"),
-    "manifold.dim": (3, "[1, inf)"),
-    "manifold.radius": (1.0, "(0, inf)"),
-    "manifold.semi_axes": (None, "(0, inf)"),
-    "manifold.ambient_dim": (None, "[1, inf)"),
-    "manifold.tol": (1e-10, "(0, inf)"),
+    "manifold.radius": (1.0, "(0, inf)"),  # of the round 3-sphere target
     "dmap.n": (129, "[3, inf)"),
     "dmap.half_width": (1.25, "(1, inf)"),
     "dmap.band": (0.12, "(0, 1)"),
@@ -92,35 +86,11 @@ class ExperimentConfig:
                             half_width=self["dmap.half_width"],
                             band=self["dmap.band"])
 
-    def manifold(self):
-        """The declared target manifold."""
-        from . import manifold as mf
-        kind = self["manifold.kind"]
-        tol = self["manifold.tol"]
-        if kind == "sphere":
-            return mf.round_sphere(int(self["manifold.dim"]),
-                                   float(self["manifold.radius"]), on_tol=tol)
-        if kind == "ellipsoid":
-            axes = self["manifold.semi_axes"]
-            if not axes:
-                raise ConfigError("manifold.semi_axes required for ellipsoids")
-            return mf.ellipsoid(axes, on_tol=tol)
-        if kind == "affine":
-            dim = int(self["manifold.dim"])
-            amb = self["manifold.ambient_dim"]
-            return mf.affine_subspace(dim, int(amb) if amb else dim + 1,
-                                      on_tol=tol)
-        raise ConfigError(f"unknown manifold kind {kind!r}")
-
 
 def _same_kind(default, value):
-    """A value has its default's JSON kind; an int stands for a float, and
-    a null default takes null, a number or a list."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if default is None:
-        return value is None or number or isinstance(value, list)
+    """A value has its default's JSON kind; an int stands for a float."""
     if isinstance(default, float):
-        return number
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
     return type(value) is type(default)
 
 
@@ -140,10 +110,8 @@ def check_value(key, value):
 
 def _in_range(value, admissible):
     """A value lies in its key's admissible range (see DEFAULTS)."""
-    if value is None or admissible == "any":
+    if admissible == "any":
         return True
-    if admissible[0] == "{":
-        return value in admissible[1:-1].split(", ")
     lo, hi = map(float, admissible[1:-1].split(", "))
     return all(isinstance(x, (int, float)) and not isinstance(x, bool)
                and (lo < x if admissible[0] == "(" else lo <= x)

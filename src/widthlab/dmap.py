@@ -34,6 +34,7 @@ from .errors import (DomainMismatch, NoCommonPoint, OutsideTube, OverlapViolatio
                      TraceTooFar, TubeEscape)
 from .manifold import EmbeddedManifold, row_dot
 
+ON_TOL = 1e-10  # how far off the target a node value may lie
 OVERLAP_TOL = 1e-6
 
 
@@ -58,7 +59,7 @@ class DiscreteMap:
     def validate(self):
         for v in self.values:
             d = self.target.distance(v)
-            if np.max(d) > self.target.on_tol * 10 + 1e-12:
+            if np.max(d) > ON_TOL * 10 + 1e-12:
                 raise ValueError(f"node values off the target by {np.max(d):.3e}")
         if isinstance(self.domain, SphereDomain):
             err = overlap_disagreement(self)

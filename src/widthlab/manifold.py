@@ -13,8 +13,6 @@ import numpy as np
 
 from .errors import OutsideTube
 
-DEFAULT_ON_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class EmbeddedManifold:
@@ -26,7 +24,6 @@ class EmbeddedManifold:
     tubular_radius: float        # inward well-posedness margin for projection
     safe_tubular_radius: float   # half of the above; |dΠ|² ≤ 2 holds inside
     sff_bound: float             # sup |A| over the manifold
-    on_tol: float = DEFAULT_ON_TOL
 
     # -- interface -----------------------------------------------------
     def project(self, x):
@@ -87,7 +84,7 @@ class RoundSphere(EmbeddedManifold):
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
 
 
-def round_sphere(dim: int, radius: float = 1.0, on_tol=DEFAULT_ON_TOL) -> RoundSphere:
+def round_sphere(dim: int, radius: float = 1.0) -> RoundSphere:
     kappa = 1.0 / radius
     return RoundSphere(
         kind="sphere",
@@ -96,7 +93,6 @@ def round_sphere(dim: int, radius: float = 1.0, on_tol=DEFAULT_ON_TOL) -> RoundS
         tubular_radius=0.9 / kappa,
         safe_tubular_radius=0.45 / kappa,
         sff_bound=np.sqrt(dim) / radius,
-        on_tol=on_tol,
         radius=radius,
     )
 
@@ -152,7 +148,7 @@ class Ellipsoid(EmbeddedManifold):
         return {"kind": "ellipsoid", "semi_axes": list(self.semi_axes)}
 
 
-def ellipsoid(semi_axes, on_tol=DEFAULT_ON_TOL) -> Ellipsoid:
+def ellipsoid(semi_axes) -> Ellipsoid:
     ax = np.asarray(semi_axes, float)
     kappa = ax.max() / ax.min() ** 2  # max principal curvature
     dim = len(ax) - 1
@@ -163,7 +159,6 @@ def ellipsoid(semi_axes, on_tol=DEFAULT_ON_TOL) -> Ellipsoid:
         tubular_radius=0.45 / kappa,
         safe_tubular_radius=0.225 / kappa,
         sff_bound=float(np.sqrt(2.0) * kappa),
-        on_tol=on_tol,
         semi_axes=tuple(float(a) for a in ax),
     )
 
@@ -195,7 +190,7 @@ class AffineSubspace(EmbeddedManifold):
         return {"kind": "affine", "dim": self.dim, "ambient_dim": self.ambient_dim}
 
 
-def affine_subspace(dim: int, ambient_dim: int, on_tol=DEFAULT_ON_TOL) -> AffineSubspace:
+def affine_subspace(dim: int, ambient_dim: int) -> AffineSubspace:
     return AffineSubspace(
         kind="affine",
         dim=dim,
@@ -203,7 +198,6 @@ def affine_subspace(dim: int, ambient_dim: int, on_tol=DEFAULT_ON_TOL) -> Affine
         tubular_radius=np.inf,
         safe_tubular_radius=np.inf,
         sff_bound=0.0,
-        on_tol=on_tol,
     )
 
 

@@ -133,16 +133,21 @@ def _latitude_values(dom, t, radius, warp):
     return vals
 
 
-def _chart0_bump_warp(center, rho, direction, amp_of_t):
+# radius and chart-0 direction of the perturbed fixture's shear bump
+BUMP_RHO = 0.35
+BUMP_DIRECTION = (1.0, -0.6)
+
+
+def _chart0_bump_warp(center, amp_of_t):
     """Compactly supported chart-0 shear, a diffeomorphism for small amplitudes."""
-    dx, dy = direction
+    dx, dy = BUMP_DIRECTION
 
     def warp(p, t):
         a = amp_of_t(t)
         if a == 0.0:
             return p
         X, Y = SphereDomain.sphere_to_chart(0, p)
-        amp = a * bump_weight(X, Y, center, rho)
+        amp = a * bump_weight(X, Y, center, BUMP_RHO)
         on = amp > 0
         moved = p.copy()
         moved[on] = SphereDomain.chart_to_sphere(0, X[on] + amp[on] * dx,
@@ -154,7 +159,7 @@ def _chart0_bump_warp(center, rho, direction, amp_of_t):
 
 def standard_sweepout(kind: str, target, dom: SphereDomain,
                       n_slices: int = 64, amp: float = 0.35,
-                      bump_center=(0.15, -0.1), bump_rho: float = 0.35,
+                      bump_center=(0.15, -0.1),
                       t_profile: str = "global"):
     """Reference sweepout fixtures.
 
@@ -175,7 +180,7 @@ def standard_sweepout(kind: str, target, dom: SphereDomain,
             amp_of_t = lambda t: amp * max(0.0, 1.0 - ((t - 0.5) / 0.15) ** 2) ** 3
         else:
             raise KindUnknown(f"t_profile {t_profile!r}")
-        warp = _chart0_bump_warp(bump_center, bump_rho, (1.0, -0.6), amp_of_t)
+        warp = _chart0_bump_warp(bump_center, amp_of_t)
     else:
         raise KindUnknown(kind)
     slices = []

@@ -27,7 +27,9 @@ def test_verify_suite_exit_zero(tmp_path):
 
 
 def test_verify_unknown_suite_is_config_error(tmp_path):
-    assert run(["verify", "nope", "--out", str(tmp_path / "x")]) == 3
+    out = tmp_path / "x"
+    assert run(["verify", "nope", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_verify_outputs_deterministic(tmp_path):
@@ -64,16 +66,14 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_config_rejects_values_of_another_kind(tmp_path):
     """A value must have its default's JSON kind; an int stands for a
-    float, and a null default takes null, a number or a list."""
+    float."""
     for key, value in (("dmap.n", "abc"), ("dmap.n", 64.5), ("dmap.n", True),
                        ("sweepout.amp", "0.3"), ("sampler.radii", 0.2),
-                       ("run.out_dir", 3), ("manifold.semi_axes", "wide")):
+                       ("run.out_dir", 3)):
         with pytest.raises(ConfigError, match=key):
             load_config(overrides={key: value})
-    cfg = load_config(overrides={"sweepout.amp": 1, "manifold.ambient_dim": 4,
-                                 "manifold.semi_axes": [1.3, 1, 1, 1]})
-    assert cfg["sweepout.amp"] == 1 and cfg["manifold.ambient_dim"] == 4
-    assert cfg["manifold.semi_axes"] == [1.3, 1, 1, 1]
+    cfg = load_config(overrides={"sweepout.amp": 1})
+    assert cfg["sweepout.amp"] == 1
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("dmap.n = abc\n")
     assert run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
@@ -151,7 +151,7 @@ def test_config_rejects_drawn_values_out_of_range(monkeypatch, tmp_path, case):
 
 def test_config_ranges_admit_the_defaults_and_are_documented():
     """Every default lies in its range, the docs table states each range,
-    and a range's bounds, sets and list entries are checked as written."""
+    and a range's bounds and list entries are checked as written."""
     import re
     from pathlib import Path
     load_config(overrides={k: default for k, (default, _) in DEFAULTS.items()})
@@ -159,14 +159,13 @@ def test_config_ranges_admit_the_defaults_and_are_documented():
     row = r"^\| `([a-z_]+\.[a-z_0-9]+)` \| [^|]* \| `([^`]*)` \|"
     ranges = re.findall(row, docs, re.M)
     assert dict(ranges) == {k: admissible for k, (_, admissible) in DEFAULTS.items()}
-    for key, value in (("dmap.band", 1.0), ("dmap.band", 0), ("manifold.kind", "torus"),
-                       ("sampler.radii", [0.2, -0.1]), ("manifold.semi_axes", [1, 0])):
+    for key, value in (("dmap.band", 1.0), ("dmap.band", 0),
+                       ("sampler.radii", [0.2, -0.1])):
         with pytest.raises(ConfigError, match=key):
             load_config(overrides={key: value})
     cfg = load_config(overrides={"sweepout.n_slices": 0, "sweepout.max_iters": 0,
-                                 "dmap.n": 3, "manifold.semi_axes": None,
-                                 "manifold.kind": "affine", "sweepout.amp": -0.2})
-    assert cfg["dmap.n"] == 3 and cfg["manifold.kind"] == "affine"
+                                 "dmap.n": 3, "sweepout.amp": -0.2})
+    assert cfg["dmap.n"] == 3
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -180,6 +179,31 @@ def test_ricci_cli_rejects_flags_out_of_range(tmp_path, capsys, flag, value):
     assert run(["ricci", flag, value, "--out", str(out)]) == 3
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_manifest_records_flag_overrides(tmp_path):
+    """A flag that stands for a config key is recorded in manifest.json like
+    the key set in the config file: runs that differ in --r0 record
+    different configs, and --max-iters writes the bytes that
+    sweepout.max_iters writes."""
+    manifests = {}
+    for r0 in ("1", "2"):
+        out = tmp_path / f"r{r0}"
+        assert run(["ricci", "--r0", r0, "--out", str(out)]) == 0
+        manifests[r0] = json.loads((out / "manifest.json").read_text())
+    assert manifests["1"]["config"]["ricci.r0"] == 1.0
+    assert manifests["2"]["config"]["ricci.r0"] == 2.0
+    assert manifests["1"]["config_digest"] != manifests["2"]["config_digest"]
+    light = "dmap.n = 65\nsweepout.n_slices = 8\nsweepout.max_iters = 1\n"
+    flagged, keyed = tmp_path / "flagged.cfg", tmp_path / "keyed.cfg"
+    flagged.write_text(light)
+    keyed.write_text(light + "sweepout.max_iters = 0\n")
+    out = tmp_path / "w"
+    for cfgfile, extra in ((flagged, ["--max-iters", "0"]), (keyed, [])):
+        assert run(["width", "--fixture", "latitude-s3", "--config", str(cfgfile),
+                    "--out", str(out / cfgfile.stem)] + extra) == 0
+    assert (out / "flagged" / "manifest.json").read_bytes() == \
+        (out / "keyed" / "manifest.json").read_bytes()
 
 
 def test_ricci_cli(tmp_path):
@@ -261,9 +285,11 @@ def test_width_cli_solves_csv_cells_are_numbers(tmp_path):
 
 
 def test_width_cli_curve_fixture_is_config_error(tmp_path):
-    """The curve fixture is no sweepout of 2-spheres; `width` rejects it."""
-    assert run(["width", "--fixture", "curve-latitude-s2",
-                "--out", str(tmp_path / "w")]) == 3
+    """The curve fixture is no sweepout of 2-spheres; `width` rejects it
+    before any output is written."""
+    out = tmp_path / "w"
+    assert run(["width", "--fixture", "curve-latitude-s2", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_width_cli_max_iters_zero(tmp_path):

@@ -88,7 +88,11 @@ def _calls_by_name(sources, suites):
 
 def _passes(call, pos, name):
     """The call passes the parameter by keyword or **kwargs, or by position
-    or *args."""
+    or *args.  The guard cannot see what a splat carries, so a `**` splat
+    counts as passing every parameter and a `*` splat every positional one:
+    a default that only a splat could reach, such as one of the fixture
+    parameters perfbench passes as `**self.fixture_params(seed)`, is not
+    flagged even when no call passes it."""
     if any(k.arg in (None, name) for k in call.keywords):
         return True
     return pos is not None and (pos < len(call.args) or any(
