@@ -99,7 +99,7 @@ def cmd_width(args, cfg):
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     out = _out_dir(cfg)
-    _write_manifest(out, cfg, {"command": "width", "fixture": args.fixture})
+    _write_manifest(out, cfg, {"command": "width", "fixture": fixture})
     w0 = sw.width_estimate(swp)
     print(f"initial W_E {w0.w_energy:.6f}  W_A {w0.w_area:.6f}  "
           f"argmax t-index {w0.argmax_t}")
@@ -135,6 +135,8 @@ def cmd_width(args, cfg):
         if report.rows else True,
         "varifold_distance_to_equator": report.varifold_distance,
         "flagged_solves": flagged,
+        "max_solve_residual": max((i.residual for i in report.solves), default=0.0),
+        "residual_target": cfg["dirichlet.residual_target"],
     }
     _finish(out, "width-summary.json", summary)
     io.save_sweepout(os.path.join(out, "tightened.sweepout"), tightened)
@@ -269,8 +271,8 @@ def cmd_calibrate(args, cfg):
             b = dmod.Ball(0, (cx, cy), float(rng.uniform(0.15, 0.3)))
             u = dmod.ball_bump_map(dom, s2, b, float(rng.uniform(0.1, 0.4)) * scale,
                                    rng.normal(size=3))
-            st = dr.SolverSettings(residual_tol=1e-13, max_sweeps=60_000,
-                                   small_energy=cand, residual_stop=1e-10)
+            st = dr.SolverSettings(residual_target=1e-10, max_sweeps=60_000,
+                                   small_energy=cand)
             try:
                 v1, _ = dr.solve_dirichlet(u, [b], st, init="copy")
                 v2, _ = dr.solve_dirichlet(u, [b], st, init="linear")

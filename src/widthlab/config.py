@@ -20,7 +20,7 @@ DEFAULTS = {
     "dmap.n": (129, "[3, inf)"),
     "dmap.half_width": (1.25, "(1, inf)"),
     "dmap.band": (0.12, "(0, 1)"),
-    "dirichlet.residual_tol": (1e-8, "[0, inf)"),
+    "dirichlet.residual_target": (5e-5, "(0, inf)"),
     "dirichlet.max_sweeps": (10_000, "[0, inf)"),
     "dirichlet.small_energy": (2.0, "(0, inf)"),  # the replacement small-energy bound
     "sampler.center_stride": (12, "[1, inf)"),
@@ -52,9 +52,11 @@ class ExperimentConfig:
         return self.values[key]
 
     def update(self, overrides: dict):
+        """Set checked values; an int given for a float key is stored as
+        that float, so the manifest records one value either way."""
         for k, v in overrides.items():
             check_value(k, v)
-            self.values[k] = v
+            self.values[k] = float(v) if isinstance(DEFAULTS[k][0], float) else v
         return self
 
     def semantic_values(self) -> dict:
@@ -68,7 +70,7 @@ class ExperimentConfig:
 
     def solver_settings(self):
         from .dirichlet import SolverSettings
-        return SolverSettings(residual_tol=self["dirichlet.residual_tol"],
+        return SolverSettings(residual_target=self["dirichlet.residual_target"],
                               max_sweeps=int(self["dirichlet.max_sweeps"]),
                               small_energy=self["dirichlet.small_energy"])
 

@@ -26,10 +26,15 @@ sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
 blocks of flat cylinders, which `certlab` relaxes with `relax` directly,
 periodic in the angle.
 
-Every solve reports its `SolveInfo` by return value: `relax_blocks` and
-`relax` return them, `solve_dirichlet` returns the map with the summed
-record, `harmonic_replace` one record per ball and `energy_improvement`
-the records of its trials.  Nothing is logged on the side.
+A block stops when its own update has become small, and its `SolveInfo`
+reads converged only if its tangential residual (the tangential part of
+the discrete Laplacian, largest over the interior) is then at or under the
+stated `SolverSettings.residual_target`; a block cut off by `max_sweeps`
+is not converged.  Every solve reports its `SolveInfo` by return value:
+`relax_blocks` and `relax` return them, `solve_dirichlet` returns the map
+with the summed record (converged when every ball is), `harmonic_replace`
+one record per ball and `energy_improvement` the records of its trials.
+Nothing is logged on the side.
 
 Two discrete energies coexist: the public functionals in `dmap` use
 high-order centered differences, while the solver's Lyapunov function is
@@ -56,23 +61,20 @@ from .manifold import row_dot
 
 @dataclass
 class SolverSettings:
-    residual_tol: float = 1e-8      # relative energy change per sweep
+    residual_target: float = 5e-5   # converged: tangential residual at the
+                                    # stop at or under this absolute level
     max_sweeps: int = 10_000
     small_energy: float = 2.0       # admissible region energy (curved targets)
     overrelax: float = 1.0          # >1: SOR; same fixed point, no per-sweep
                                     # monotonicity, so replacement paths keep 1.0
-    residual_stop: float = 0.0      # >0: also stop once the tangential
-                                    # Laplacian falls under this absolute level
-
-    def scaled_tol(self, e0):
-        return self.residual_tol * np.maximum(e0, 1e-12)
 
 
 @dataclass
 class SolveInfo:
     sweeps: int
-    converged: bool
-    residual: float      # max tangential Laplacian norm over the interior
+    converged: bool      # stopped on its update, residual <= residual_target
+    residual: float      # max tangential Laplacian norm over the interior,
+                         # at the stop
     energy_drop: float   # edge energy decrease achieved by the solve
 
 
@@ -202,14 +204,28 @@ class _Layout:
                  else self.stencils[k][part] for k in blocks]
         return moved[0] if len(moved) == 1 else np.concatenate(moved, axis=axis)
 
-    def select(self, blocks):
-        """The two colour stencils of the given blocks, the heads and tails
-        of their edges stacked in one (2, E) index, and the bounds of each
-        block's edge segments."""
-        colours = tuple(self._joined(blocks, c, 1) for c in (0, 1))
+    def colours(self, blocks):
+        """Per colour, red then black, the colour stencil of the given
+        blocks and how to split it by block: None for one block, else a
+        mask of the blocks with nodes of that colour and the columns where
+        their nodes start."""
+        out = []
+        for c in (0, 1):
+            stencil = self._joined(blocks, c, 1)
+            if len(blocks) == 1:
+                out.append((stencil, None))
+                continue
+            counts = np.array([self.stencils[k][c].shape[1] for k in blocks])
+            has = counts > 0
+            out.append((stencil, (has, (np.cumsum(counts) - counts)[has])))
+        return out
+
+    def edges(self, blocks):
+        """The heads and tails of the given blocks' edges stacked in one
+        (2, E) index, and the bounds of each block's edge segments."""
         ends = np.stack([self._joined(blocks, c, 0) for c in (2, 3)])
         counts = [m for k in blocks for m in self.stencils[k][4]]
-        return colours, (ends, np.cumsum([0] + counts).tolist())
+        return ends, np.cumsum([0] + counts).tolist()
 
     def residuals(self, f, blocks, target, wx, wy):
         """The largest tangential Laplacian norm over each given block's
@@ -249,28 +265,43 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     stencil its `block_stencil`, all periodic in y or none.  The blocks
     share one flat buffer, so each half-sweep is one gather, one update,
     one `target.project` call and one scatter across every block still
-    running.  Each block keeps its own stopping rule and leaves the running
-    set as soon as it stops, so its values and its SolveInfo are bit for
-    bit those of relaxing it alone.  Returns one SolveInfo per block.
+    running.
+
+    A block stops after the first sweep in which no component of any of
+    its nodes moved by more than residual_target * overrelax /
+    (2 (wx + wy) sqrt(N)).  An update moves a node by overrelax /
+    (2 (wx + wy)) times its Laplacian, so no node then moved by more than
+    a residual of residual_target moves it.  The block's tangential
+    residual is taken at that stop, and it reads converged when the
+    residual is at most residual_target.  A block still running after
+    max_sweeps stops unconverged, with its residual.  The edge energy is
+    taken at entry and exit only, for energy_drop.
+
+    Each block leaves the running set as soon as it stops, so its values
+    and its SolveInfo are bit for bit those of relaxing it alone.  Returns
+    one SolveInfo per block.
     """
     if not blocks:
         return []
     layout = _Layout(blocks)
     f = np.concatenate([np.reshape(v, (-1, v.shape[-1])) for v, _ in blocks])
     n = len(blocks)
+    edges = layout.edges(range(n))
+    e0 = layout.energies(f, edges, wx, wy)
     converged = np.array([st[0].shape[1] + st[1].shape[1] == 0 for _, st in blocks])
+    residual = np.zeros(n)
     sweeps = np.zeros(n, dtype=int)
-    e_prev = layout.energies(f, layout.select(range(n))[1], wx, wy)
-    e0 = e_prev.copy()
-    running = np.flatnonzero(~converged if settings.max_sweeps > 0 else [])
+    running = np.flatnonzero(~converged)
     om = settings.overrelax
     denom = 2.0 * (wx + wy)
+    small = settings.residual_target * om / (denom * np.sqrt(f.shape[1]))
     sweep = 0  # the running blocks all started together
     while len(running):
-        colours, edges = layout.select(running)
-        e_run, e0_run = e_prev[running], e0[running]
-        while True:
-            for c in colours:
+        colours = layout.colours(running)
+        stop = np.zeros(len(running), dtype=bool)
+        while sweep < settings.max_sweeps and not stop.any():
+            moved = np.zeros(len(running))  # largest component moved, per block
+            for c, split in colours:
                 if c.shape[1] == 0:
                     continue
                 g = f.take(c, axis=0)
@@ -278,29 +309,30 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
                 upd /= denom
                 if om != 1.0:
                     upd = (1.0 - om) * g[0] + om * upd
-                f[c[0]] = target.project(upd)
+                new = target.project(upd)
+                f[c[0]] = new
+                new -= g[0]
+                np.abs(new, out=new)
+                if split is None:
+                    moved[0] = max(moved[0], new.max())
+                else:
+                    has, starts = split
+                    moved[has] = np.maximum(
+                        moved[has], np.maximum.reduceat(new, starts).max(axis=1))
             sweep += 1
-            e_now = layout.energies(f, edges, wx, wy)
-            step = np.abs(e_run - e_now)
-            stop = step <= settings.scaled_tol(np.maximum(e_now, e0_run))
-            if settings.residual_stop > 0.0:
-                check = stop if sweep % 10 == 0 else stop & (step == 0.0)
-                stop = np.zeros_like(stop)
-                for i in np.flatnonzero(check):
-                    res = layout.residuals(f, running[i:i + 1], target, wx, wy)[0]
-                    stop[i] = res <= settings.residual_stop
-            e_run = e_now
-            if sweep >= settings.max_sweeps or stop.any():
-                e_prev[running] = e_run
-                converged[running] = stop
-                sweeps[running] = sweep
-                running = running[~stop] if sweep < settings.max_sweeps else running[:0]
-                break
-    residual = layout.residuals(f, range(n), target, wx, wy)
+            stop = moved <= small
+        capped = sweep >= settings.max_sweeps
+        leave = running if capped else running[stop]
+        residual[leave] = layout.residuals(f, leave, target, wx, wy)
+        done = running[stop]
+        converged[done] = residual[done] <= settings.residual_target
+        sweeps[leave] = sweep
+        running = running[:0] if capped else running[~stop]
+    drop = e0 - layout.energies(f, edges, wx, wy)
     for (v, _), o in zip(blocks, layout.offsets):
         v[...] = f[o:o + v.shape[0] * v.shape[1]].reshape(v.shape)
     return [SolveInfo(int(sweeps[k]), bool(converged[k]), float(residual[k]),
-                      float(e0[k] - e_prev[k])) for k in range(n)]
+                      float(drop[k])) for k in range(n)]
 
 
 def relax(values, interior, target, settings: SolverSettings,

@@ -80,6 +80,18 @@ def test_config_rejects_values_of_another_kind(tmp_path):
                 "--out", str(tmp_path / "o")]) == 3
 
 
+def test_config_stores_an_int_for_a_float_key_as_the_float(tmp_path):
+    """`ricci.r0 = 2` in a config file, the override 2 and the flag's 2.0
+    are one value, so they record one config digest."""
+    cfgfile = tmp_path / "r0.cfg"
+    cfgfile.write_text("ricci.r0 = 2\n")
+    want = load_config(overrides={"ricci.r0": 2.0})
+    for cfg in (load_config(overrides={"ricci.r0": 2}), load_config(str(cfgfile))):
+        assert repr(cfg["ricci.r0"]) == "2.0"
+        assert cfg.digest() == want.digest()
+    assert repr(load_config(overrides={"dmap.n": 17})["dmap.n"]) == "17"
+
+
 def test_config_defaults_complete():
     cfg = load_config()
     for key in ("dirichlet.small_energy", "dmap.n", "run.seed"):
@@ -206,6 +218,19 @@ def test_manifest_records_flag_overrides(tmp_path):
         (out / "keyed" / "manifest.json").read_bytes()
 
 
+def test_width_manifest_records_the_fixture_it_ran(tmp_path):
+    """The fixture name is matched without regard to case, and the
+    manifest records the name that ran, as width-summary.json does."""
+    cfgfile = tmp_path / "tiny.cfg"
+    cfgfile.write_text("dmap.n = 17\nsweepout.n_slices = 2\nsweepout.max_iters = 0\n")
+    outs = [tmp_path / "upper", tmp_path / "lower"]
+    for fixture, out in zip(("LATITUDE-S3", "latitude-s3"), outs):
+        run(["width", "--fixture", fixture, "--config", str(cfgfile), "--out", str(out)])
+    assert json.loads((outs[0] / "manifest.json").read_text())["fixture"] == "latitude-s3"
+    assert (outs[0] / "manifest.json").read_bytes() == \
+        (outs[1] / "manifest.json").read_bytes()
+
+
 def test_ricci_cli(tmp_path):
     out = tmp_path / "r"
     assert run(["ricci", "--r0", "1", "--dt", "1e-4", "--out", str(out)]) == 0
@@ -228,6 +253,13 @@ def test_width_cli_light(tmp_path):
     summary = json.loads((out / "width-summary.json").read_text())
     assert abs(summary["final_over_4pi"] - 1.0) <= 0.005
     assert (out / "solves.csv").read_text().startswith("sweeps,")
+    # a converged solve met the residual target
+    rows = [line.split(",") for line in
+            (out / "solves.csv").read_text().splitlines()[1:]]
+    assert rows and summary["residual_target"] == 5e-5
+    assert all(float(res) <= summary["residual_target"]
+               for _, res, _, converged in rows if converged == "True")
+    assert summary["max_solve_residual"] == max(float(r[1]) for r in rows)
     assert (out / "width-iterations.csv").read_text().splitlines()[0] == (
         "iter,w_energy,w_area,argmax_t,total_drop,max_improvement,stages,flagged")
     from widthlab import io as wio

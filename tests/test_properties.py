@@ -74,3 +74,25 @@ def test_replacement_keeps_owner_charts_authoritative(center, width, amp, ball):
     except EnergyTooLarge:
         assume(False)
     assert dm.overlap_disagreement(res.map) <= dm.overlap_disagreement(u)
+
+
+@PROPERTY
+@given(center=st.tuples(coord, coord), width=st.floats(0.1, 0.5),
+       amp=st.floats(0.0, 0.3), balls=st.lists(chart_ball, min_size=1, max_size=3),
+       target=st.floats(-8.0, -3.0).map(lambda e: 10.0**e),
+       overrelax=st.sampled_from([1.0, 1.9]))
+def test_converged_solves_meet_their_residual_target(center, width, amp, balls,
+                                                     target, overrelax):
+    """Ball blocks relaxed in lock step: every converged solve has its
+    residual at or under the target, and Gauss-Seidel never raises the
+    solver energy."""
+    u = chart0_bump_map(DOM, S2, center=center, width=width, amp=amp)
+    blocks = []
+    for b in balls:
+        box, sub = dr._ball_block(DOM, b)
+        blocks.append((u.values[b.chart][box].copy(), dr.block_stencil(sub, False)))
+    s = dr.SolverSettings(residual_target=target, overrelax=overrelax)
+    for info in dr.relax_blocks(blocks, S2, s, 1.0, 1.0):
+        assert info.residual <= target or not info.converged
+        if overrelax == 1.0:
+            assert info.energy_drop >= 0.0
