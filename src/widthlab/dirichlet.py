@@ -26,15 +26,16 @@ sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
 blocks of flat cylinders, which `certlab` relaxes with `relax` directly,
 periodic in the angle.
 
-A block stops when its own update has become small, and its `SolveInfo`
-reads converged only if its tangential residual (the tangential part of
-the discrete Laplacian, largest over the interior) is then at or under the
-stated `SolverSettings.residual_target`; a block cut off by `max_sweeps`
-is not converged.  Every solve reports its `SolveInfo` by return value:
-`relax_blocks` and `relax` return them, `solve_dirichlet` returns the map
-with the summed record (converged when every ball is), `harmonic_replace`
-one record per ball and `energy_improvement` the records of its trials.
-Nothing is logged on the side.
+A block whose own update has become small has its tangential residual
+(the tangential part of the discrete Laplacian, largest over the interior)
+taken.  It stops, converged, once that is at or under the stated
+`SolverSettings.residual_target`, and otherwise sweeps on; only a block cut
+off by `max_sweeps` reads unconverged.  Every solve reports its
+`SolveInfo` by return value: `relax_blocks` and `relax` return them,
+`solve_dirichlet` returns the map with the summed record (converged when
+every ball is), `harmonic_replace` one record per ball and
+`energy_improvement` the records of its trials.  Nothing is logged on the
+side.
 
 Two discrete energies coexist: the public functionals in `dmap` use
 high-order centered differences, while the solver's Lyapunov function is
@@ -72,7 +73,8 @@ class SolverSettings:
 @dataclass
 class SolveInfo:
     sweeps: int
-    converged: bool      # stopped on its update, residual <= residual_target
+    converged: bool      # residual <= residual_target at a stop on its
+                         # update; False only when cut off by max_sweeps
     residual: float      # max tangential Laplacian norm over the interior,
                          # at the stop
     energy_drop: float   # edge energy decrease achieved by the solve
@@ -267,15 +269,18 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     one `target.project` call and one scatter across every block still
     running.
 
-    A block stops after the first sweep in which no component of any of
-    its nodes moved by more than residual_target * overrelax /
+    A block's displacement stop is a sweep in which no component of any
+    of its nodes moved by more than residual_target * overrelax /
     (2 (wx + wy) sqrt(N)).  An update moves a node by overrelax /
     (2 (wx + wy)) times its Laplacian, so no node then moved by more than
     a residual of residual_target moves it.  The block's tangential
-    residual is taken at that stop, and it reads converged when the
-    residual is at most residual_target.  A block still running after
-    max_sweeps stops unconverged, with its residual.  The edge energy is
-    taken at entry and exit only, for energy_drop.
+    residual is taken at each displacement stop.  At the first one where
+    it is at most residual_target the block stops, converged; a stop that
+    misses the target does not end the solve, and the block sweeps on (an
+    over-relaxed update can be small while the residual is not).  A block
+    still running after max_sweeps stops unconverged, with its residual
+    there, so converged=False means only "cut off by max_sweeps".  The
+    edge energy is taken at entry and exit only, for energy_drop.
 
     Each block leaves the running set as soon as it stops, so its values
     and its SolveInfo are bit for bit those of relaxing it alone.  Returns
@@ -298,8 +303,8 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     sweep = 0  # the running blocks all started together
     while len(running):
         colours = layout.colours(running)
-        stop = np.zeros(len(running), dtype=bool)
-        while sweep < settings.max_sweeps and not stop.any():
+        done = np.zeros(len(running), dtype=bool)
+        while sweep < settings.max_sweeps and not done.any():
             moved = np.zeros(len(running))  # largest component moved, per block
             for c, split in colours:
                 if c.shape[1] == 0:
@@ -320,14 +325,18 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
                     moved[has] = np.maximum(
                         moved[has], np.maximum.reduceat(new, starts).max(axis=1))
             sweep += 1
-            stop = moved <= small
-        capped = sweep >= settings.max_sweeps
-        leave = running if capped else running[stop]
-        residual[leave] = layout.residuals(f, leave, target, wx, wy)
-        done = running[stop]
-        converged[done] = residual[done] <= settings.residual_target
-        sweeps[leave] = sweep
-        running = running[:0] if capped else running[~stop]
+            stop = running[moved <= small]
+            if len(stop):  # a stop that misses its target sweeps on
+                residual[stop] = layout.residuals(f, stop, target, wx, wy)
+                converged[stop] = residual[stop] <= settings.residual_target
+                done = converged[running]
+        if sweep >= settings.max_sweeps:  # the rest is cut off unconverged
+            cut = running[~done]
+            if len(cut):
+                residual[cut] = layout.residuals(f, cut, target, wx, wy)
+            done[:] = True
+        sweeps[running[done]] = sweep
+        running = running[~done]
     drop = e0 - layout.energies(f, edges, wx, wy)
     for (v, _), o in zip(blocks, layout.offsets):
         v[...] = f[o:o + v.shape[0] * v.shape[1]].reshape(v.shape)

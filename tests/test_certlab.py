@@ -38,22 +38,54 @@ def test_wente_suite_small():
 
 
 def test_wente_suite_reads_the_quadrature_grid_built_on_import(monkeypatch):
-    """The polar grid is built once, on import: a suite run asks leggauss
-    for nothing, and the grid holds leggauss(64)'s nodes and weights."""
+    """The polar grid is built once, on import, from the generator's degree
+    bounds: a suite run asks leggauss for nothing."""
     leggauss = np.polynomial.legendre.leggauss
     calls = []
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda deg: calls.append(deg) or leggauss(deg))
     rep = cl.wente_hardy_suite(seed=5, instances=20)
     assert calls == [] and rep.passed and rep.instances == 20
-    x, w = leggauss(64)
-    r, wr, theta, dth = cl.POLAR_GRID
-    assert r.tobytes() == (0.5 * (x + 1.0)).tobytes()
-    assert wr.tobytes() == (0.5 * w).tobytes()
-    assert theta.tobytes() == (np.arange(256) * (2 * np.pi / 256)).tobytes()
-    assert dth == 2 * np.pi / 256
+    monkeypatch.undo()
+    built = cl._polar_grid(cl.WENTE_ZETA_DEGREE, cl.WENTE_TRIG_MODE)
+    assert [np.asarray(x).tobytes() for x in cl.POLAR_GRID] == \
+        [np.asarray(x).tobytes() for x in built]
     with pytest.raises(ValueError):
-        r[0] = 0.0
+        cl.POLAR_GRID[0][0] = 0.0
+
+
+def _wente_grid_error(monkeypatch, zeta_degree, trig_mode, draws=4):
+    """Largest relative difference of the `wente_hardy_check` integrals on
+    POLAR_GRID from those on a 64 x 256 reference grid, over instances drawn
+    with zeta of the given degree and h of the given top mode."""
+    rng = np.random.default_rng(11)
+    x, w = np.polynomial.legendre.leggauss(64)
+    reference = (0.5 * (x + 1.0), 0.5 * w, np.arange(256) * (2 * np.pi / 256),
+                 2 * np.pi / 256)
+    grid = cl.POLAR_GRID
+    worst = 0.0
+    for _ in range(draws):
+        zc = rng.normal(size=zeta_degree + 1) + 1j * rng.normal(size=zeta_degree + 1)
+        a = rng.normal(size=trig_mode + 1)
+        b = rng.normal(size=trig_mode + 1)
+        b[0] = 0.0
+        got = cl.wente_hardy_check(zc, a, b)
+        monkeypatch.setattr(cl, "POLAR_GRID", reference)
+        want = cl.wente_hardy_check(zc, a, b)
+        monkeypatch.setattr(cl, "POLAR_GRID", grid)
+        worst = max(worst, *(abs(got[k] - want[k]) / abs(want[k])
+                             for k in ("lhs", "grad_h_sq", "zeta_sq")))
+    return worst
+
+
+def test_wente_grid_is_exact_within_the_generator_bounds(monkeypatch):
+    """At the generator's largest degrees the grid gives the integrals of a
+    64 x 256 grid to rounding; past them it does not, so the comparison can
+    fail."""
+    zeta_degree, trig_mode = cl.WENTE_ZETA_DEGREE, cl.WENTE_TRIG_MODE
+    assert _wente_grid_error(monkeypatch, zeta_degree, trig_mode) <= 1e-13
+    assert _wente_grid_error(monkeypatch, 20, trig_mode) > 1e-13
+    assert _wente_grid_error(monkeypatch, zeta_degree, 12) > 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +191,42 @@ def test_harmonic_hardy_suite_measures_ratios():
     assert rep.details["median_ratio"] <= rep.details["max_ratio"]
 
 
+def test_convexity_answer_does_not_depend_on_the_relaxation(monkeypatch):
+    """Gauss-Seidel and the suite's over-relaxed solves give the same
+    instances and skips, and worst margins well inside the tolerance."""
+    assert cl.BALL_OVERRELAX != 1.0
+    sor = cl.convexity_suite(seed=3, instances=8)
+    monkeypatch.setattr(cl, "BALL_OVERRELAX", 1.0)
+    gs = cl.convexity_suite(seed=3, instances=8)
+    assert sor.passed and gs.passed
+    assert (sor.instances, sor.skipped) == (gs.instances, gs.skipped)
+    assert abs(sor.worst_margin - gs.worst_margin) <= 1e-7 < cl.CONVEXITY_TOL
+
+
+# the solver-backed suites: instance counts, and the solves they then make
+SOLVED_RUNS = {"hopf": ({}, 3), "theta-decay": ({}, 2),
+               "convexity": ({"instances": 4}, 4), "harmonic-hardy": ({"instances": 2}, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVED_RUNS))
+def test_suite_with_an_unconverged_solve_fails(monkeypatch, name):
+    """Every solve of a solver-backed suite cut off after three sweeps: the
+    suite counts them and fails (hopf and convexity passed so)."""
+    kwargs, solves = SOLVED_RUNS[name]
+    settings = dr.SolverSettings
+    monkeypatch.setattr(dr, "SolverSettings",
+                        lambda **kw: settings(**{**kw, "max_sweeps": 3}))
+    rep = cl.SUITES[name](seed=0, **kwargs)
+    assert not rep.passed
+    assert rep.details["unconverged"] == solves
+
+
 def test_theta_decay_gate_excludes_large_energy():
     s2 = round_sphere(2, 1.0)
     dom = cl.cylinder_domain(1.0, 65, 48)
     th = dom.theta
     trace = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], -1)  # big
-    u = cl.solve_cylinder_map(dom, s2, trace, trace)
+    u, _ = cl.solve_cylinder_map(dom, s2, trace, trace)
     out = cl.theta_energy_decay_check(u, 1.0, 0.1, eps2=0.25)
     assert not out["applicable"]
 

@@ -274,11 +274,11 @@ def _reference_residual(v, interior, target, wx=1.0, wy=1.0):
 
 
 def _reference_relax(v, interior, target, settings, wx=1.0, wy=1.0, periodic_y=False):
-    """The kernel's stopping rule on one block, with np.roll sums: stop
-    after the first sweep in which no component of a node moved by more
-    than residual_target * overrelax / (2 (wx + wy) sqrt(N)), converged
-    when the residual there meets the target; a block cut off by
-    max_sweeps is not converged."""
+    """The kernel's stopping rule on one block, with np.roll sums: after
+    each sweep in which no component of a node moved by more than
+    residual_target * overrelax / (2 (wx + wy) sqrt(N)), take the
+    residual, and stop, converged, when it meets the target; a miss sweeps
+    on, and a block cut off by max_sweeps is not converged."""
     ii, jj = np.nonzero(interior)
     red = ((ii + jj) % 2) == 0
     colors = [(ii[red], jj[red]), (ii[~red], jj[~red])]
@@ -287,8 +287,9 @@ def _reference_relax(v, interior, target, settings, wx=1.0, wy=1.0, periodic_y=F
     small = settings.residual_target * om / (denom * np.sqrt(v.shape[-1]))
     e0 = dr.edge_energy(v, wx, wy, periodic_y)
     sweeps = 0
-    stopped = len(ii) == 0
-    while sweeps < settings.max_sweeps and not stopped:
+    converged = len(ii) == 0
+    res = 0.0
+    while sweeps < settings.max_sweeps and not converged:
         moved = 0.0
         for ci, cj in colors:
             if len(ci) == 0:
@@ -300,9 +301,11 @@ def _reference_relax(v, interior, target, settings, wx=1.0, wy=1.0, periodic_y=F
             moved = max(moved, np.max(np.abs(new - v[ci, cj])))
             v[ci, cj] = new
         sweeps += 1
-        stopped = moved <= small
-    res = _reference_residual(v, interior, target, wx, wy)
-    converged = stopped and res <= settings.residual_target
+        if moved <= small:
+            res = _reference_residual(v, interior, target, wx, wy)
+            converged = res <= settings.residual_target
+    if not converged:
+        res = _reference_residual(v, interior, target, wx, wy)
     return dr.SolveInfo(sweeps, converged, res,
                         float(e0 - dr.edge_energy(v, wx, wy, periodic_y)))
 
@@ -422,6 +425,30 @@ def test_converged_means_the_residual_target_is_met(s2):
     capped = dr.relax(u.values[0][box].copy(), sub, s2, cut)
     assert capped.sweeps == cut.max_sweeps and not capped.converged
     assert capped.residual > 0.0
+
+
+def test_a_missed_stop_sweeps_on_to_the_target(s2):
+    """An SOR-1.9 block whose first displacement stop reads a residual of
+    1.69e-7 against a target of 1.3e-7 (it was given up there, unconverged,
+    after 84 sweeps): it sweeps on and meets the target, and lock step with
+    a block that converges early changes none of its bits."""
+    dom = SphereDomain(n=33)
+    u = dm.identity_sphere_map(dom, s2)
+    box, sub = dr._ball_block(dom, Ball(0, (0.0, 0.25), 0.219))
+    s = dr.SolverSettings(residual_target=1.3e-7, overrelax=1.9)
+    alone = u.values[0][box].copy()
+    info = dr.relax(alone, sub, s2, s)
+    assert info.converged and info.residual <= 1.3e-7
+    assert 84 < info.sweeps < s.max_sweeps
+    ref = u.values[0][box].copy()
+    assert _bits(_reference_relax(ref, sub, s2, s)) == _bits(info)
+    assert np.array_equal(ref, alone)
+    other_box, other_sub = dr._ball_block(dom, Ball(0, (0.1, -0.05), 0.12))
+    blocks = [(u.values[0][other_box].copy(), dr.block_stencil(other_sub, False)),
+              (u.values[0][box].copy(), dr.block_stencil(sub, False))]
+    early, late = dr.relax_blocks(blocks, s2, s, 1.0, 1.0)
+    assert early.sweeps < late.sweeps
+    assert _bits(late) == _bits(info) and np.array_equal(blocks[1][0], alone)
 
 
 def test_relax_rejects_interior_on_a_non_periodic_edge():

@@ -81,11 +81,13 @@ def test_replacement_keeps_owner_charts_authoritative(center, width, amp, ball):
        amp=st.floats(0.0, 0.3), balls=st.lists(chart_ball, min_size=1, max_size=3),
        target=st.floats(-8.0, -3.0).map(lambda e: 10.0**e),
        overrelax=st.sampled_from([1.0, 1.9]))
+@example(center=(0.0, 0.0), width=0.1, amp=0.0, balls=[Ball(0, (0.0, 0.25), 0.219)],
+         target=1.3e-7, overrelax=1.9)  # an SOR stop that misses its target
 def test_converged_solves_meet_their_residual_target(center, width, amp, balls,
                                                      target, overrelax):
     """Ball blocks relaxed in lock step: every converged solve has its
-    residual at or under the target, and Gauss-Seidel never raises the
-    solver energy."""
+    residual at or under the target, a solve that stopped before max_sweeps
+    is converged, and Gauss-Seidel never raises the solver energy."""
     u = chart0_bump_map(DOM, S2, center=center, width=width, amp=amp)
     blocks = []
     for b in balls:
@@ -94,5 +96,6 @@ def test_converged_solves_meet_their_residual_target(center, width, amp, balls,
     s = dr.SolverSettings(residual_target=target, overrelax=overrelax)
     for info in dr.relax_blocks(blocks, S2, s, 1.0, 1.0):
         assert info.residual <= target or not info.converged
+        assert info.converged or info.sweeps == s.max_sweeps
         if overrelax == 1.0:
             assert info.energy_drop >= 0.0
