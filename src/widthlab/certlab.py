@@ -62,7 +62,10 @@ CYLINDER_RESIDUAL = 1e-4
 # nodes' radius (radii 0.15-0.3 at h = 0.0195) is 1.64 to 1.80.  Over seeds
 # 0-9, 1.8 took 57,110 / 14,521 sweeps against Gauss-Seidel's 402,336 /
 # 125,223, no solve was unconverged, and the convexity worst margins moved
-# by at most 2.3e-8
+# by at most 2.3e-8.  At calibrate's candidates (eps1 4 to 0.25, 25
+# instances, seeds 0-9) it took 69,659 sweeps against 474,187, with the same
+# instances, skips and passes, none unconverged, and worst margins within
+# 2.7e-8
 BALL_OVERRELAX = 1.8
 
 # convexity instances are relaxed this many at a time, in one lock-step
@@ -121,27 +124,27 @@ WENTE_ZETA_DEGREE = 6
 WENTE_TRIG_MODE = 4
 
 
-def _polar_grid(zeta_degree, trig_mode):
+def _polar_grid():
     """(radii, radial weights, angles, angular step) on which the integrals
     of `wente_hardy_check` are exact, up to rounding, for zeta of degree at
-    most zeta_degree and h of angular modes at most trig_mode.
+    most WENTE_ZETA_DEGREE and h of angular modes at most WENTE_TRIG_MODE.
 
     Against r dr every integrand is a polynomial in r of degree at most
-    2 (trig_mode + zeta_degree) + 5 (h^2 |zeta|^2 r; the gradient term
-    reaches 2 trig_mode + 3), which n Gauss-Legendre radii integrate
-    exactly once 2n - 1 reaches it; and a trigonometric polynomial in theta
-    of frequency at most 2 trig_mode + zeta_degree, which m uniform angles
-    integrate exactly once m exceeds it.  The bounds 6 and 4 give 13 radii
-    and 15 angles."""
-    n = trig_mode + zeta_degree + 3
-    m = 2 * trig_mode + zeta_degree + 1
+    2 (WENTE_TRIG_MODE + WENTE_ZETA_DEGREE) + 5 (h^2 |zeta|^2 r; the
+    gradient term reaches 2 WENTE_TRIG_MODE + 3), which n Gauss-Legendre
+    radii integrate exactly once 2n - 1 reaches it; and a trigonometric
+    polynomial in theta of frequency at most 2 WENTE_TRIG_MODE +
+    WENTE_ZETA_DEGREE, which m uniform angles integrate exactly once m
+    exceeds it.  The bounds 6 and 4 give 13 radii and 15 angles."""
+    n = WENTE_TRIG_MODE + WENTE_ZETA_DEGREE + 3
+    m = 2 * WENTE_TRIG_MODE + WENTE_ZETA_DEGREE + 1
     x, w = np.polynomial.legendre.leggauss(n)
     return (frozen(0.5 * (x + 1.0)), frozen(0.5 * w),
             frozen(np.arange(m) * (2 * np.pi / m)), 2 * np.pi / m)
 
 
 # built once on import
-POLAR_GRID = _polar_grid(WENTE_ZETA_DEGREE, WENTE_TRIG_MODE)
+POLAR_GRID = _polar_grid()
 
 
 # ---------------------------------------------------------------------------

@@ -279,7 +279,8 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     misses the target does not end the solve, and the block sweeps on (an
     over-relaxed update can be small while the residual is not).  A block
     still running after max_sweeps stops unconverged, with its residual
-    there, so converged=False means only "cut off by max_sweeps".  The
+    there (taken once, also when its last sweep was a missed stop), so
+    converged=False means only "cut off by max_sweeps".  The
     edge energy is taken at entry and exit only, for energy_drop.
 
     Each block leaves the running set as soon as it stops, so its values
@@ -304,6 +305,7 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     while len(running):
         colours = layout.colours(running)
         done = np.zeros(len(running), dtype=bool)
+        stop = running[:0]  # the blocks whose residual this sweep took
         while sweep < settings.max_sweeps and not done.any():
             moved = np.zeros(len(running))  # largest component moved, per block
             for c, split in colours:
@@ -331,7 +333,7 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
                 converged[stop] = residual[stop] <= settings.residual_target
                 done = converged[running]
         if sweep >= settings.max_sweeps:  # the rest is cut off unconverged
-            cut = running[~done]
+            cut = running[~done & ~np.isin(running, stop)]
             if len(cut):
                 residual[cut] = layout.residuals(f, cut, target, wx, wy)
             done[:] = True

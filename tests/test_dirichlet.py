@@ -451,6 +451,28 @@ def test_a_missed_stop_sweeps_on_to_the_target(s2):
     assert _bits(late) == _bits(info) and np.array_equal(blocks[1][0], alone)
 
 
+def test_a_block_cut_off_on_a_missed_stop_takes_its_residual_once(s2, monkeypatch):
+    """The block above, cut off by max_sweeps on the sweep of its missed
+    stop (84): the residual that stop took is the one it reports, and no
+    second one is taken at the cut."""
+    dom = SphereDomain(n=33)
+    u = dm.identity_sphere_map(dom, s2)
+    box, sub = dr._ball_block(dom, Ball(0, (0.0, 0.25), 0.219))
+    s = dr.SolverSettings(residual_target=1.3e-7, overrelax=1.9, max_sweeps=84)
+    taken = []
+    residuals = dr._Layout.residuals
+    monkeypatch.setattr(dr._Layout, "residuals",
+                        lambda self, f, blocks, *a: taken.append(len(blocks))
+                        or residuals(self, f, blocks, *a))
+    v = u.values[0][box].copy()
+    info = dr.relax(v, sub, s2, s)
+    assert taken == [1]
+    assert info.sweeps == 84 and not info.converged and info.residual > 1.3e-7
+    ref = u.values[0][box].copy()
+    assert _bits(_reference_relax(ref, sub, s2, s)) == _bits(info)
+    assert np.array_equal(ref, v)
+
+
 def test_relax_rejects_interior_on_a_non_periodic_edge():
     tgt = affine_subspace(1, 1)
     s = dr.SolverSettings(max_sweeps=5)
