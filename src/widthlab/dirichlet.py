@@ -13,13 +13,16 @@ gather of the colour's nodes and their neighbours, one update, one
 projection and one scatter across every block still running.  Each block
 keeps its own stopping rule and leaves as soon as it stops, so it gets
 exactly the bits it gets when relaxed alone; `relax` is the one-block call.
-Two callers run it in lock step.  The replacement sampler measures all trial
-families of a slice this way.  It reads the slice's `dmap.Measure`:
-candidate balls come from its densities, and the trial families' energy
-gate is its `dmap.family_energy`; only `check_small_energy` and the gate of
-`harmonic_replace` call `dmap.energy`.  `relax_balls` is the second: it
-solves one ball on each of many maps, as the convexity suite does with its
-independent instances.
+Two callers run it in lock step.  The replacement sampler solves each
+distinct half-scaled ball of a slice's trial families once, on a copy of
+the slice's block, all in one call.  It measures only independent families,
+where no ball writes a node that another reads, so a family's drop, the sum
+of its balls' drops, is the drop of its replacement.  It reads the slice's
+`dmap.Measure`: candidate balls come from its densities, and the trial
+families' energy gate is its `dmap.family_energy`; only
+`check_small_energy` and the gate of `harmonic_replace` call `dmap.energy`.
+`relax_balls` is the second: it solves one ball on each of many maps, as
+the convexity suite does with its independent instances.
 
 Two kinds of region are solved on: ball families in the charts of a
 sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
@@ -34,7 +37,7 @@ off by `max_sweeps` reads unconverged.  Every solve reports its
 `SolveInfo` by return value: `relax_blocks` and `relax` return them,
 `solve_dirichlet` returns the map with the summed record (converged when
 every ball is), `harmonic_replace` one record per ball and
-`energy_improvement` the records of its trials.  Nothing is logged on the
+`energy_improvement` one per distinct trial ball.  Nothing is logged on the
 side.
 
 Two discrete energies coexist: the public functionals in `dmap` use
@@ -469,9 +472,12 @@ def _solve_ball(u: DiscreteMap, b: Ball, s: SolverSettings, init="copy"):
 def _sync_cap(u: DiscreteMap, b: Ball):
     """Refresh the other chart inside the ball's cap, and where the ball's
     chart owns a node whose interpolation stencil reaches the ball's box."""
-    dom = u.domain
-    nodes = dom.memoized(("refresh", b), lambda: _cap_refresh_nodes(dom, b))
-    dm.refresh_nodes(u, b.chart, nodes)
+    dm.refresh_nodes(u, b.chart, _refresh_set(u.domain, b))
+
+
+def _refresh_set(dom: SphereDomain, b: Ball):
+    """`_cap_refresh_nodes`, memoized per domain."""
+    return dom.memoized(("refresh", b), lambda: _cap_refresh_nodes(dom, b))
 
 
 def _cap_refresh_nodes(dom: SphereDomain, b: Ball):
@@ -629,6 +635,39 @@ def propose_families(u: DiscreteMap, m: dm.Measure, eps: float,
     return fams
 
 
+def _independent(dom: SphereDomain, fam) -> bool:
+    """No ball of the family writes a node that another of its balls reads.
+
+    A ball's solve writes its interior nodes on its own chart and its
+    refresh writes `_cap_refresh_nodes` on the other chart; it reads its
+    `_block` box on its own chart.  Relaxing the balls of an independent
+    family one after another, each refreshing the other chart, gives each
+    ball the bits of its solve on u alone, in any order.  A single ball is
+    independent; its refresh set is not built."""
+    if len(fam) < 2:
+        return True
+    boxes = [(b.chart, _block(dom, b).box) for b in fam]
+    for k, b in enumerate(fam):
+        for chart, rows, cols in _write_set(dom, b):
+            for j, (c, (br, bc)) in enumerate(boxes):
+                if j != k and c == chart and np.any(
+                        (rows >= br.start) & (rows < br.stop)
+                        & (cols >= bc.start) & (cols < bc.stop)):
+                    return False
+    return True
+
+
+def _write_set(dom, b):
+    """The nodes a trial ball's solve and refresh write, from the memoized
+    block and refresh set: (chart, rows, columns) for its interior on its
+    chart, then for its refresh set on the other chart."""
+    (br, bc), stencil = _block(dom, b)
+    rows, cols = np.divmod(np.concatenate([stencil[0][0], stencil[1][0]]),
+                           bc.stop - bc.start)
+    ii, jj = _refresh_set(dom, b)[:2]
+    return (b.chart, rows + br.start, cols + bc.start), (1 - b.chart, ii, jj)
+
+
 def energy_improvement(u: DiscreteMap, m: dm.Measure, eps: float,
                        budget: SamplerBudget = None, s: SolverSettings = None):
     """Largest measured energy drop from replacement on half-scaled sampled
@@ -637,11 +676,13 @@ def energy_improvement(u: DiscreteMap, m: dm.Measure, eps: float,
     (drop, family, solves).  m is u's Measure: the families come from its
     densities, and their energy gate is its `dm.family_energy`.
 
-    Each drop is the one `harmonic_replace(u, fam, 0.5, s)` measures, bit
-    for bit, and `solves` holds the SolveInfos those replacements return,
-    family by family and ball by ball.  The trials build no replaced maps:
-    ball k of every family is relaxed in one `relax_blocks` call, on a
-    private copy of u only for families with a later ball to feed.
+    A family over the gate is not measured, nor is one that is not
+    `_independent` at half scale.  Each measured drop is the one
+    `harmonic_replace(u, fam, 0.5, s)` measures, bit for bit: the distinct
+    half-scaled balls of all measured families are relaxed once, on copies
+    of u's blocks, in one `relax_blocks` call, and a family's drop is the
+    sum of its balls' drops in ball order.  `solves` holds one SolveInfo
+    per distinct ball, in order of first appearance.
     """
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
@@ -650,27 +691,20 @@ def energy_improvement(u: DiscreteMap, m: dm.Measure, eps: float,
     trials = []
     for _, fam in propose_families(u, m, eps, budget):
         half = BallFamily(fam).validate(dom).scaled(0.5)
-        if dm.family_energy(dom, m.energy_density, half) > gate:
+        if (dm.family_energy(dom, m.energy_density, half) > gate
+                or not _independent(dom, half)):
             continue
         trials.append((fam, half))
-    # a family with a later ball to feed gets a private copy of u
-    maps = [u.copy() if len(half) > 1 else u for _, half in trials]
-    infos = [[] for _ in trials]
-    for k in range(max((len(half) for _, half in trials), default=0)):
-        balls = [(t, half[k], _block(dom, half[k]))
-                 for t, (_, half) in enumerate(trials) if len(half) > k]
-        blocks = [(maps[t].values[b.chart][blk.box].copy(), blk.stencil)
-                  for t, b, blk in balls]
-        solved = relax_blocks(blocks, u.target, s, 1.0, 1.0)
-        for (t, b, blk), (vals, _), info in zip(balls, blocks, solved):
-            infos[t].append(info)
-            if len(trials[t][1]) > k + 1:
-                maps[t].values[b.chart][blk.box] = vals
-                _sync_cap(maps[t], b)
+    balls = list(dict.fromkeys(b for _, half in trials for b in half))
+    blocks = []
+    for b in balls:
+        box, stencil = _block(dom, b)
+        blocks.append((u.values[b.chart][box].copy(), stencil))
+    solved = dict(zip(balls, relax_blocks(blocks, u.target, s, 1.0, 1.0)))
     best = 0.0
     best_fam = None
-    for (fam, _), fam_infos in zip(trials, infos):
-        drop = sum(i.energy_drop for i in fam_infos)
+    for fam, half in trials:
+        drop = sum(solved[b].energy_drop for b in half)
         if drop > best:
             best, best_fam = drop, fam
-    return best, best_fam, [i for fam_infos in infos for i in fam_infos]
+    return best, best_fam, list(solved.values())

@@ -90,7 +90,9 @@ class BallSchedule:
     families: list           # BallFamily per stage
     envelopes: list          # Envelope per stage
     improvements: list       # measured half-family drop at the seed slice
-    solves: list             # the sampler's trial SolveInfos, in call order
+    solves: list             # the sampler's trial SolveInfos, call by call;
+                             # per call one per distinct trial ball, in
+                             # order of first appearance
 
 
 @dataclass

@@ -686,9 +686,10 @@ def test_relax_balls_equals_solve_dirichlet_on_each_pair(dom, s3, bump_map):
 
 def _reference_improvement(u, eps, budget, s):
     """The sampler as a loop of harmonic replacements, one per family: the
-    best drop, its family and the replacements' solves, and the count of
-    families the energy gate skipped."""
-    best, best_fam, solves, gated = 0.0, None, [], 0
+    best drop, its family and the replacements' solves, the count of
+    families the energy gate skipped, and the half-scaled ball of each
+    solve."""
+    best, best_fam, solves, gated, balls = 0.0, None, [], 0, []
     for _, fam in dr.propose_families(u, dm.measure(u), eps, budget):
         try:
             r = dr.harmonic_replace(u, fam, 0.5, s)
@@ -696,9 +697,10 @@ def _reference_improvement(u, eps, budget, s):
             gated += 1
             continue
         solves += r.solves
+        balls += BallFamily(fam).scaled(0.5)
         if r.energy_drop > best:
             best, best_fam = float(r.energy_drop), fam
-    return (best, best_fam, solves), gated
+    return (best, best_fam, solves), gated, balls
 
 
 @pytest.mark.parametrize("n, gate", [(33, True), (33, False), (65, False)])
@@ -716,31 +718,86 @@ def test_energy_improvement_equals_the_replacement_loop(s3, n, gate, overrelax):
     small = 1.5 * (multi[0] + multi[1]) if gate else 2.0
     s = dr.SolverSettings(small_energy=small, overrelax=overrelax)
     got = dr.energy_improvement(u, dm.measure(u), eps, budget, s)
-    want, gated = _reference_improvement(u, eps, budget, s)
+    want, gated, balls = _reference_improvement(u, eps, budget, s)
     assert (gated > 0) == gate
     assert got[1] is not None and got[0] > 0.0
-    assert _bits(got) == _bits(want)  # the solves too, field by field
-    assert len(got[2]) > len(fams)
+    # a ball solved again for another family gets the bits of its first
+    # solve: the replacements before it in its family do not reach it
+    first = {}
+    for b, info in zip(balls, want[2]):
+        assert _bits(info) == _bits(first.setdefault(b, info))
+    assert len(first) < len(balls)
+    assert _bits(got) == _bits(want[:2] + (list(first.values()),))
+    assert len(want[2]) > len(fams) - gated  # multi-ball families were measured
 
 
-def test_energy_improvement_refreshes_the_other_chart_between_balls(monkeypatch, s2):
+def test_energy_improvement_leaves_out_a_dependent_family(monkeypatch, s2):
     """A family whose second ball straddles the equator on chart 1 next to
     its first ball on chart 0: the second ball reads chart-1 nodes that the
-    first ball's refresh rewrites, so its drop depends on that refresh."""
+    first ball's refresh rewrites, so the pair is not independent, and the
+    sampler measures only the two single-ball families."""
     dom = SphereDomain(n=65)
     u = chart0_bump_map(dom, s2, center=(0.85, 0.0), width=0.12, amp=0.3)
     first, second = Ball(0, (0.85, 0.0), 0.08), Ball(1, (0.98, 0.0), 0.05)
-    fams = [(0.0, BallFamily([second])), (0.0, BallFamily([first, second])),
-            (0.0, BallFamily([first]))]
-    monkeypatch.setattr(dr, "propose_families", lambda *a: fams)
+    singles = [(0.0, BallFamily([second])), (0.0, BallFamily([first]))]
+    pair = BallFamily([first, second])
+    assert not dr._independent(dom, pair.scaled(0.5))
     s = dr.SolverSettings()
     unsynced = u.copy()  # the pair without the refresh in between
     skipped = sum(dr.relax(unsynced.values[b.chart][dr._ball_block(dom, b)[0]],
                            dr._ball_block(dom, b)[1], s2, s).energy_drop
-                  for b in fams[1][1].scaled(0.5))
-    pair = dr.harmonic_replace(u, fams[1][1], 0.5, s).energy_drop
-    assert pair != skipped
+                  for b in pair.scaled(0.5))
+    assert dr.harmonic_replace(u, pair, 0.5, s).energy_drop != skipped
     budget = dr.SamplerBudget()
+    monkeypatch.setattr(dr, "propose_families", lambda *a: singles)
+    want, _, _ = _reference_improvement(u, 0.5, budget, s)
+    monkeypatch.setattr(dr, "propose_families",
+                        lambda *a: [singles[0], (0.0, pair), singles[1]])
     got = dr.energy_improvement(u, dm.measure(u), 0.5, budget, s)
-    want, _ = _reference_improvement(u, 0.5, budget, s)
-    assert _bits(got) == _bits(want) and len(got[2]) == 4
+    assert _bits(got) == _bits(want) and len(got[2]) == 2
+
+
+def test_energy_improvement_sums_independent_balls_solved_alone(monkeypatch, s2):
+    """Two balls far apart on one chart: the family's drop is the sum of
+    each ball relaxed alone on a copy of u's block, and the drop of the
+    replacement, bit for bit."""
+    dom = SphereDomain(n=65)
+    u = _noisy_map(dom, s2, 3)
+    fam = BallFamily([Ball(0, (0.1, -0.05), 0.2), Ball(0, (-0.5, 0.4), 0.2)])
+    half = fam.scaled(0.5)
+    assert dr._independent(dom, half)
+    monkeypatch.setattr(dr, "propose_families", lambda *a: [(0.0, fam)])
+    s = dr.SolverSettings()
+    drop, best, solves = dr.energy_improvement(u, dm.measure(u), 0.5,
+                                               dr.SamplerBudget(), s)
+    alone = []
+    for b in half:
+        box, sub = dr._ball_block(dom, b)
+        alone.append(dr.relax(u.values[b.chart][box].copy(), sub, s2, s))
+    assert best is fam and all(i.energy_drop > 0.0 for i in alone)
+    assert _bits(solves) == _bits(alone)
+    assert _bits(drop) == _bits(sum(i.energy_drop for i in alone))
+    assert _bits(drop) == _bits(dr.harmonic_replace(u, fam, 0.5, s).energy_drop)
+
+
+def test_energy_improvement_solves_each_distinct_ball_in_one_call(monkeypatch, s3):
+    """One `relax_blocks` call, with one block per distinct half-scaled
+    ball of the measured families; no map is copied and no cap refreshed."""
+    dom = SphereDomain(n=33)
+    u = sw.standard_sweepout("perturbed-latitude-s3", s3, dom, n_slices=8,
+                             amp=0.3).slices[2]
+    m, budget = dm.measure(u), dr.SamplerBudget()
+    balls = [b for _, f in dr.propose_families(u, m, 0.5, budget)
+             for b in BallFamily(f).scaled(0.5)]
+    relax_blocks = dr.relax_blocks
+    calls = []
+
+    def counting(blocks, *args):
+        calls.append(len(blocks))
+        return relax_blocks(blocks, *args)
+
+    monkeypatch.setattr(dr, "relax_blocks", counting)
+    monkeypatch.setattr(dr, "_sync_cap", lambda *a: pytest.fail("refreshed a cap"))
+    monkeypatch.setattr(dm.DiscreteMap, "copy", lambda *a: pytest.fail("copied u"))
+    _, _, solves = dr.energy_improvement(u, m, 0.5, budget, dr.SolverSettings())
+    assert calls == [len(set(balls))] and len(solves) == len(set(balls)) < len(balls)

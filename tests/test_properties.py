@@ -1,4 +1,6 @@
 """Property tests of the invariants tightening rests on, on a coarse domain."""
+from dataclasses import astuple
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -99,3 +101,24 @@ def test_converged_solves_meet_their_residual_target(center, width, amp, balls,
         assert info.converged or info.sweeps == s.max_sweeps
         if overrelax == 1.0:
             assert info.energy_drop >= 0.0
+
+
+@PROPERTY
+@given(amp=st.floats(0.05, 0.35), center=st.tuples(coord, coord),
+       index=st.integers(0, 8))
+def test_independent_families_replace_ball_by_ball_as_alone(amp, center, index):
+    """A proposed family that is independent at half scale gets, from its
+    replacement at half scale, each ball's solve on u alone, bit for bit:
+    the sampler's one solve per distinct ball rests on this."""
+    u = sw.standard_sweepout("perturbed-latitude-s3", S3, DOM, n_slices=8, amp=amp,
+                             bump_center=center).slices[index]
+    s = dr.SolverSettings()
+    for _, fam in dr.propose_families(u, dm.measure(u), 0.5, dr.SamplerBudget()):
+        half = BallFamily(fam).scaled(0.5)
+        if not dr._independent(DOM, half):
+            continue
+        alone = []
+        for b in half:
+            box, sub = dr._ball_block(DOM, b)
+            alone.append(astuple(dr.relax(u.values[b.chart][box].copy(), sub, S3, s)))
+        assert [astuple(i) for i in dr.harmonic_replace(u, fam, 0.5, s).solves] == alone
