@@ -13,16 +13,19 @@ gather of the colour's nodes and their neighbours, one update, one
 projection and one scatter across every block still running.  Each block
 keeps its own stopping rule and leaves as soon as it stops, so it gets
 exactly the bits it gets when relaxed alone; `relax` is the one-block call.
-Two callers run it in lock step.  The replacement sampler solves each
-distinct half-scaled ball of a slice's trial families once, on a copy of
-the slice's block, all in one call.  It measures only independent families,
-where no ball writes a node that another reads, so a family's drop, the sum
-of its balls' drops, is the drop of its replacement.  It reads the slice's
-`dmap.Measure`: candidate balls come from its densities, and the trial
-families' energy gate is its `dmap.family_energy`; only
-`check_small_energy` and the gate of `harmonic_replace` call `dmap.energy`.
-`relax_balls` is the second: it solves one ball on each of many maps, as
-the convexity suite does with its independent instances.
+Two callers run it in lock step.  `trial_replacements` measures
+replacement on a slice's trial families without replacing: it solves each
+distinct scaled ball of the families once, on a copy of the slice's block,
+all in one call.  It measures only independent families, where no ball
+writes a node that another reads, so a family's drop, the sum of its balls'
+drops, is the drop of its replacement.  It reads the slice's
+`dmap.Measure`: candidate balls come from its densities, and the families'
+energy gate is its `dmap.family_energy`; only `check_small_energy` and the
+gate of `harmonic_replace` call `dmap.energy`.  The replacement sampler
+`energy_improvement` runs it at half scale and `sweepout`'s almost-harmonic
+check at an eighth.  `relax_balls` is the second: it solves one ball on
+each of many maps, as the convexity suite does with its independent
+instances.
 
 Two kinds of region are solved on: ball families in the charts of a
 sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
@@ -37,7 +40,7 @@ off by `max_sweeps` reads unconverged.  Every solve reports its
 `SolveInfo` by return value: `relax_blocks` and `relax` return them,
 `solve_dirichlet` returns the map with the summed record (converged when
 every ball is), `harmonic_replace` one record per ball and
-`energy_improvement` one per distinct trial ball.  Nothing is logged on the
+`trial_replacements` one per distinct trial ball.  Nothing is logged on the
 side.
 
 Two discrete energies coexist: the public functionals in `dmap` use
@@ -381,8 +384,11 @@ class _Block(NamedTuple):
 
 def _block(dom: SphereDomain, b: Ball) -> _Block:
     """A trial ball's solve block, memoized per domain with read-only
-    arrays.  Replacements and diagnostics take `_ball_block` instead: they
-    meet most balls once, and storing their stencils only costs memory."""
+    arrays.  Applied replacements take `_ball_block` and solve through
+    `relax`, since the benchmark's traced `dirichlet.relax.ball.*` counters
+    read `relax` calls; not because they meet each ball once.  The seed-0
+    `tighten-coarse` run applies 479 ball solves on 141 distinct balls (25
+    met once), the first `tighten-fine` iteration 69 on 12."""
     return dom.memoized(("block", b), lambda: _build_block(dom, b))
 
 
@@ -668,43 +674,62 @@ def _write_set(dom, b):
     return (b.chart, rows + br.start, cols + bc.start), (1 - b.chart, ii, jj)
 
 
+def trial_replacements(u: DiscreteMap, m: dm.Measure, fams, rho: float,
+                       s: SolverSettings):
+    """Replacement on each family of `fams` scaled by rho, measured without
+    replacing: a pair (trials, solved).
+
+    m is u's Measure.  A family whose scaled energy, its `dm.family_energy`
+    from m, is over the energy gate of `harmonic_replace` is left out, as is
+    one that is not `_independent` at that scale; `trials` lists the rest,
+    in the given order, as (family, scaled family) pairs.  The distinct
+    balls of the scaled families are relaxed once each, on copies of u's
+    blocks, in one `relax_blocks` call.  `solved` maps each ball, in order
+    of first appearance, to its SolveInfo and its solved block (the ball's
+    box after the solve).  For a family in `trials` these are, bit for bit,
+    the solves of `harmonic_replace(u, fam, rho, s)` and its map on the
+    balls' boxes.
+    """
+    dom = u.domain
+    gate = s.small_energy / 3.0 + 1e-12 if u.target.sff_bound > 0 else np.inf
+    trials = []
+    for fam in fams:
+        scaled = BallFamily(fam).validate(dom).scaled(rho)
+        if (dm.family_energy(dom, m.energy_density, scaled) > gate
+                or not _independent(dom, scaled)):
+            continue
+        trials.append((fam, scaled))
+    balls = list(dict.fromkeys(b for _, scaled in trials for b in scaled))
+    blocks = []
+    for b in balls:
+        box, stencil = _block(dom, b)
+        blocks.append((u.values[b.chart][box].copy(), stencil))
+    infos = relax_blocks(blocks, u.target, s, 1.0, 1.0)
+    solved = {b: (info, v) for b, info, (v, _) in zip(balls, infos, blocks)}
+    return trials, solved
+
+
 def energy_improvement(u: DiscreteMap, m: dm.Measure, eps: float,
                        budget: SamplerBudget = None, s: SolverSettings = None):
     """Largest measured energy drop from replacement on half-scaled sampled
     families with contained energy at most eps, the family that gave it
     (None when no family drops the energy), and the trial solves: a triple
-    (drop, family, solves).  m is u's Measure: the families come from its
-    densities, and their energy gate is its `dm.family_energy`.
+    (drop, family, solves).  m is u's Measure, which the families come from.
 
-    A family over the gate is not measured, nor is one that is not
-    `_independent` at half scale.  Each measured drop is the one
-    `harmonic_replace(u, fam, 0.5, s)` measures, bit for bit: the distinct
-    half-scaled balls of all measured families are relaxed once, on copies
-    of u's blocks, in one `relax_blocks` call, and a family's drop is the
-    sum of its balls' drops in ball order.  `solves` holds one SolveInfo
-    per distinct ball, in order of first appearance.
+    The families are measured by `trial_replacements` at scale 1/2, which
+    leaves out a family over the energy gate or not independent there.  A
+    family's drop is the sum of its balls' drops in ball order, the drop
+    `harmonic_replace(u, fam, 0.5, s)` measures, bit for bit.  `solves`
+    holds one SolveInfo per distinct ball, in order of first appearance.
     """
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
-    dom = u.domain
-    gate = s.small_energy / 3.0 + 1e-12 if u.target.sff_bound > 0 else np.inf
-    trials = []
-    for _, fam in propose_families(u, m, eps, budget):
-        half = BallFamily(fam).validate(dom).scaled(0.5)
-        if (dm.family_energy(dom, m.energy_density, half) > gate
-                or not _independent(dom, half)):
-            continue
-        trials.append((fam, half))
-    balls = list(dict.fromkeys(b for _, half in trials for b in half))
-    blocks = []
-    for b in balls:
-        box, stencil = _block(dom, b)
-        blocks.append((u.values[b.chart][box].copy(), stencil))
-    solved = dict(zip(balls, relax_blocks(blocks, u.target, s, 1.0, 1.0)))
+    fams = [fam for _, fam in propose_families(u, m, eps, budget)]
+    trials, solved = trial_replacements(u, m, fams, 0.5, s)
     best = 0.0
     best_fam = None
     for fam, half in trials:
-        drop = sum(solved[b].energy_drop for b in half)
+        drop = sum(solved[b][0].energy_drop for b in half)
         if drop > best:
             best, best_fam = drop, fam
-    return best, best_fam, list(solved.values())
+    return best, best_fam, [info for info, _ in solved.values()]

@@ -182,37 +182,22 @@ class RoundExtinctionReport:
     rate_bound: np.ndarray
     max_rate_residual: float
     extinction_true: float
-    bound_trajectory: WidthTrajectory
-    pairing_residual: float = None
 
 
-def round_extinction_demo(r0: float, c_for_bound: float = 1.0,
-                          check_pairing: bool = False) -> RoundExtinctionReport:
+def round_extinction_demo(r0: float) -> RoundExtinctionReport:
     """Track the equatorial width W(t) = 4 pi r^2(t) along the round flow.
 
     The true rate dW/dt = -16 pi matches the minimal-sphere rate bound with
     min R = 6/r^2 identically; extinction happens exactly at r0^2/4.
     """
-    flow = ModelFlow.round_s3(r0)
-    t_ext = flow.t_max
+    t_ext = ModelFlow.round_s3(r0).t_max
     ts = np.linspace(0.0, t_ext * (1 - 1e-9), 256)
     r2 = r0**2 - 4.0 * ts
     width = 4.0 * np.pi * r2
     min_r = 6.0 / r2
     bound = np.array([minimal_sphere_rate(w, m) for w, m in zip(width, min_r)])
     residual = float(np.max(np.abs(bound - (-16.0 * np.pi))))
-    traj = width_bound_integrate(float(width[0]), c_for_bound,
-                                 dt=t_ext / (64 * len(ts)))
-    pairing_residual = None
-    if check_pairing:
-        from . import dmap as dmod
-        from .domains import SphereDomain
-        from .manifold import round_sphere
-        equator = dmod.equator_map(SphereDomain(), round_sphere(3, r0))
-        measured = area_rate(equator, flow, 0.0)
-        pairing_residual = float(abs(measured - (-16.0 * np.pi)))
     return RoundExtinctionReport(
         r0=float(r0), t=ts, width_true=width, rate_true=-16.0 * np.pi,
         rate_bound=bound, max_rate_residual=residual,
-        extinction_true=float(t_ext), bound_trajectory=traj,
-        pairing_residual=pairing_residual)
+        extinction_true=float(t_ext))

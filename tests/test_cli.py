@@ -239,6 +239,19 @@ def test_ricci_cli(tmp_path):
     assert summary["extinction_closed_form"] == 1.44140625
     header = (out / "ricci.csv").read_text().splitlines()[0]
     assert header == "t,w_true,w_bound,rate_true,rate_bound"
+    assert 0.0 < summary["pairing_residual"] <= cli.AREA_RATE_TOL
+
+
+def test_ricci_cli_fails_an_area_rate_off_by_one_percent(monkeypatch, tmp_path):
+    """The equator's area rate through the pairing is judged on every run:
+    a rate 1% off -16 pi fails the run with exit 2."""
+    from widthlab import ricci as rc
+    area_rate = rc.area_rate
+    monkeypatch.setattr(rc, "area_rate", lambda *a: 1.01 * area_rate(*a))
+    out = tmp_path / "r"
+    assert run(["ricci", "--out", str(out)]) == 2
+    summary = json.loads((out / "ricci-summary.json").read_text())
+    assert summary["pairing_residual"] > cli.AREA_RATE_TOL
 
 
 def test_width_cli_light(tmp_path):
@@ -316,6 +329,23 @@ def test_width_cli_solves_csv_cells_are_numbers(tmp_path):
         assert converged in ("True", "False")
 
 
+def test_width_cli_strict_solver_exits_4_on_a_flagged_solve(tmp_path):
+    """With one sweep per solve a replacement is cut off unconverged and
+    flagged: the run fails its check (exit 2), and with --strict-solver it
+    exits 4 for the solver."""
+    cfgfile = tmp_path / "cut.cfg"
+    cfgfile.write_text("dmap.n = 33\nsweepout.n_slices = 4\nsweepout.max_iters = 1\n"
+                       "dirichlet.max_sweeps = 1\n")
+    codes = {}
+    for extra in ([], ["--strict-solver"]):
+        out = tmp_path / ("strict" if extra else "plain")
+        codes[bool(extra)] = run(["width", "--config", str(cfgfile),
+                                  "--out", str(out)] + extra)
+        summary = json.loads((out / "width-summary.json").read_text())
+        assert summary["flagged_solves"] == 1
+    assert codes == {False: 2, True: 4}
+
+
 def test_width_cli_curve_fixture_is_config_error(tmp_path):
     """The curve fixture is no sweepout of 2-spheres; `width` rejects it
     before any output is written."""
@@ -376,6 +406,29 @@ def test_width_cli_latitude_fails_a_rising_width_series(monkeypatch, tmp_path):
     assert summary["final_over_4pi"] == 1.0
     assert summary["monotone"] is False
     assert code == 2
+
+
+def test_bubble_cli_passes_and_writes_the_same_bytes_twice(tmp_path):
+    """At the defaults `bubble` passes its checks, and the same (config,
+    seed) gives the same bytes."""
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(["bubble", "--out", str(out)]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == ["bubble-summary.json", "bubble-varifold-j8.csv", "bubble.csv",
+                     "manifest.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_calibrate_cli_passes_at_the_defaults(tmp_path):
+    """Every candidate threshold passes at the defaults, so the largest
+    passing one is the first scanned, 4.0."""
+    out = tmp_path / "c"
+    assert run(["calibrate", "--out", str(out)]) == 0
+    rep = json.loads((out / "calibrate.json").read_text())
+    assert rep["largest_passing"] == 4.0
+    assert rep["configured"] == DEFAULTS["dirichlet.small_energy"][0]
 
 
 def test_varifold_csv_export(tmp_path):

@@ -7,7 +7,7 @@ from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import sweepout as sw
 from widthlab.domains import SphereDomain
-from widthlab.errors import KindUnknown
+from widthlab.errors import EnergyTooLarge, KindUnknown
 
 FOUR_PI = 4 * np.pi
 
@@ -402,6 +402,70 @@ def test_almost_harmonic_check_cases(dom, s2, identity_map):
     rep0 = sw.almost_harmonic_check(const)
     assert rep0.max_gap == 0.0
     assert rep0.energy_minus_area == 0.0
+
+
+def _reference_check(u):
+    """The almost-harmonic check as a loop of harmonic replacements, one
+    per family, each on its own copy of u."""
+    dom, m = u.domain, dm.measure(u)
+    worst, witness, pairs = 0.0, None, []
+    for _, fam in dr.propose_families(u, m, sw.ALMOST_HARMONIC_EPS0,
+                                      dr.SamplerBudget()):
+        try:
+            res = dr.harmonic_replace(u, fam, rho=0.125)
+        except EnergyTooLarge:
+            continue
+        gap = 0.0
+        for b in fam.scaled(0.125):
+            box, sub = dm.ball_box(dom, b)
+            diff = u.values[b.chart][box] - res.map.values[b.chart][box]
+            gap += dr.masked_grad_square(diff, sub)
+        pairs.append((float(res.energy_drop), float(gap)))
+        if gap > worst:
+            worst, witness = float(gap), fam
+    return sw.AlmostHarmonicReport(worst, witness, float(m.energy - m.area),
+                                   len(pairs), pairs)
+
+
+@pytest.mark.parametrize("n, n_slices", [(33, 8), (65, 16)])
+def test_almost_harmonic_check_equals_the_replacement_loop(s3, n, n_slices):
+    """On every interior slice of the perturbed fixture the report is, bit
+    for bit (repr keeps every bit of a float), the one a harmonic
+    replacement per family gives."""
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=n),
+                               n_slices=n_slices, amp=0.3)
+    multi = 0
+    for u in swp.slices[1:-1]:
+        got = sw.almost_harmonic_check(u)
+        assert repr(got) == repr(_reference_check(u))
+        assert got.families_checked > 0 and got.max_gap > 0.0
+        multi += len(got.witness) > 1
+    assert multi > 0  # some witness is a family of several balls
+
+
+def test_almost_harmonic_check_solves_each_distinct_ball_in_one_call(monkeypatch, s3):
+    """One `relax_blocks` call, with one block per distinct eighth-scaled
+    ball of the measured families; no replacement runs, no map is copied
+    and no cap refreshed."""
+    u = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                             n_slices=8, amp=0.3).slices[2]
+    balls = {b for _, f in dr.propose_families(u, dm.measure(u),
+                                               sw.ALMOST_HARMONIC_EPS0,
+                                               dr.SamplerBudget())
+             for b in f.scaled(0.125)}
+    relax_blocks = dr.relax_blocks
+    calls = []
+
+    def counting(blocks, *args):
+        calls.append(len(blocks))
+        return relax_blocks(blocks, *args)
+
+    monkeypatch.setattr(dr, "relax_blocks", counting)
+    monkeypatch.setattr(dr, "harmonic_replace", lambda *a, **k: pytest.fail("replaced"))
+    monkeypatch.setattr(dr, "_sync_cap", lambda *a: pytest.fail("refreshed a cap"))
+    monkeypatch.setattr(dm.DiscreteMap, "copy", lambda *a: pytest.fail("copied u"))
+    rep = sw.almost_harmonic_check(u)
+    assert calls == [len(balls)] and rep.families_checked > 0
 
 
 # ---------------------------------------------------------------------------
