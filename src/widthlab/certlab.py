@@ -40,6 +40,7 @@ ODE_TOL = 1e-6
 WIRTINGER_TOL = 1e-10
 HOPF_TOL = 1e-4
 THETA_DECAY_DELTA = 0.1
+THETA_DECAY_EPS2 = 0.25  # the theta-decay suite's small-energy gate
 CONVEXITY_TOL = 1e-6
 
 # the tangential residuals at which the suites' Dirichlet solves read
@@ -78,6 +79,11 @@ BALL_OVERRELAX = 1.8
 CONVEXITY_GROUP = 4
 
 ODE_SAMPLES = 4097                # Simpson nodes on [-2 ell, 2 ell]
+# the ODE suite's baseline bound, taken by `ode_comparison_check` at
+# a = ell = 1, must equal the closed form 2 sqrt 2 sinh(1 / sqrt 2).  Both
+# evaluate one expression, so they differ by rounding only (they are bit
+# equal); a larger relative gap is a wrong bound in the check
+ODE_BOUND_REL_TOL = 1e-12
 THETA_DECAY_ELLS = (1.5, 3.0)     # half-lengths of the theta-decay cylinders
 
 
@@ -270,14 +276,16 @@ def ode_comparison_suite(seed: int, instances: int = 1000) -> CertificateReport:
     t = np.linspace(-2.0, 2.0, ODE_SAMPLES)
     base = ode_comparison_check(a0 + np.cosh(t), a0, ell0)
     exact = 4.0 + 2.0 * np.sinh(2.0)
+    bound_exact = 2 * np.sqrt(2) * np.sinh(1 / np.sqrt(2))
     details = {
         "baseline_integral": base["integral"],
         "baseline_exact": exact,
         "baseline_bound": base["bound"],
-        "baseline_bound_exact": 2 * np.sqrt(2) * np.sinh(1 / np.sqrt(2)),
+        "baseline_bound_exact": bound_exact,
         "baseline_error": abs(base["integral"] - exact) / exact,
     }
-    passed = worst >= -ODE_TOL and details["baseline_error"] <= 1e-6
+    passed = (worst >= -ODE_TOL and details["baseline_error"] <= 1e-6
+              and abs(base["bound"] - bound_exact) <= ODE_BOUND_REL_TOL * bound_exact)
     return CertificateReport("ode-comparison", done, float(worst), bool(passed),
                              seed, ODE_TOL, details, skipped=skipped)
 
@@ -425,7 +433,7 @@ def hopf_suite(seed: int) -> CertificateReport:
                              seed, HOPF_TOL, details)
 
 
-def theta_decay_suite(seed: int, eps2: float = 0.25) -> CertificateReport:
+def theta_decay_suite(seed: int) -> CertificateReport:
     """Small-amplitude single-mode boundary data on lengthening cylinders:
     the interior angular-energy fraction must fall under THETA_DECAY_DELTA
     and shrink as the cylinder doubles, from converged solves.  The details
@@ -443,7 +451,7 @@ def theta_decay_suite(seed: int, eps2: float = 0.25) -> CertificateReport:
             [np.cos(th), np.zeros_like(th), np.zeros_like(th)], axis=-1)
         u, info = solve_cylinder_map(dom, s2, trace, trace)
         unconverged += not info.converged
-        out = theta_energy_decay_check(u, ell, THETA_DECAY_DELTA, eps2)
+        out = theta_energy_decay_check(u, ell, THETA_DECAY_DELTA, THETA_DECAY_EPS2)
         if not out["applicable"]:
             return CertificateReport("theta-decay", 0, 0.0, False, seed,
                                      THETA_DECAY_DELTA,

@@ -71,8 +71,6 @@ def cmd_verify(args, cfg):
         kw = {}
         if name == "convexity":
             kw["eps1"] = cfg["dirichlet.small_energy"]
-        if name == "theta-decay":
-            kw["eps2"] = cfg["certlab.eps2"]
         rep = certlab.SUITES[name](seed=seed, **kw)
         path = os.path.join(out, f"verify-{name}.json")
         with open(path, "w") as fh:
@@ -85,6 +83,7 @@ def cmd_verify(args, cfg):
 
 
 def cmd_width(args, cfg):
+    from . import dirichlet as dr
     from . import dmap as dmod
     from . import sweepout as sw
     from . import varifold as vf
@@ -107,9 +106,8 @@ def cmd_width(args, cfg):
     ref = vf.varifold_of_map(dmod.equator_map(dom, s3))
     tightened, report = sw.tighten(
         swp, max_iters=int(cfg["sweepout.max_iters"]),
-        plateau_tol=cfg["sweepout.plateau_tol"],
         eps1=cfg["dirichlet.small_energy"],
-        budget=cfg.sampler_budget(),
+        budget=dr.SamplerBudget(),
         settings=cfg.solver_settings(),
         reference_varifold=ref)
     io.table_csv(os.path.join(out, "solves.csv"),
@@ -152,6 +150,11 @@ def cmd_width(args, cfg):
     return EXIT_OK if ok else EXIT_CHECK
 
 
+# the energy that `widthlab bubble` asks every test radius to keep around a
+# concentration point: an estimate of the Sacks-Uhlenbeck threshold
+EPS_SU = 4.0
+
+
 def cmd_bubble(args, cfg):
     from . import dmap as dmod
     from . import varifold as vf
@@ -169,8 +172,7 @@ def cmd_bubble(args, cfg):
         u = vf.bubble_example(j, dom)
         e = dmod.energy(u)
         a = dmod.area(u)
-        d = vf.varifold_distance(vf.varifold_of_map(u), union, fam,
-                                 int(cfg["varifold.n_terms"]))
+        d = vf.varifold_distance(vf.varifold_of_map(u), union, fam)
         rows.append((j, e, a, d))
         ok &= abs(e - 8 * np.pi) <= 0.01 * 8 * np.pi
         ok &= abs(a - 8 * np.pi) <= 0.01 * 8 * np.pi
@@ -181,7 +183,7 @@ def cmd_bubble(args, cfg):
     io.varifold_csv(os.path.join(out, "bubble-varifold-j8.csv"),
                     vf.varifold_of_map(vf.bubble_example(8, dom)))
     pts = vf.detect_concentration([vf.bubble_example(j, dom) for j in (1, 2, 4, 8)],
-                                  cfg["certlab.eps_su"], (0.1, 0.2, 0.4))
+                                  EPS_SU, (0.1, 0.2, 0.4))
     _finish(out, "bubble-summary.json", {
         "rows": [[int(j), e, a, d] for j, e, a, d in rows],
         "expected_energy": 8 * np.pi,
@@ -203,12 +205,8 @@ def cmd_ricci(args, cfg):
     out = _out_dir(cfg)
     _write_manifest(out, cfg, {"command": "ricci"})
     r0, dt, c = (float(cfg[k]) for k in ("ricci.r0", "ricci.dt", "ricci.c"))
-    try:
-        rep = rc.round_extinction_demo(r0)
-        traj = rc.width_bound_integrate(4 * np.pi * r0**2, c, dt)
-    except WidthlabError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    rep = rc.round_extinction_demo(r0)
+    traj = rc.width_bound_integrate(4 * np.pi * r0**2, c, dt)
     w_bound = np.maximum(traj.w_closed, 0.0)
     rows = [(t, w, float(np.interp(t, traj.t, w_bound)), rep.rate_true, b)
             for t, w, b in zip(rep.t, rep.width_true, rep.rate_bound)]

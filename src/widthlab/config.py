@@ -1,7 +1,7 @@
 """Experiment configuration: one flat key-value file with sectioned keys.
 
 Grammar (docs/config.md): one `section.key = value` per line, `#` comments,
-values parsed as JSON scalars/lists with bare strings allowed.  Unknown
+values parsed as JSON scalars with bare strings allowed.  Unknown
 keys, values of another JSON kind than their default's, and values outside
 their key's admissible range are rejected before any computation starts.
 """
@@ -14,27 +14,18 @@ from dataclasses import dataclass, field
 from .errors import ConfigError
 
 # key: (default, admissible range).  A range is an interval such as
-# "[1, inf)", bounding a number and each entry of a list, or "any".
+# "[1, inf)", bounding a number, or "any".  Only what a run varies is a
+# key; the sampler, the chart geometry, the plateau rule and the suites'
+# thresholds are constants at their readers.
 DEFAULTS = {
     "manifold.radius": (1.0, "(0, inf)"),  # of the round 3-sphere target
     "dmap.n": (129, "[3, inf)"),
-    "dmap.half_width": (1.25, "(1, inf)"),
-    "dmap.band": (0.12, "(0, 1)"),
     "dirichlet.residual_target": (5e-5, "(0, inf)"),
     "dirichlet.max_sweeps": (10_000, "[0, inf)"),
     "dirichlet.small_energy": (2.0, "(0, inf)"),  # the replacement small-energy bound
-    "sampler.center_stride": (12, "[1, inf)"),
-    "sampler.radii": ([0.22, 0.16, 0.11, 0.08, 0.055], "(0, inf)"),
-    "sampler.max_families": (8, "[0, inf)"),
-    "sampler.max_balls": (4, "[1, inf)"),
-    "sampler.excess_seeds": (3, "[0, inf)"),
     "sweepout.n_slices": (64, "[0, inf)"),
     "sweepout.max_iters": (30, "[0, inf)"),
-    "sweepout.plateau_tol": (1e-4, "[0, inf)"),
     "sweepout.amp": (0.3, "(-inf, inf)"),
-    "varifold.n_terms": (64, "[1, inf)"),
-    "certlab.eps2": (0.25, "(0, inf)"),
-    "certlab.eps_su": (4.0, "(0, inf)"),
     "ricci.r0": (1.0, "(0, inf)"),
     "ricci.dt": (1e-4, "(0, inf)"),
     "ricci.c": (1.0, "(0, inf)"),
@@ -74,19 +65,9 @@ class ExperimentConfig:
                               max_sweeps=int(self["dirichlet.max_sweeps"]),
                               small_energy=self["dirichlet.small_energy"])
 
-    def sampler_budget(self):
-        from .dirichlet import SamplerBudget
-        return SamplerBudget(center_stride=int(self["sampler.center_stride"]),
-                             radii=tuple(self["sampler.radii"]),
-                             max_families=int(self["sampler.max_families"]),
-                             max_balls_per_family=int(self["sampler.max_balls"]),
-                             excess_seeds=int(self["sampler.excess_seeds"]))
-
     def sphere_domain(self):
         from .domains import SphereDomain
-        return SphereDomain(n=int(self["dmap.n"]),
-                            half_width=self["dmap.half_width"],
-                            band=self["dmap.band"])
+        return SphereDomain(n=int(self["dmap.n"]))
 
 
 def _same_kind(default, value):
@@ -115,10 +96,8 @@ def _in_range(value, admissible):
     if admissible == "any":
         return True
     lo, hi = map(float, admissible[1:-1].split(", "))
-    return all(isinstance(x, (int, float)) and not isinstance(x, bool)
-               and (lo < x if admissible[0] == "(" else lo <= x)
-               and (x < hi if admissible[-1] == ")" else x <= hi)
-               for x in (value if isinstance(value, list) else [value]))
+    return ((lo < value if admissible[0] == "(" else lo <= value)
+            and (value < hi if admissible[-1] == ")" else value <= hi))
 
 
 def _parse_value(raw: str):

@@ -25,6 +25,9 @@ from .domains import SphereDomain, bump_weight
 from .errors import EnergyTooLarge, KindUnknown
 
 ALMOST_HARMONIC_EPS0 = 0.25  # family-energy bound of `almost_harmonic_check`
+# `tighten` stops on a plateau: three iterations in a row that move the
+# width by less than this fraction of itself
+PLATEAU_TOL = 1e-4
 
 
 @dataclass
@@ -439,8 +442,7 @@ def tighten_once(s: Sweepout, sched: BallSchedule,
     return out, total_drop, flagged, solves
 
 
-def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
-            eps1: float = 2.0, *, budget: dr.SamplerBudget,
+def tighten(s: Sweepout, max_iters: int, eps1: float = 2.0, *, budget: dr.SamplerBudget,
             settings: dr.SolverSettings,
             jobs: int = 1,  # only 1; kept while perfbench/workloads.py passes it
             reference_varifold=None) -> tuple:
@@ -477,7 +479,7 @@ def tighten(s: Sweepout, max_iters: int, plateau_tol: float = 1e-4,
             argmax_t=west.argmax_t, total_drop=float(drop),
             max_improvement=float(max(sched.improvements)),
             stages=len(sched.families), mollified=0, flagged=flagged))
-        if w_prev is not None and abs(w_prev - west.w_energy) < plateau_tol * west.w_energy:
+        if w_prev is not None and abs(w_prev - west.w_energy) < PLATEAU_TOL * west.w_energy:
             stall += 1
             if stall >= 3:
                 report.stopped = "plateau"

@@ -157,15 +157,14 @@ def _normalization_sample(manifold):
 
 
 def varifold_distance(v0: VarifoldMeasure, v1: VarifoldMeasure,
-                      fam: TestFunctionFamily, n_terms: int = None) -> float:
+                      fam: TestFunctionFamily) -> float:
     """Sum over the family of 2^-(n+1)-weighted pairing gaps."""
     if v0.ambient_dim != v1.ambient_dim:
         raise DimensionMismatch("measures live in different ambient spaces")
     i0 = fam.integrals(v0)
     i1 = fam.integrals(v1)
-    k = len(i0) if n_terms is None else min(n_terms, len(i0))
-    w = 0.5 ** (np.arange(k) + 1)
-    return float(np.sum(w * np.abs(i0[:k] - i1[:k])))
+    w = 0.5 ** (np.arange(len(i0)) + 1)
+    return float(np.sum(w * np.abs(i0 - i1)))
 
 
 # ---------------------------------------------------------------------------

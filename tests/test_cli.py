@@ -46,30 +46,45 @@ def test_verify_outputs_deterministic(tmp_path):
 def test_config_file_roundtrip(tmp_path):
     cfgfile = tmp_path / "exp.cfg"
     cfgfile.write_text("# experiment\nrun.seed = 11\nsweepout.amp = 0.2\n"
-                       "sampler.radii = [0.2, 0.1]\n")
+                       "dmap.n = 65\n")
     cfg = load_config(str(cfgfile))
     assert cfg["run.seed"] == 11
     assert cfg["sweepout.amp"] == 0.2
-    assert cfg["sampler.radii"] == [0.2, 0.1]
+    assert cfg["dmap.n"] == 65
     assert cfg.digest() != load_config().digest()
 
 
+# former keys whose values are now constants at their readers, each set to
+# that constant
+FORMER_KEYS = ("dmap.half_width = 1.25", "dmap.band = 0.12",
+               "sampler.center_stride = 12",
+               "sampler.radii = [0.22, 0.16, 0.11, 0.08, 0.055]",
+               "sampler.max_families = 8", "sampler.max_balls = 4",
+               "sampler.excess_seeds = 3", "sweepout.plateau_tol = 1e-4",
+               "varifold.n_terms = 64", "certlab.eps2 = 0.25", "certlab.eps_su = 4.0")
+
+
 def test_config_rejects_unknown_keys(tmp_path):
+    """An unknown key, a former key among them, is a configuration error,
+    exit 3, and no output directory is made."""
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("no.such.key = 1\n")
-    with pytest.raises(ConfigError):
-        load_config(str(cfgfile))
-    code = run(["verify", "wirtinger", "--config", str(cfgfile),
-                "--out", str(tmp_path / "o")])
-    assert code == 3
+    out = tmp_path / "o"
+    for line in ("no.such.key = 1",) + FORMER_KEYS:
+        cfgfile.write_text(line + "\n")
+        with pytest.raises(ConfigError, match="unknown config key"):
+            load_config(str(cfgfile))
+        code = run(["verify", "wirtinger", "--config", str(cfgfile),
+                    "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
 
 
 def test_config_rejects_values_of_another_kind(tmp_path):
     """A value must have its default's JSON kind; an int stands for a
-    float."""
+    float, and no key takes a list."""
     for key, value in (("dmap.n", "abc"), ("dmap.n", 64.5), ("dmap.n", True),
-                       ("sweepout.amp", "0.3"), ("sampler.radii", 0.2),
-                       ("run.out_dir", 3)):
+                       ("sweepout.amp", "0.3"), ("run.out_dir", 3),
+                       *((k, [default]) for k, (default, _) in DEFAULTS.items())):
         with pytest.raises(ConfigError, match=key):
             load_config(overrides={key: value})
     cfg = load_config(overrides={"sweepout.amp": 1})
@@ -163,7 +178,7 @@ def test_config_rejects_drawn_values_out_of_range(monkeypatch, tmp_path, case):
 
 def test_config_ranges_admit_the_defaults_and_are_documented():
     """Every default lies in its range, the docs table states each range,
-    and a range's bounds and list entries are checked as written."""
+    and a range's bounds are checked as written."""
     import re
     from pathlib import Path
     load_config(overrides={k: default for k, (default, _) in DEFAULTS.items()})
@@ -171,8 +186,7 @@ def test_config_ranges_admit_the_defaults_and_are_documented():
     row = r"^\| `([a-z_]+\.[a-z_0-9]+)` \| [^|]* \| `([^`]*)` \|"
     ranges = re.findall(row, docs, re.M)
     assert dict(ranges) == {k: admissible for k, (_, admissible) in DEFAULTS.items()}
-    for key, value in (("dmap.band", 1.0), ("dmap.band", 0),
-                       ("sampler.radii", [0.2, -0.1])):
+    for key, value in (("manifold.radius", 0), ("dmap.n", 2)):
         with pytest.raises(ConfigError, match=key):
             load_config(overrides={key: value})
     cfg = load_config(overrides={"sweepout.n_slices": 0, "sweepout.max_iters": 0,

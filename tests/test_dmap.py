@@ -400,12 +400,15 @@ def test_scaled_ball_convention():
     assert half.radius == 0.2
 
 
-def test_map_serialization_roundtrip(identity_map, bump_map):
-    for u in (identity_map, bump_map):
+def test_map_serialization_roundtrip(identity_map, bump_map, s2):
+    # a record is the only way in for a chart geometry other than the default
+    odd_charts = dm.identity_sphere_map(SphereDomain(n=17, half_width=1.3, band=0.1), s2)
+    for u in (identity_map, bump_map, odd_charts):
         buf = io.BytesIO()
         wio.write_map(buf, u)
         buf.seek(0)
         v = wio.read_map(buf)
+        assert v.domain.descriptor() == u.domain.descriptor()
         assert v.target.descriptor() == u.target.descriptor()
         for a, b in zip(u.values, v.values):
             assert np.array_equal(a, b)
