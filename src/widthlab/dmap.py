@@ -11,8 +11,8 @@ of unity that splits the sphere between the two charts.
 `measure` differentiates a map once per chart into a `Measure` record,
 which the tightening loop reads; its densities sum the components of the
 differential with `manifold.row_dot`.  A ball family's energy has one
-formula, `family_energy`, the whole-chart energy density summed over its
-nodes.
+formula, `family_energy`, the energy density summed over its nodes; `energy`
+of a family differentiates only each ball's box, widened by two nodes.
 
 Owner charts are authoritative on the chart overlap: `sync_owner`
 refreshes every node its chart does not own from the chart that does,
@@ -185,11 +185,9 @@ def energy_density(ux, uy):
 
 def energy(u: DiscreteMap, region=None) -> float:
     """Dirichlet energy; the `family_energy` of a BallFamily region when
-    given, from the whole-chart density of the charts it meets."""
+    given, from each ball's `_box_density` alone."""
     if region is not None:
-        dens = {c: energy_density(*chart_differential(u, c))
-                for c in {b.chart for b in region}}
-        return family_energy(u.domain, dens, region)
+        return _family_sum(u.domain, region, lambda b, box: _box_density(u, b.chart, box))
     return _integral(u.domain, [energy_density(*chart_differential(u, c))
                                 for c in range(u.n_charts)])
 
@@ -197,11 +195,26 @@ def energy(u: DiscreteMap, region=None) -> float:
 def family_energy(dom, density, fam) -> float:
     """Energy inside the balls of a family, gathered from a map's energy
     density (indexed by chart) on each ball's nodes."""
+    return _family_sum(dom, fam, lambda b, box: density[b.chart][box])
+
+
+def _family_sum(dom, fam, box_density) -> float:
+    """The sum over a family's nodes of box_density(ball, its ball_box)."""
     total = 0.0
     for b in fam:
         box, mask = ball_box(dom, b)
-        total += float(np.sum(density[b.chart][box][mask])) * dom.h**2
+        if mask.any():
+            total += float(np.sum(box_density(b, box)[mask])) * dom.h**2
     return total
+
+
+def _box_density(u: DiscreteMap, c: int, box):
+    """Chart c's energy density on a ball box, from the box widened by two
+    nodes and clipped to the grid: each box node gets its whole-chart stencil."""
+    n = len(u.domain.axis)
+    wide = tuple(slice(max(s.start - 2, 0), min(s.stop + 2, n)) for s in box)
+    dens = energy_density(*(d_axis(u.values[c][wide], u.domain.h, a) for a in (0, 1)))
+    return dens[tuple(slice(s.start - w.start, s.stop - w.start) for s, w in zip(box, wide))]
 
 
 def jacobian_density(ux, uy):

@@ -7,7 +7,7 @@ import pytest
 from widthlab import certlab as cl
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
-from widthlab.domains import CylinderDomain
+from widthlab.domains import CylinderDomain, SphereDomain
 from widthlab.errors import EnergyTooLarge, NoZero, PreconditionFail
 from widthlab.manifold import round_sphere
 
@@ -309,6 +309,49 @@ def test_convexity_report_does_not_depend_on_the_group_width(monkeypatch):
         assert runs == [runs[0]] * len(widths)
         rep = json.loads(runs[0])
         assert rep["pass"] and (rep["instances"], rep["skipped"]) == (7 - skipped, skipped)
+
+
+def test_convexity_report_does_not_read_the_owner_sync(monkeypatch):
+    """The suite builds its maps without the owner sync; maps built with it
+    give the same reports bit for bit."""
+    def reports():
+        return [(r.passed, r.worst_margin.hex(), r.instances, r.skipped, r.details)
+                for r in (cl.convexity_suite(seed=seed, instances=12) for seed in range(3))]
+
+    shipped = reports()
+    sphere_map, syncs = dm.sphere_map, []
+
+    def synced(dom, target, fn, sync=True):
+        syncs.append(sync)
+        return sphere_map(dom, target, fn)
+
+    monkeypatch.setattr(dm, "sphere_map", synced)
+    assert reports() == shipped
+    assert syncs and not any(syncs)
+
+
+def test_convexity_instances_read_only_nodes_chart_0_owns(monkeypatch):
+    """Every ball the suite draws, with every node within two grid steps of
+    one of its nodes (the energy density's stencil), lies at chart-0 radius
+    below 1, where chart 0 owns the nodes and the owner sync writes none."""
+    balls = []
+
+    def record(u, fam, s):
+        balls.extend(fam)
+        raise EnergyTooLarge("recorded, not solved")
+
+    monkeypatch.setattr(dm, "sphere_map", lambda *args, **kwargs: None)
+    monkeypatch.setattr(dr, "check_small_energy", record)
+    for seed in range(20):
+        assert cl.convexity_suite(seed=seed).instances == 0
+    dom = SphereDomain()
+    assert len(balls) > 1000
+    for b in balls:
+        near = dm.ball_mask(dom, b)
+        for _ in range(2):
+            near = near | dr._boundary_ring(near)
+        assert np.max(np.hypot(dom.X[near], dom.Y[near])) < 1.0
+        assert not dom.node_owner[0][near].any()
 
 
 # the suites of the verify run (every suite but hopf), with small instance

@@ -173,9 +173,10 @@ def _region_energy(u, fam):
 
 
 _S2 = round_sphere(2, 1.0)
-_MAPS = {n: chart0_bump_map(SphereDomain(n=n), _S2, width=0.3) for n in (33, 65)}
+_MAPS = {n: chart0_bump_map(SphereDomain(n=n), _S2, width=0.3) for n in (9, 33, 65)}
 # centres reach past the chart square (half-width 1.25), so boxes are
-# clipped at the chart edge or lie wholly outside it
+# clipped at the chart edge or lie wholly outside it; on n=9 a widened box
+# can span the whole grid
 _ball = st.builds(dm.Ball, st.integers(0, 1),
                   st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
                   st.floats(0.0, 0.5))
@@ -185,7 +186,9 @@ _ball = st.builds(dm.Ball, st.integers(0, 1),
 @given(n=st.sampled_from(sorted(_MAPS)), fam=st.lists(_ball, min_size=1, max_size=3))
 @example(n=33, fam=[dm.Ball(0, (1.5, 1.5), 0.1)])        # clipped box, no node
 @example(n=33, fam=[dm.Ball(1, (0.01, 0.01), 0.001)])    # inner box, no node
+@example(n=33, fam=[dm.Ball(0, (1.46, 0.0), 0.05)])       # empty box, two-row window
 @example(n=65, fam=[dm.Ball(0, (1.2, -1.2), 0.3), dm.Ball(1, (-1.25, 0.0), 0.2)])
+@example(n=9, fam=[dm.Ball(0, (0.0, 0.0), 0.5)])         # widened box clipped on both sides
 def test_family_energy_equals_the_widened_box_energy(n, fam):
     u = _MAPS[n]
     want = _region_energy(u, fam).hex()

@@ -1,13 +1,15 @@
 """Faults put into the mathematics of a certificate suite, each of which the
 suite must catch.
 
-Each fault wraps the check a suite calls, through monkeypatch, so that the
-check evaluates a wrong inequality; the suite must then fail at seed 0,
+Each fault is put in through monkeypatch: either it wraps the check a suite
+calls, so that the check evaluates a wrong inequality, or it breaks the
+solve whose answer the check is about.  The suite must then fail at seed 0,
 where it passes intact.
 """
 import pytest
 
 from widthlab import certlab as cl
+from widthlab import dirichlet as dr
 
 
 def halve_wirtinger_constant(out):
@@ -34,3 +36,18 @@ def test_suite_fails_on_a_faulty_check(monkeypatch, name):
     check = getattr(cl, check_name)
     monkeypatch.setattr(cl, check_name, lambda *a, **kw: fault(check(*a, **kw)))
     assert not cl.SUITES[name](seed=0).passed
+
+
+def unrelaxed(pairs, s):
+    """`relax_balls` that leaves every map as drawn and reports each solve
+    converged.  The gap D(u) - D(v) - D(u - v)/2 holds for the minimizer v
+    only; the drawn map is not one (worst margin -0.018 at seed 0 with 12
+    instances, +8.8e-5 intact)."""
+    return [dr.SolveInfo(sweeps=0, converged=True, residual=0.0, energy_drop=0.0)
+            for _ in pairs]
+
+
+def test_convexity_suite_fails_on_unrelaxed_solves(monkeypatch):
+    assert cl.convexity_suite(seed=0, instances=12).passed
+    monkeypatch.setattr(dr, "relax_balls", unrelaxed)
+    assert not cl.convexity_suite(seed=0, instances=12).passed
