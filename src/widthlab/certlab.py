@@ -367,9 +367,7 @@ def wirtinger_check(f) -> dict:
     mags = np.linalg.norm(f, axis=-1)
     if np.min(mags) > 1e-9 * (1.0 + np.max(mags)):
         raise NoZero("trace does not vanish at any sample")
-    k = np.fft.rfftfreq(m, d=1.0 / m)
-    F = np.fft.rfft(f, axis=0)
-    fp = np.fft.irfft(1j * k[:, None] * F, n=m, axis=0)
+    fp = dm.fft_theta_derivative(f)
     dth = 2 * np.pi / m
     int_f2 = float(np.sum(f**2) * dth)
     int_fp2 = float(np.sum(fp**2) * dth)

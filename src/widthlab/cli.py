@@ -180,10 +180,9 @@ def cmd_bubble(args, cfg):
     ok &= rows[-1][3] <= 0.05
     io.table_csv(os.path.join(out, "bubble.csv"),
                  ["j", "energy", "area", "varifold_distance"], rows)
-    io.varifold_csv(os.path.join(out, "bubble-varifold-j8.csv"),
-                    vf.varifold_of_map(vf.bubble_example(8, dom)))
-    pts = vf.detect_concentration([vf.bubble_example(j, dom) for j in (1, 2, 4, 8)],
-                                  EPS_SU, (0.1, 0.2, 0.4))
+    j8 = vf.bubble_example(8, dom)
+    io.varifold_csv(os.path.join(out, "bubble-varifold-j8.csv"), vf.varifold_of_map(j8))
+    pts = vf.detect_concentration(j8, EPS_SU, (0.1, 0.2, 0.4))
     _finish(out, "bubble-summary.json", {
         "rows": [[int(j), e, a, d] for j, e, a, d in rows],
         "expected_energy": 8 * np.pi,
@@ -235,36 +234,45 @@ def cmd_ricci(args, cfg):
     return EXIT_OK if ok else EXIT_CHECK
 
 
-def cmd_calibrate(args, cfg):
+def uniqueness_check(dom, seed: int, eps1: float):
+    """(largest distance, balls admitted) between the solves of ten drawn
+    chart-0 balls from a copy of their data and from its projected harmonic
+    extension.  The data are a bump half a radius off the ball's centre and
+    1.5 radii wide, so the boundary ring is not constant: neither start solves."""
     from . import dirichlet as dr
     from . import dmap as dmod
     from .manifold import round_sphere
+    s2 = round_sphere(2, 1.0)
+    rng = np.random.default_rng(seed + 1)
+    scale = min(1.0, np.sqrt(eps1 / 2.0))
+    st = dr.SolverSettings(residual_target=1e-10, max_sweeps=60_000, small_energy=eps1)
+    worst, ran = 0.0, 0
+    for _ in range(10):
+        cx, cy = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-0.2, 0.2))
+        r = float(rng.uniform(0.15, 0.3))
+        bump = dmod.Ball(0, (cx + 0.5 * r, cy), 1.5 * r)
+        u = dmod.ball_bump_map(dom, s2, bump, float(rng.uniform(0.1, 0.4)) * scale,
+                               rng.normal(size=3))
+        b = dmod.Ball(0, (cx, cy), r)
+        try:
+            v1, _ = dr.solve_dirichlet(u, [b], st, init="copy")
+            v2, _ = dr.solve_dirichlet(u, [b], st, init="linear")
+        except WidthlabError:
+            continue  # instance outside the candidate's regime
+        ran += 1
+        worst = max(worst, dmod.c0_w12_distance(v1, v2))
+    return worst, ran
+
+
+def cmd_calibrate(args, cfg):
     out = _out_dir(cfg)
     _write_manifest(out, cfg, {"command": "calibrate"})
     seed = int(cfg["run.seed"])
     dom = cfg.sphere_domain()
-    s2 = round_sphere(2, 1.0)
     results = []
     for cand in (4.0, 2.0, 1.0, 0.5, 0.25):
         conv = certlab.convexity_suite(seed=seed, instances=25, eps1=cand)
-        rng = np.random.default_rng(seed + 1)
-        scale = min(1.0, np.sqrt(cand / 2.0))
-        worst_unique = 0.0
-        ran = 0
-        for _ in range(10):
-            cx, cy = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-0.2, 0.2))
-            b = dmod.Ball(0, (cx, cy), float(rng.uniform(0.15, 0.3)))
-            u = dmod.ball_bump_map(dom, s2, b, float(rng.uniform(0.1, 0.4)) * scale,
-                                   rng.normal(size=3))
-            st = dr.SolverSettings(residual_target=1e-10, max_sweeps=60_000,
-                                   small_energy=cand)
-            try:
-                v1, _ = dr.solve_dirichlet(u, [b], st, init="copy")
-                v2, _ = dr.solve_dirichlet(u, [b], st, init="linear")
-            except WidthlabError:
-                continue  # instance outside the candidate's regime
-            ran += 1
-            worst_unique = max(worst_unique, dmod.c0_w12_distance(v1, v2))
+        worst_unique, ran = uniqueness_check(dom, seed, cand)
         passed = bool(conv.passed and ran > 0 and worst_unique <= 1e-6)
         results.append({"eps1": cand, "convexity_worst": conv.worst_margin,
                         "uniqueness_worst": float(worst_unique),

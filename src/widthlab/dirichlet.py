@@ -103,18 +103,6 @@ class ReplacementResult:
 # ---------------------------------------------------------------------------
 # core relaxation on one value block
 
-def edge_energy(values, wx=1.0, wy=1.0, periodic_y=False):
-    """First-difference energy 0.5 * sum of weighted squared edge jumps."""
-    v = np.asarray(values, float)
-    dx = v[1:, :] - v[:-1, :]
-    dy = v[:, 1:] - v[:, :-1]
-    e = wx * np.sum(dx * dx) + wy * np.sum(dy * dy)
-    if periodic_y:
-        seam = v[:, 0] - v[:, -1]
-        e += wy * np.sum(seam * seam)
-    return 0.5 * e
-
-
 def masked_grad_square(block, interior):
     """Gradient-square sum over the grid edges incident to the interior set."""
     b = np.asarray(block, float)
@@ -163,8 +151,8 @@ def _colour_stencils(interior, periodic_y):
 def _block_edges(shape, periodic_y):
     """The head and tail nodes, as read-only flat indices, of the edges of
     a block of shape (rows, cols): x edges, then y edges, then (periodic y)
-    the seam of column 0 against the last, each kind in the order
-    `edge_energy` sums it; and the count of each kind."""
+    the seam of column 0 against the last, each kind in row-major order;
+    and the count of each kind."""
     rows, cols = shape
     first = np.arange(rows) * cols
     x = np.arange(cols, rows * cols)
@@ -249,9 +237,11 @@ class _Layout:
         return out
 
     def energies(self, f, edges, wx, wy):
-        """`edge_energy` of each block whose edges are given, bit for bit:
-        each segment of squared jumps is summed by `.sum()`, as np.sum sums
-        the block's own array (np.add.reduceat sums in another order)."""
+        """The first-difference energy 0.5 * (wx * sum |x jumps|^2 + wy *
+        sum |y jumps|^2, seam included) of each block whose edges are given,
+        bit for bit np.sum of the block's own jump arrays: each segment of
+        squared jumps is summed by `.sum()`, as np.sum sums an array
+        (np.add.reduceat sums in another order)."""
         ends, bounds = edges
         d = f.take(ends, axis=0)
         d = d[0] - d[1]

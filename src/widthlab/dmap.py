@@ -1,12 +1,11 @@
 """Discrete maps from the two-chart sphere and from flat cylinders into an
-embedded manifold, with the energy, area and conformality functionals,
-smoothing, collar interpolation between nearby boundary traces, and exact
-Moebius self-maps.
+embedded manifold, with the energy and area functionals, smoothing, collar
+interpolation between nearby boundary traces, and exact Moebius self-maps.
 
-Sphere-domain functionals exploit that in two dimensions energy, area and
-the conformality defect are conformally covariant: in stereographic chart
-coordinates they are plain flat integrals, weighted only by the partition
-of unity that splits the sphere between the two charts.
+Sphere-domain functionals exploit that in two dimensions energy and area
+are conformally covariant: in stereographic chart coordinates they are
+plain flat integrals, weighted only by the partition of unity that splits
+the sphere between the two charts.
 
 `measure` differentiates a map once per chart into a `Measure` record,
 which the tightening loop reads; its densities sum the components of the
@@ -89,18 +88,17 @@ def sync_owner(u: DiscreteMap):
 
 
 def identity_sphere_map(dom: SphereDomain, target=None) -> DiscreteMap:
+    """The unit 2-sphere carried onto the target by its `semi_axes`."""
     from .manifold import round_sphere
     target = target or round_sphere(2, 1.0)
-    scale = getattr(target, "radius", 1.0)
-    u = DiscreteMap(dom, target, [scale * dom.points[c].copy() for c in (0, 1)])
+    u = DiscreteMap(dom, target, [dom.points[c] * target.semi_axes for c in (0, 1)])
     return sync_owner(u)
 
 
 def equator_map(dom: SphereDomain, target) -> DiscreteMap:
-    """The 2-sphere as the equator x -> R (x, 0) of a round 3-sphere target."""
-    scale = getattr(target, "radius", 1.0)
-    vals = [scale * np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=-1)
-            for p in dom.points]
+    """The 2-sphere as the equator x -> a (x, 0) of a target with semi-axes a."""
+    vals = [np.concatenate([p, np.zeros(p.shape[:2] + (1,))], axis=-1)
+            * target.semi_axes for p in dom.points]
     return DiscreteMap(dom, target, vals)
 
 
@@ -113,12 +111,6 @@ def ball_bump_map(dom: SphereDomain, target, b: Ball, amp: float,
         return np.array([0.0, 0.0, -1.0]) + amp * w[..., None] * vec
 
     return sphere_map(dom, target, fn)
-
-
-def constant_sphere_map(dom: SphereDomain, target, point) -> DiscreteMap:
-    p = np.asarray(point, float)
-    vals = [np.broadcast_to(p, dom.points[c].shape[:2] + p.shape).copy() for c in (0, 1)]
-    return DiscreteMap(dom, target, vals)
 
 
 def overlap_disagreement(u: DiscreteMap) -> float:
@@ -172,7 +164,9 @@ def chart_differential(u: DiscreteMap, c: int):
     return d_axis(v, dom.h, 0), d_axis(v, dom.h, 1)
 
 
-def _weights(dom):
+def chart_weights(dom):
+    """The flat quadrature weights of each chart, partition-weighted on a
+    sphere domain; one array per chart."""
     if isinstance(dom, SphereDomain):
         return dom.flat_weights
     return [dom.flat_weights]
@@ -233,7 +227,7 @@ def area(u: DiscreteMap) -> float:
 
 def _integral(dom, densities) -> float:
     """Sum over the charts of a per-chart density, partition-weighted."""
-    return float(sum(np.sum(w * d) for w, d in zip(_weights(dom), densities)))
+    return float(sum(np.sum(w * d) for w, d in zip(chart_weights(dom), densities)))
 
 
 @dataclass(frozen=True)
@@ -258,17 +252,6 @@ def measure(u: DiscreteMap) -> Measure:
                    _integral(u.domain, jd))
 
 
-def conformality_defect(u: DiscreteMap) -> float:
-    """L1 size of the off-conformal part of the differential; 0 iff energy = area."""
-    total = 0.0
-    for c, w in enumerate(_weights(u.domain)):
-        ux, uy = chart_differential(u, c)
-        cross = np.sum(ux * uy, -1)
-        aniso = 0.5 * (np.sum(ux * ux, -1) - np.sum(uy * uy, -1))
-        total += float(np.sum(w * np.sqrt(cross**2 + aniso**2)))
-    return total
-
-
 def c0_w12_distance(u: DiscreteMap, v: DiscreteMap) -> float:
     """Sup-norm plus W^{1,2}-norm distance (the continuity norm for sweepouts)."""
     if u.domain is not v.domain and u.domain.descriptor() != v.domain.descriptor():
@@ -278,7 +261,7 @@ def c0_w12_distance(u: DiscreteMap, v: DiscreteMap) -> float:
     l2 = 0.0
     grad = 0.0
     aw = dom.area_weights if isinstance(dom, SphereDomain) else [dom.flat_weights]
-    for c, w in enumerate(_weights(dom)):
+    for c, w in enumerate(chart_weights(dom)):
         d = u.values[c] - v.values[c]
         sup = max(sup, float(np.max(np.linalg.norm(d, axis=-1))))
         l2 += float(np.sum(aw[c] * np.sum(d * d, -1)))
@@ -411,9 +394,8 @@ class Mobius:
 
 
 def mobius_as_map(dom: SphereDomain, mob: Mobius, target) -> DiscreteMap:
-    """Exact node evaluation of a Moebius self-map, as a map into a 2-sphere target."""
-    scale = getattr(target, "radius", 1.0)
-    vals = [scale * mob.apply(dom.points[c]) for c in (0, 1)]
+    """Exact node evaluation of a Moebius self-map, carried onto the target."""
+    vals = [mob.apply(dom.points[c]) * target.semi_axes for c in (0, 1)]
     return DiscreteMap(dom, target, vals)
 
 
@@ -475,7 +457,9 @@ class CollarResult:
     ratio: float
 
 
-def _fft_theta_derivative(f):
+def fft_theta_derivative(f):
+    """d/dtheta of a trace sampled at theta_k = 2 pi k / m along axis 0,
+    exact for trigonometric polynomials of degree below m / 2."""
     m = f.shape[0]
     k = np.fft.rfftfreq(m, d=1.0 / m)
     F = np.fft.rfft(f, axis=0)
@@ -496,8 +480,8 @@ def collar_interpolate(f, g, R: float, target: EmbeddedManifold) -> CollarResult
     dtheta = 2 * np.pi / m
     if float(np.min(np.linalg.norm(f - g, axis=-1))) > 1e-9 * (1 + np.abs(f).max()):
         raise NoCommonPoint("traces nowhere agree")
-    fp = _fft_theta_derivative(f)
-    gp = _fft_theta_derivative(g)
+    fp = fft_theta_derivative(f)
+    gp = fft_theta_derivative(g)
     i_diff = float(np.sum((fp - gp) ** 2)) * dtheta
     i_sum = float(np.sum(fp**2) + np.sum(gp**2)) * dtheta
     tau = target.safe_tubular_radius / np.sqrt(2 * np.pi)

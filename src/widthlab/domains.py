@@ -260,15 +260,6 @@ class SphereDomain:
     def interp_safe_radius(self):
         return self.half_width - 2 * self.h
 
-    def total_weight(self):
-        return sum(w.sum() for w in self.area_weights)
-
-    def overlap_band_width_deg(self):
-        """Angular width of the band where both charts have valid samples."""
-        L = self.interp_safe_radius()
-        zmax = (L**2 - 1.0) / (L**2 + 1.0)
-        return float(np.degrees(2 * np.arcsin(zmax)))
-
     def descriptor(self):
         return {"kind": "sphere2", "n": self.n, "half_width": self.half_width,
                 "band": self.band}

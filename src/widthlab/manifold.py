@@ -3,7 +3,9 @@
 Each kind carries a nearest-point projection, tubular-neighborhood radii,
 a second-fundamental-form bound, and its normal-space projectors.  All
 kinds are analytic (round sphere, ellipsoid, affine subspace); projections
-are closed form up to a scalar root solve for the ellipsoid.
+are closed form but the ellipsoid's, a fixed count of Newton steps on its
+Lagrange multiplier.  A target's shape is its `semi_axes`, the diagonal map
+that carries the unit sphere onto it; a kind with none raises KindUnknown.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OutsideTube
+from .errors import KindUnknown, OutsideTube
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,11 @@ class EmbeddedManifold:
     def normal_space_projector(self, x):
         """(..., N, N) orthogonal projector onto the normal space at x ∈ M."""
         raise NotImplementedError
+
+    @property
+    def semi_axes(self) -> tuple:
+        """The diagonal map that carries the unit sphere onto the target."""
+        raise KindUnknown(f"a {self.kind} target is no image of the unit sphere")
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -80,6 +87,10 @@ class RoundSphere(EmbeddedManifold):
         n = x / np.sqrt(row_dot(x, x))[..., None]
         return n[..., :, None] * n[..., None, :]
 
+    @property
+    def semi_axes(self):
+        return (self.radius,) * self.ambient_dim
+
     def descriptor(self):
         return {"kind": "sphere", "dim": self.dim, "radius": self.radius}
 
@@ -100,6 +111,11 @@ def round_sphere(dim: int, radius: float = 1.0) -> RoundSphere:
 # ---------------------------------------------------------------------------
 
 
+# Newton steps of `Ellipsoid.project`: 5 settle the tube of nine ellipsoids of
+# aspect up to 10, 6 their points at twice the largest semi-axis (test_manifold.py).
+NEWTON_STEPS = 6
+
+
 @dataclass(frozen=True)
 class Ellipsoid(EmbeddedManifold):
     semi_axes: tuple = (1.0, 1.0, 1.0)
@@ -108,35 +124,39 @@ class Ellipsoid(EmbeddedManifold):
     def __post_init__(self):
         object.__setattr__(self, "_axes2", np.asarray(self.semi_axes, float) ** 2)
 
-    def _lagrange_project(self, x):
-        """Nearest point p_i = x_i a_i² / (a_i² + λ) with λ the root of the
-        constraint equation; vectorized bisection (monotone, deterministic)."""
+    def _nearest(self, x):
+        """(p, λ, |x - p|): the nearest point p_i = x_i a_i² / (a_i² + λ), with
+        λ < 0 inside, the root of ψ(λ) = (Σ p_i²/a_i²)^(-1/2) - 1 in (-min a², ∞).
+        ψ is increasing, concave and linear on a sphere, so Newton from 0 is
+        below the root after one step, then climbs to it; no step goes over
+        half the way down to -min a².  OutsideTube if p misses the target by
+        over 1e-13."""
         a2 = self._axes2
-        q = np.sum(x * x / a2, axis=-1)  # >1 outside, <1 inside
-        amin2 = a2.min()
-        lo = np.where(q >= 1.0, 0.0, -amin2 * (1 - 1e-12))
-        amax = np.sqrt(a2.max())
-        hi = amax * np.linalg.norm(x, axis=-1) + a2.max()
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            f = np.sum(x * x * a2 / (a2 + mid[..., None]) ** 2, axis=-1)
-            take_hi = f > 1.0
-            lo = np.where(take_hi, mid, lo)
-            hi = np.where(take_hi, hi, mid)
-        lam = 0.5 * (lo + hi)
-        return x * a2 / (a2 + lam[..., None])
+        pole = -a2.min()
+        c = x * x * a2
+        lam = np.zeros(x.shape[:-1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(NEWTON_STEPS):
+                w = 1.0 / (a2 + lam[..., None])
+                r = c * w * w
+                f = np.add.reduce(r, -1)
+                r *= w
+                step = lam + f * (np.sqrt(f) - 1.0) / np.add.reduce(r, -1)
+                lam = np.maximum(step, 0.5 * (lam + pole))
+            g = x / (a2 + lam[..., None])  # p / a²
+        p = g * a2
+        if not np.all(np.abs(row_dot(p, g) - 1.0) <= 1e-13):
+            raise OutsideTube("no nearest point within the Newton steps")
+        return p, lam, np.abs(lam) * np.sqrt(row_dot(g, g))
 
     def project(self, x):
-        x = np.asarray(x, float)
-        inside = np.sum(x * x / self._axes2, axis=-1) < 1.0
-        d = self.distance(x)
-        if np.any(inside & (d >= self.tubular_radius)):
+        p, lam, d = self._nearest(np.asarray(x, float))
+        if np.any((lam < 0) & (d >= self.tubular_radius)):
             raise OutsideTube("point(s) inside the inward reach margin")
-        return self._lagrange_project(x)
+        return p
 
     def distance(self, x):
-        x = np.asarray(x, float)
-        return np.linalg.norm(x - self._lagrange_project(x), axis=-1)
+        return self._nearest(np.asarray(x, float))[2]
 
     def normal_space_projector(self, x):
         x = np.asarray(x, float)

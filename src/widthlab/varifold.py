@@ -34,9 +34,6 @@ class VarifoldMeasure:
     weights: np.ndarray   # (m,)
     ambient_dim: int
 
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     @staticmethod
     def union(*measures) -> "VarifoldMeasure":
         n = measures[0].ambient_dim
@@ -53,8 +50,7 @@ def varifold_of_map(u: DiscreteMap) -> VarifoldMeasure:
     dom = u.domain
     pts, planes, wts = [], [], []
     n_amb = u.values[0].shape[-1]
-    weights = dom.flat_weights if isinstance(dom, SphereDomain) else [dom.flat_weights]
-    for c, w in enumerate(weights):
+    for c, w in enumerate(dm.chart_weights(dom)):
         ux, uy = dm.chart_differential(u, c)
         jac = dm.jacobian_density(ux, uy)
         mass = jac * w
@@ -141,9 +137,7 @@ def _normalization_sample(manifold):
     n = manifold.ambient_dim
     raw = rng.normal(size=(2048, n))
     raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
-    scale = 2.0 * getattr(manifold, "radius", 1.0)
-    if hasattr(manifold, "semi_axes"):
-        scale = 2.0 * max(manifold.semi_axes)
+    scale = 2.0 * max(manifold.semi_axes)
     pts = manifold.project(raw * scale)  # outside the convex kinds: always unique
     pn = manifold.normal_space_projector(pts)
     pt = np.eye(n) - pn
@@ -225,10 +219,9 @@ def inversion_map(dom: SphereDomain) -> DiscreteMap:
 # ---------------------------------------------------------------------------
 # concentration detection
 
-def detect_concentration(seq, eps_su: float, radii):
-    """Points where every test radius keeps at least eps_su of energy in the
-    last map of the sequence; clustered to one representative per site."""
-    u = seq[-1]
+def detect_concentration(u: DiscreteMap, eps_su: float, radii):
+    """Points where every test radius keeps at least eps_su of the map's
+    energy; clustered to one representative per site."""
     dom = u.domain
     radii = sorted(radii)
     hits = []

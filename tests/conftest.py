@@ -48,6 +48,37 @@ def identity_map(dom, s2):
     return dm.identity_sphere_map(dom, s2)
 
 
+def constant_sphere_map(dom, target, point):
+    """The map with the value `point` at every node of both charts."""
+    p = np.asarray(point, float)
+    vals = [np.broadcast_to(p, dom.points[c].shape[:2] + p.shape).copy() for c in (0, 1)]
+    return dm.DiscreteMap(dom, target, vals)
+
+
+def edge_energy(values, wx=1.0, wy=1.0, periodic_y=False):
+    """First-difference energy 0.5 * sum of weighted squared edge jumps: the
+    reference the solver's block energies must equal bit for bit."""
+    v = np.asarray(values, float)
+    dx = v[1:, :] - v[:-1, :]
+    dy = v[:, 1:] - v[:, :-1]
+    e = wx * np.sum(dx * dx) + wy * np.sum(dy * dy)
+    if periodic_y:
+        seam = v[:, 0] - v[:, -1]
+        e += wy * np.sum(seam * seam)
+    return 0.5 * e
+
+
+def conformality_defect(u):
+    """L1 size of the off-conformal part of the differential; 0 iff energy = area."""
+    total = 0.0
+    for c, w in enumerate(dm.chart_weights(u.domain)):
+        ux, uy = dm.chart_differential(u, c)
+        cross = np.sum(ux * uy, -1)
+        aniso = 0.5 * (np.sum(ux * ux, -1) - np.sum(uy * uy, -1))
+        total += float(np.sum(w * np.sqrt(cross**2 + aniso**2)))
+    return total
+
+
 def chart0_bump_map(dom, s2, center=(0.1, -0.05), width=0.06, amp=0.25,
                     direction=(0.3, -0.2, 0.9), sync=True):
     """Identity plus a compactly supported chart-0 bump, projected back."""

@@ -3,7 +3,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import chart0_bump_map, reference_catmullrom
+from conftest import (chart0_bump_map, constant_sphere_map, edge_energy,
+                      reference_catmullrom)
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import sweepout as sw
@@ -35,7 +36,7 @@ def test_poisson_oracle_on_unit_disk(dom):
 
 
 def test_constant_boundary_gives_constant(dom, s2):
-    u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
+    u = constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
     sol, _ = dr.solve_dirichlet(u, [BALL])
     assert np.max(np.abs(sol.values[0] - u.values[0])) <= 1e-14
 
@@ -76,7 +77,7 @@ def test_energy_too_large_gate(dom, s2, identity_map):
 # harmonic_replace
 
 def test_replace_constant_noop(dom, s2):
-    u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
+    u = constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
     r = dr.harmonic_replace(u, [BALL])
     assert r.energy_drop == 0.0
     assert r.converged
@@ -195,7 +196,7 @@ def test_convexity_boundary_mismatch(dom, s2, bump_map):
 # energy improvement sampler
 
 def test_improvement_constant_zero(dom, s2):
-    u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
+    u = constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
     assert dr.energy_improvement(u, dm.measure(u), 0.5)[0] == 0.0
 
 
@@ -285,7 +286,7 @@ def _reference_relax(v, interior, target, settings, wx=1.0, wy=1.0, periodic_y=F
     denom = 2.0 * (wx + wy)
     om = settings.overrelax
     small = settings.residual_target * om / (denom * np.sqrt(v.shape[-1]))
-    e0 = dr.edge_energy(v, wx, wy, periodic_y)
+    e0 = edge_energy(v, wx, wy, periodic_y)
     sweeps = 0
     converged = len(ii) == 0
     res = 0.0
@@ -307,7 +308,7 @@ def _reference_relax(v, interior, target, settings, wx=1.0, wy=1.0, periodic_y=F
     if not converged:
         res = _reference_residual(v, interior, target, wx, wy)
     return dr.SolveInfo(sweeps, converged, res,
-                        float(e0 - dr.edge_energy(v, wx, wy, periodic_y)))
+                        float(e0 - edge_energy(v, wx, wy, periodic_y)))
 
 
 def _bits(x):
@@ -679,7 +680,7 @@ def test_relax_balls_equals_solve_dirichlet_on_each_pair(dom, s3, bump_map):
         assert _bits(info) == _bits(want_info)
     assert infos[2].sweeps == 0 and len({i.sweeps for i in infos}) >= 3
     assert dr.relax_balls([], s) == []
-    other = dm.constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, -1.0))
+    other = constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, -1.0))
     with pytest.raises(ValueError):
         dr.relax_balls([(bump_map.copy(), BALL), (other, BALL)], s)
 

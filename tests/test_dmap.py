@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chart0_bump_map, reference_catmullrom
+from conftest import (chart0_bump_map, conformality_defect, constant_sphere_map,
+                      reference_catmullrom)
 from widthlab import dmap as dm
 from widthlab import io as wio
 from widthlab import varifold as vf
@@ -26,14 +27,14 @@ def test_identity_energy_and_area(identity_map):
     a = dm.area(identity_map)
     assert abs(e - FOUR_PI) <= 0.005 * FOUR_PI
     assert abs(a - FOUR_PI) <= 0.005 * FOUR_PI
-    assert dm.conformality_defect(identity_map) <= 1e-3 * e
+    assert conformality_defect(identity_map) <= 1e-3 * e
 
 
 def test_constant_map_functionals(dom, s2):
-    u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
+    u = constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
     assert dm.energy(u) == 0.0
     assert dm.area(u) == 0.0
-    assert dm.conformality_defect(u) == 0.0
+    assert conformality_defect(u) == 0.0
 
 
 def test_equator_collapse_area_shrinks(dom, s2):
@@ -78,7 +79,7 @@ def test_anisotropic_defect_closed_form(dom):
     plane = affine_subspace(2, 2)
     vals = np.stack([2.0 * dom.X, dom.Y], axis=-1)
     u = dm.DiscreteMap(dom, plane, [vals, vals.copy()])
-    defect = dm.conformality_defect(u)
+    defect = conformality_defect(u)
     area_quad = float(sum(w.sum() for w in dom.flat_weights))
     assert abs(defect - 1.5 * area_quad) <= 1e-9
     assert abs((dm.energy(u) - dm.area(u)) - 0.5 * area_quad) <= 1e-9
@@ -98,14 +99,14 @@ def test_area_le_energy_random_suite(dom, s2):
         a = dm.area(u)
         assert a <= e + 1e-6 * e
         # equality detection: the gap is controlled by the defect
-        defect = dm.conformality_defect(u)
+        defect = conformality_defect(u)
         assert e - a <= 2.0 * defect * np.sqrt(e) + 1e-12
 
 
 def test_defect_zero_implies_equality(identity_map):
     e = dm.energy(identity_map)
     a = dm.area(identity_map)
-    d = dm.conformality_defect(identity_map)
+    d = conformality_defect(identity_map)
     assert e - a <= d + 1e-9
 
 
@@ -224,7 +225,7 @@ def test_matrix_determinant_perturbation_bound():
 # mollify
 
 def test_mollify_constant_exact(dom, s2):
-    u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
+    u = constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
     for r in (0.3, 0.1):
         m = dm.mollify(u, r)
         for c in (0, 1):
@@ -320,7 +321,7 @@ def test_dilation_conformal_invariance_of_energy(dom, s2, identity_map):
         mob = dm.Mobius(np.array([[lam, 0.0], [0.0, 1.0]], dtype=complex))
         m = dm.mobius_as_map(dom, mob, s2)
         assert abs(dm.energy(m) - e0) <= 0.01 * e0
-        assert dm.conformality_defect(m) <= (1e-3 if lam <= 8 else 1e-2) * e0
+        assert conformality_defect(m) <= (1e-3 if lam <= 8 else 1e-2) * e0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Faults put into the mathematics of a certificate suite, each of which the
-suite must catch.
+"""Faults put into the mathematics of a certificate suite, or of the
+uniqueness check of `widthlab calibrate`, each of which the check must catch.
 
 Each fault is put in through monkeypatch: either it wraps the check a suite
 calls, so that the check evaluates a wrong inequality, or it breaks the
@@ -9,6 +9,7 @@ where it passes intact.
 import pytest
 
 from widthlab import certlab as cl
+from widthlab import cli
 from widthlab import dirichlet as dr
 
 
@@ -51,3 +52,31 @@ def test_convexity_suite_fails_on_unrelaxed_solves(monkeypatch):
     assert cl.convexity_suite(seed=0, instances=12).passed
     monkeypatch.setattr(dr, "relax_balls", unrelaxed)
     assert not cl.convexity_suite(seed=0, instances=12).passed
+
+
+def unrelaxed_linear_start(solve):
+    """`solve_dirichlet` whose "linear" solve returns its start, the
+    projected harmonic extension of the boundary data, unrelaxed.  On a ring
+    of constant boundary values that start is the solution already."""
+    def fault(u, fam, s, init="copy"):
+        if init != "linear":
+            return solve(u, fam, s, init)
+        v = u.copy()
+        for b in fam:
+            box, interior = dr._ball_block(v.domain, b)
+            dr._linear_init(v.values[b.chart][box], interior, s, v.target)
+        return v, dr.SolveInfo(sweeps=0, converged=True, residual=0.0, energy_drop=0.0)
+
+    return fault
+
+
+def test_calibrate_uniqueness_fails_on_unrelaxed_linear_starts(monkeypatch, dom):
+    """At eps1 = 0.25 the two solves lie 7.8e-9 apart intact and 1.8e-4
+    apart under the fault.  A bump on the solved ball itself, with the
+    ball's own radius, gives a constant ring, and there the fault read
+    3.9e-9 and passed."""
+    worst, ran = cli.uniqueness_check(dom, 0, 0.25)
+    assert ran > 0 and worst <= 1e-6
+    monkeypatch.setattr(dr, "solve_dirichlet", unrelaxed_linear_start(dr.solve_dirichlet))
+    worst, ran = cli.uniqueness_check(dom, 0, 0.25)
+    assert ran > 0 and worst > 1e-6

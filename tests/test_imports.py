@@ -6,9 +6,10 @@ changes module state, so results travel by return value; neither
 `sweepout` nor `dirichlet` differentiates a map, so slices are measured
 only through `dmap.measure`; and neither `dmap` nor `dirichlet` prepares a
 Catmull-Rom stencil, so chart refreshes read the stencils the domain
-prepared once; and every function, class and method of the package is
-named by some package module, or is listed with the reason it stays
-without a caller.  The project ships no linter, so the checks read the
+prepared once; and no package module guesses the shape of a target by
+asking for a `radius` or `semi_axes` attribute by name; and every
+function, class and method of the package is named by some package
+module, or is listed with the reason it stays without a caller.  The project ships no linter, so the checks read the
 syntax trees with `ast`."""
 import ast
 from pathlib import Path
@@ -304,11 +305,44 @@ def test_refreshes_interpolate_only_through_prepared_stencils():
         assert _calls_of(STENCIL_BUILDERS, (package / name).read_text()) == [], name
 
 
+# attribute names a reader could ask a target for by name, and so fall
+# back to a round answer where the target has no such attribute
+SHAPE_ATTRIBUTES = ("radius", "semi_axes")
+
+
+def _shape_guesses(source):
+    """`function 'name' (line n)` of each getattr or hasattr call that asks
+    an object for one of SHAPE_ATTRIBUTES by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in ("getattr", "hasattr")
+                and len(node.args) >= 2 and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value in SHAPE_ATTRIBUTES):
+            found.append(f"{node.func.id} {node.args[1].value!r} (line {node.lineno})")
+    return found
+
+
+def test_no_module_guesses_the_shape_of_a_target():
+    """A target's shape is its `semi_axes`, which every kind gives or
+    refuses with KindUnknown, so no package module asks an object whether
+    it has a radius or semi-axes: such a reader treats every target it does
+    not know as a round sphere, silently."""
+    module = ("r = getattr(target, 'radius', 1.0)\n"
+              "if hasattr(m, 'semi_axes'):\n    r = 2.0\n"
+              "a = target.semi_axes\n"
+              "k = getattr(node, 'attr', None)\n")
+    assert _shape_guesses(module) == \
+        ["getattr 'radius' (line 1)", "hasattr 'semi_axes' (line 2)"]
+    package = Path(widthlab.__file__).parent
+    found = {p.name: _shape_guesses(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
 BENCHMARK_PROBE = "the benchmark wraps it (perfbench/layers.py probes)"
 SWEEPOUT_CHECK = "measures whether a tightened family is still a sweepout; " \
                  "the ROADMAP plans its caller in the tightening report"
 RICCI_GATE = "bounds width decay under non-round Ricci flows; the ROADMAP plans its gate"
-TEST_REFERENCE = "reference implementation that tests compare other code with"
 # Package functions, classes and methods that no package module names, and
 # why each one stays.
 WITHOUT_PACKAGE_CALLER = {
@@ -325,12 +359,6 @@ WITHOUT_PACKAGE_CALLER = {
     "ricci.ModelFlow.tabulated": RICCI_GATE,
     "ricci.ModelFlow.min_scalar_at": RICCI_GATE,
     "io.load_sweepout": "reads the sweepout container that `widthlab width` writes",
-    "dmap.constant_sphere_map": "builds a test fixture",
-    "dirichlet.edge_energy": TEST_REFERENCE,
-    "dmap.conformality_defect": TEST_REFERENCE,
-    "domains.SphereDomain.total_weight": TEST_REFERENCE,
-    "domains.SphereDomain.overlap_band_width_deg": TEST_REFERENCE,
-    "varifold.VarifoldMeasure.total_weight": TEST_REFERENCE,
     "cli.main": "entry point: the `widthlab` console script and `python -m widthlab.cli`",
 }
 

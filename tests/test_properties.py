@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chart0_bump_map
+from conftest import chart0_bump_map, edge_energy
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import sweepout as sw
@@ -36,8 +36,8 @@ def test_replacement_never_raises_solver_energy(center, width, amp, ball):
         assume(False)
     assert res.energy_drop >= -1e-12
     c = ball.chart
-    assert (dr.edge_energy(res.map.values[c])
-            <= dr.edge_energy(u.values[c]) + 1e-12)
+    assert (edge_energy(res.map.values[c])
+            <= edge_energy(u.values[c]) + 1e-12)
 
 
 @PROPERTY

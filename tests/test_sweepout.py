@@ -3,11 +3,13 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from conftest import constant_sphere_map
 from widthlab import dirichlet as dr
 from widthlab import dmap as dm
 from widthlab import sweepout as sw
 from widthlab.domains import SphereDomain
 from widthlab.errors import EnergyTooLarge, KindUnknown
+from widthlab.manifold import affine_subspace, ellipsoid
 
 FOUR_PI = 4 * np.pi
 
@@ -52,11 +54,58 @@ def test_latitude_degree(latitude):
 
 
 def test_constant_sweepout_width(dom, s3):
-    const = sw.Sweepout([dm.constant_sphere_map(
+    const = sw.Sweepout([constant_sphere_map(
         dom, s3, (0.0, 0.0, 0.0, 1.0)) for _ in range(9)], s3, degree=0)
     west = sw.width_estimate(const)
     assert west.w_energy == 0.0
     assert west.w_area == 0.0
+
+
+def test_spheroid_fixtures_lie_on_it_with_the_round_degree(s3):
+    """The fixtures carried onto the spheroid (1, 1, 1, 1.3) lie on it, and
+    their chart overlaps disagree no more than the round fixtures' do, times
+    the largest semi-axis: at n = 33 interpolation leaves the round ones
+    2.4e-5 to 6.6e-5 apart, over `validate`'s bound.  The latitude family's
+    degree reads the round family's: det(F, F_X, F_Y, F_t) and the enclosed
+    volume both scale by the product of the semi-axes."""
+    small = SphereDomain(n=33)
+    spheroid = ellipsoid((1.0, 1.0, 1.0, 1.3))
+    built = {kind: [sw.standard_sweepout(kind, t, small, n_slices=16, amp=0.3)
+                    for t in (spheroid, s3)]
+             for kind in ("latitude-s3", "perturbed-latitude-s3")}
+    for oval, ball in built.values():
+        for u, v in zip(oval.slices, ball.slices):
+            assert max(np.max(spheroid.distance(x)) for x in u.values) <= dm.ON_TOL
+            assert dm.overlap_disagreement(u) <= 1.3 * dm.overlap_disagreement(v) + 1e-15
+    oval, ball = (sw.numerical_degree(s) for s in built["latitude-s3"])
+    assert abs(oval - ball) <= 1e-12 * abs(ball)
+
+
+def test_a_target_with_no_semi_axes_gets_no_map(dom):
+    flat = affine_subspace(3, 4)
+    with pytest.raises(KindUnknown):
+        dm.equator_map(dom, flat)
+    with pytest.raises(KindUnknown):
+        dm.identity_sphere_map(dom, affine_subspace(2, 3))
+    with pytest.raises(KindUnknown):
+        sw.standard_sweepout("latitude-s3", flat, dom, n_slices=4)
+
+
+def test_tightening_on_a_spheroid():
+    """The perturbed fixture on the spheroid (1, 1, 1, 1.3) tightens as on
+    the round 3-sphere: no flagged solve, a non-increasing width, and every
+    slice on the spheroid."""
+    spheroid = ellipsoid((1.0, 1.0, 1.0, 1.3))
+    swp = sw.standard_sweepout("perturbed-latitude-s3", spheroid, SphereDomain(n=33),
+                               n_slices=8, amp=0.3)
+    w0 = sw.width_estimate(swp).w_energy
+    out, report = sw.tighten(swp, max_iters=4, eps1=2.0, budget=BUDGET, settings=SETTINGS)
+    assert max(np.max(spheroid.distance(v)) for u in out.slices for v in u.values) \
+        <= dm.ON_TOL
+    series = report.w_energy_series()
+    assert len(series) == 4 and series[-1] < w0
+    assert np.all(np.diff(series) <= 1e-6 * w0)
+    assert sum(r.flagged for r in report.rows) == 0
 
 
 def test_unknown_kind(dom, s3):
@@ -112,7 +161,7 @@ def test_schedule_localized_bump_covers_midpoint(dom, s3):
 
 
 def test_schedule_empty_for_constant(dom, s3):
-    const = sw.Sweepout([dm.constant_sphere_map(
+    const = sw.Sweepout([constant_sphere_map(
         dom, s3, (0.0, 0.0, 0.0, 1.0)) for _ in range(9)], s3, degree=0)
     sched = sw.select_ball_schedule(const, 2.0, BUDGET, SETTINGS)
     assert sched.families == [] and sched.envelopes == []
@@ -231,7 +280,7 @@ def test_tighten_runs_in_one_thread(s3):
 
 
 def test_tighten_constant_sweepout_trivial(dom, s3):
-    const = sw.Sweepout([dm.constant_sphere_map(
+    const = sw.Sweepout([constant_sphere_map(
         dom, s3, (0.0, 0.0, 0.0, 1.0)) for _ in range(9)], s3, degree=0)
     out, report = sw.tighten(const, max_iters=3, eps1=2.0, budget=BUDGET,
                              settings=SETTINGS)
@@ -244,7 +293,7 @@ def test_tighten_reports_the_solves_of_an_empty_schedule(monkeypatch, s3):
     """A run that stops at an empty schedule still reports the trial solves
     that found it empty: every SolveInfo relax_blocks returned, once."""
     dom = SphereDomain(n=33)
-    const = sw.Sweepout([dm.constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, 1.0))
+    const = sw.Sweepout([constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, 1.0))
                          for _ in range(5)], s3, degree=0)
     relax_blocks = dr.relax_blocks
     returned = []
@@ -269,7 +318,7 @@ def test_tighten_final_width_is_the_last_estimate(monkeypatch, s3, stop):
     when no iteration ran; the final width is that last measurement."""
     dom = SphereDomain(n=33)
     if stop == "schedule-empty":
-        swp = sw.Sweepout([dm.constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, 1.0))
+        swp = sw.Sweepout([constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, 1.0))
                            for _ in range(9)], s3, degree=0)
     else:
         kind = "latitude-s3" if stop == "plateau" else "perturbed-latitude-s3"
@@ -399,7 +448,7 @@ def test_almost_harmonic_check_cases(dom, s2, identity_map):
     rep = sw.almost_harmonic_check(identity_map)
     assert rep.max_gap <= 1e-6
     assert abs(rep.energy_minus_area) <= 1e-3
-    const = dm.constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
+    const = constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
     rep0 = sw.almost_harmonic_check(const)
     assert rep0.max_gap == 0.0
     assert rep0.energy_minus_area == 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import conformality_defect, constant_sphere_map
 from widthlab import dmap as dm
 from widthlab import varifold as vf
 from widthlab.errors import DimensionMismatch
@@ -17,15 +18,15 @@ def fam2(s2):
 # measures
 
 def test_constant_map_empty_measure(dom, s2):
-    u = dm.constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
+    u = constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
     v = vf.varifold_of_map(u)
-    assert v.total_weight() == 0.0
+    assert v.weights.sum() == 0.0
 
 
 def test_identity_measure_weight_and_planes(dom, s2, identity_map):
     v = vf.varifold_of_map(identity_map)
-    assert abs(v.total_weight() - FOUR_PI) <= 0.005 * FOUR_PI
-    assert abs(v.total_weight() - dm.area(identity_map)) <= 1e-9
+    assert abs(v.weights.sum() - FOUR_PI) <= 0.005 * FOUR_PI
+    assert abs(v.weights.sum() - dm.area(identity_map)) <= 1e-9
     # planes are tangent: projector annihilates the position vector
     residual = np.einsum("kij,kj->ki", v.planes, v.points)
     assert np.max(np.linalg.norm(residual, axis=-1)) <= 1e-4
@@ -39,7 +40,7 @@ def test_identity_measure_weight_and_planes(dom, s2, identity_map):
 def test_equator_measure_normals(dom, s3):
     eq = dm.equator_map(dom, s3)
     v = vf.varifold_of_map(eq)
-    assert abs(v.total_weight() - FOUR_PI) <= 0.005 * FOUR_PI
+    assert abs(v.weights.sum() - FOUR_PI) <= 0.005 * FOUR_PI
     # within the 3-sphere tangent space, the normal to every plane is e4
     pn = s3.normal_space_projector(v.points)
     pt = np.eye(4) - pn
@@ -143,7 +144,7 @@ def test_bubble_energy_area_8pi(dom):
         a = dm.area(u)
         assert abs(e - 8 * np.pi) <= 0.01 * 8 * np.pi
         assert abs(a - 8 * np.pi) <= 0.01 * 8 * np.pi
-        assert dm.conformality_defect(u) <= 1e-3 * e
+        assert conformality_defect(u) <= 1e-3 * e
 
 
 def test_bubble_converges_to_identity_away_from_pole(dom, s2, identity_map):
@@ -164,7 +165,7 @@ def test_bubble_converges_to_identity_away_from_pole(dom, s2, identity_map):
 def test_bubble_varifold_distance_to_limit(dom, s2, identity_map, fam2):
     union = vf.VarifoldMeasure.union(vf.varifold_of_map(identity_map),
                                      vf.varifold_of_map(vf.inversion_map(dom)))
-    assert abs(union.total_weight() - 8 * np.pi) <= 0.01 * 8 * np.pi
+    assert abs(union.weights.sum() - 8 * np.pi) <= 0.01 * 8 * np.pi
     ds = [vf.varifold_distance(vf.varifold_of_map(vf.bubble_example(j, dom)),
                                union, fam2) for j in (1, 2, 4, 8)]
     # the continuum distance is identically zero (a degree-two conformal map
@@ -180,13 +181,12 @@ def test_bubble_varifold_distance_to_limit(dom, s2, identity_map, fam2):
 # concentration
 
 def test_detect_concentration_bubbles(dom):
-    seq = [vf.bubble_example(j, dom) for j in (1, 2, 4, 8)]
-    pts = vf.detect_concentration(seq, 4.0, (0.1, 0.2, 0.4))
+    pts = vf.detect_concentration(vf.bubble_example(8, dom), 4.0, (0.1, 0.2, 0.4))
     assert len(pts) == 1
     assert np.linalg.norm(pts[0] - np.array([0.0, 0.0, -1.0])) <= 0.1
 
 
 def test_detect_concentration_empty_cases(dom, s2, identity_map):
-    assert vf.detect_concentration([identity_map], 4.0, (0.1, 0.2, 0.4)) == []
-    c = dm.constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
-    assert vf.detect_concentration([c], 4.0, (0.1, 0.2, 0.4)) == []
+    assert vf.detect_concentration(identity_map, 4.0, (0.1, 0.2, 0.4)) == []
+    c = constant_sphere_map(dom, s2, (0.0, 0.0, 1.0))
+    assert vf.detect_concentration(c, 4.0, (0.1, 0.2, 0.4)) == []
