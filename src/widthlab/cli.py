@@ -172,7 +172,8 @@ def cmd_bubble(args, cfg):
         u = vf.bubble_example(j, dom)
         e = dmod.energy(u)
         a = dmod.area(u)
-        d = vf.varifold_distance(vf.varifold_of_map(u), union, fam)
+        vu = vf.varifold_of_map(u)
+        d = vf.varifold_distance(vu, union, fam)
         rows.append((j, e, a, d))
         ok &= abs(e - 8 * np.pi) <= 0.01 * 8 * np.pi
         ok &= abs(a - 8 * np.pi) <= 0.01 * 8 * np.pi
@@ -180,9 +181,9 @@ def cmd_bubble(args, cfg):
     ok &= rows[-1][3] <= 0.05
     io.table_csv(os.path.join(out, "bubble.csv"),
                  ["j", "energy", "area", "varifold_distance"], rows)
-    j8 = vf.bubble_example(8, dom)
-    io.varifold_csv(os.path.join(out, "bubble-varifold-j8.csv"), vf.varifold_of_map(j8))
-    pts = vf.detect_concentration(j8, EPS_SU, (0.1, 0.2, 0.4))
+    # u and vu are the loop's last, the j = 8 bubble and its varifold
+    io.varifold_csv(os.path.join(out, "bubble-varifold-j8.csv"), vu)
+    pts = vf.detect_concentration(u, EPS_SU, (0.1, 0.2, 0.4))
     _finish(out, "bubble-summary.json", {
         "rows": [[int(j), e, a, d] for j, e, a, d in rows],
         "expected_energy": 8 * np.pi,

@@ -10,22 +10,23 @@ deterministic order.
 One kernel, `relax_blocks`, runs that sweep on many independent blocks in
 lock step: the blocks share one flat buffer, and each half-sweep is one
 gather of the colour's nodes and their neighbours, one update, one
-projection and one scatter across every block still running.  Each block
-keeps its own stopping rule and leaves as soon as it stops, so it gets
-exactly the bits it gets when relaxed alone; `relax` is the one-block call.
-Two callers run it in lock step.  `trial_replacements` measures
-replacement on a slice's trial families without replacing: it solves each
-distinct scaled ball of the families once, on a copy of the slice's block,
-all in one call.  It measures only independent families, where no ball
-writes a node that another reads, so a family's drop, the sum of its balls'
-drops, is the drop of its replacement.  It reads the slice's
-`dmap.Measure`: candidate balls come from its densities, and the families'
-energy gate is its `dmap.family_energy`; only `check_small_energy` and the
-gate of `harmonic_replace` call `dmap.energy`.  The replacement sampler
-`energy_improvement` runs it at half scale and `sweepout`'s almost-harmonic
-check at an eighth.  `relax_balls` is the second: it solves one ball on
-each of many maps, as the convexity suite does with its independent
-instances.
+projection and one scatter, through flat indices, across every block still
+running.  Each block keeps its own stopping rule and leaves as soon as it
+stops, so it gets exactly the bits it gets when relaxed alone; `relax` is
+the one-block call.  Two callers run it in lock step.  `trial_replacements`
+measures replacement on the trial families of many slices without
+replacing: it solves each distinct scaled ball of a slice's families once,
+on a copy of the slice's block, the balls of all slices in one call.  It
+measures only independent families, where no ball writes a node that
+another reads, so a family's drop, the sum of its balls' drops, is the drop
+of its replacement.  It reads each slice's `dmap.Measure`: candidate balls
+come from its densities, and the families' energy gate is its
+`dmap.family_energy`; only `check_small_energy` and the gate of
+`harmonic_replace` call `dmap.energy`.  The replacement sampler
+`energy_improvement` runs it at half scale, once per tightening iteration,
+and `sweepout`'s almost-harmonic check at an eighth.  `relax_balls` is the
+second: it solves one ball on each of many maps, as the convexity suite
+does with its independent instances.
 
 Two kinds of region are solved on: ball families in the charts of a
 sphere-domain map (`solve_dirichlet`, `harmonic_replace`), and value
@@ -200,20 +201,22 @@ class _Layout:
                  else self.stencils[k][part] for k in blocks]
         return moved[0] if len(moved) == 1 else np.concatenate(moved, axis=axis)
 
-    def colours(self, blocks):
+    def colours(self, blocks, ncomp):
         """Per colour, red then black, the colour stencil of the given
-        blocks and how to split it by block: None for one block, else a
-        mask of the blocks with nodes of that colour and the columns where
-        their nodes start."""
+        blocks, the buffer's flat indices of its nodes' ncomp components,
+        and how to split it by block: None for one block, else a mask of
+        the blocks with nodes of that colour and the columns where their
+        nodes start."""
         out = []
         for c in (0, 1):
             stencil = self._joined(blocks, c, 1)
+            flat = (stencil[0][:, None] * ncomp + np.arange(ncomp)).ravel()
             if len(blocks) == 1:
-                out.append((stencil, None))
+                out.append((stencil, flat, None))
                 continue
             counts = np.array([self.stencils[k][c].shape[1] for k in blocks])
             has = counts > 0
-            out.append((stencil, (has, (np.cumsum(counts) - counts)[has])))
+            out.append((stencil, flat, (has, (np.cumsum(counts) - counts)[has])))
         return out
 
     def edges(self, blocks):
@@ -263,7 +266,8 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     stencil its `block_stencil`, all periodic in y or none.  The blocks
     share one flat buffer, so each half-sweep is one gather, one update,
     one `target.project` call and one scatter across every block still
-    running.
+    running, the scatter through flat indices that `_Layout.colours`
+    builds each time the running set changes.
 
     A block's displacement stop is a sweep in which no component of any
     of its nodes moved by more than residual_target * overrelax /
@@ -299,12 +303,12 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
     small = settings.residual_target * om / (denom * np.sqrt(f.shape[1]))
     sweep = 0  # the running blocks all started together
     while len(running):
-        colours = layout.colours(running)
+        colours = layout.colours(running, f.shape[1])
         done = np.zeros(len(running), dtype=bool)
         stop = running[:0]  # the blocks whose residual this sweep took
         while sweep < settings.max_sweeps and not done.any():
             moved = np.zeros(len(running))  # largest component moved, per block
-            for c, split in colours:
+            for c, flat, split in colours:
                 if c.shape[1] == 0:
                     continue
                 g = f.take(c, axis=0)
@@ -313,7 +317,7 @@ def relax_blocks(blocks, target, settings: SolverSettings, wx, wy):
                 if om != 1.0:
                     upd = (1.0 - om) * g[0] + om * upd
                 new = target.project(upd)
-                f[c[0]] = new
+                f.reshape(-1)[flat] = new.reshape(-1)
                 new -= g[0]
                 np.abs(new, out=new)
                 if split is None:
@@ -375,10 +379,11 @@ class _Block(NamedTuple):
 def _block(dom: SphereDomain, b: Ball) -> _Block:
     """A trial ball's solve block, memoized per domain with read-only
     arrays.  Applied replacements take `_ball_block` and solve through
-    `relax`, since the benchmark's traced `dirichlet.relax.ball.*` counters
-    read `relax` calls; not because they meet each ball once.  The seed-0
-    `tighten-coarse` run applies 479 ball solves on 141 distinct balls (25
-    met once), the first `tighten-fine` iteration 69 on 12."""
+    `relax`, one ball at a time, since the benchmark's traced
+    `dirichlet.relax.ball.*` counters read `relax` calls; not because they
+    meet each ball once.  The seed-0 `tighten-coarse` run applies 479 ball
+    solves on 141 distinct balls (25 met once), the first `tighten-fine`
+    iteration 69 on 12."""
     return dom.memoized(("block", b), lambda: _build_block(dom, b))
 
 
@@ -570,11 +575,22 @@ def _centre_balls(dom, c, i, j, radii):
 
 def _candidate_lattice(dom, center_stride, radii):
     """Per chart, the center-lattice balls that pass the `_centre_balls`
-    filter; depends only on the domain's grid and the budget's lattice."""
+    filter, `_by_count`; depends only on the grid and the budget's lattice."""
     idx = range(0, dom.n, center_stride)
-    return tuple(tuple(bi for i in idx for j in idx
-                       for bi in _centre_balls(dom, c, i, j, radii))
+    return tuple(_by_count([bi for i in idx for j in idx
+                            for bi in _centre_balls(dom, c, i, j, radii)])
                  for c in (0, 1))
+
+
+def _by_count(balls):
+    """(ball, node indices) pairs grouped by node count: per count, the
+    balls and a read-only (balls, count) index array, whose gathered row
+    sums, `.sum(axis=1)`, are bit for bit np.sum of each ball's nodes."""
+    groups = {}
+    for b, idx in balls:
+        groups.setdefault(len(idx), []).append((b, idx))
+    return tuple((tuple(b for b, _ in g), frozen(np.stack([i for _, i in g])))
+                 for g in groups.values())
 
 
 def candidate_balls(u: DiscreteMap, m: dm.Measure, budget: SamplerBudget):
@@ -592,14 +608,15 @@ def candidate_balls(u: DiscreteMap, m: dm.Measure, budget: SamplerBudget):
         excess = dens - m.jacobian_density[c] * dom.h**2
         order = np.argsort(-excess, axis=None)
         hot = np.unravel_index(order[: budget.excess_seeds], excess.shape)
-        balls = list(lattice[c])
+        seeds = []
         for i, j in zip(hot[0].tolist(), hot[1].tolist()):
             if i % stride or j % stride:  # lattice centres are covered
-                balls += dom.memoized(("centre", c, i, j, radii),
+                seeds += dom.memoized(("centre", c, i, j, radii),
                                       lambda: _centre_balls(dom, c, i, j, radii))
         x_flat, e_flat = excess.ravel(), dens.ravel()
-        cands += [(float(np.sum(x_flat[idx])), float(np.sum(e_flat[idx])), b)
-                  for b, idx in balls]
+        for balls, idx in lattice[c] + _by_count(seeds):
+            cands += zip(x_flat[idx].sum(axis=1).tolist(),
+                         e_flat[idx].sum(axis=1).tolist(), balls)
     cands.sort(key=lambda t: (-t[0], t[2].chart, t[2].center, -t[2].radius))
     return cands
 
@@ -664,62 +681,70 @@ def _write_set(dom, b):
     return (b.chart, rows + br.start, cols + bc.start), (1 - b.chart, ii, jj)
 
 
-def trial_replacements(u: DiscreteMap, m: dm.Measure, fams, rho: float,
-                       s: SolverSettings):
-    """Replacement on each family of `fams` scaled by rho, measured without
-    replacing: a pair (trials, solved).
+def trial_replacements(items, rho: float, s: SolverSettings):
+    """Replacement on the families of many maps scaled by rho, measured
+    without replacing: one pair (trials, solved) per (u, m, fams) item.
 
     m is u's Measure.  A family whose scaled energy, its `dm.family_energy`
     from m, is over the energy gate of `harmonic_replace` is left out, as is
     one that is not `_independent` at that scale; `trials` lists the rest,
     in the given order, as (family, scaled family) pairs.  The distinct
-    balls of the scaled families are relaxed once each, on copies of u's
-    blocks, in one `relax_blocks` call.  `solved` maps each ball, in order
-    of first appearance, to its SolveInfo and its solved block (the ball's
-    box after the solve).  For a family in `trials` these are, bit for bit,
-    the solves of `harmonic_replace(u, fam, rho, s)` and its map on the
-    balls' boxes.
+    balls of an item's scaled families are relaxed once each, on copies of
+    u's blocks, and the blocks of every item in one `relax_blocks` call.
+    `solved` maps each ball, in order of first appearance, to its SolveInfo
+    and its solved block (the ball's box after the solve).  For a family in
+    `trials` these are, bit for bit, the solves of
+    `harmonic_replace(u, fam, rho, s)` and its map on the balls' boxes.
+    All maps must have the same target, or ValueError.
     """
-    dom = u.domain
-    gate = s.small_energy / 3.0 + 1e-12 if u.target.sff_bound > 0 else np.inf
-    trials = []
-    for fam in fams:
-        scaled = BallFamily(fam).validate(dom).scaled(rho)
-        if (dm.family_energy(dom, m.energy_density, scaled) > gate
-                or not _independent(dom, scaled)):
-            continue
-        trials.append((fam, scaled))
-    balls = list(dict.fromkeys(b for _, scaled in trials for b in scaled))
-    blocks = []
-    for b in balls:
-        box, stencil = _block(dom, b)
-        blocks.append((u.values[b.chart][box].copy(), stencil))
-    infos = relax_blocks(blocks, u.target, s, 1.0, 1.0)
-    solved = {b: (info, v) for b, info, (v, _) in zip(balls, infos, blocks)}
-    return trials, solved
+    if len({u.target for u, _, _ in items}) > 1:
+        raise ValueError("trial_replacements takes maps into one target")
+    measured, blocks = [], []
+    for u, m, fams in items:
+        dom = u.domain
+        gate = s.small_energy / 3.0 + 1e-12 if u.target.sff_bound > 0 else np.inf
+        trials = []
+        for fam in fams:
+            scaled = BallFamily(fam).validate(dom).scaled(rho)
+            if (dm.family_energy(dom, m.energy_density, scaled) > gate
+                    or not _independent(dom, scaled)):
+                continue
+            trials.append((fam, scaled))
+        balls = list(dict.fromkeys(b for _, scaled in trials for b in scaled))
+        for b in balls:
+            box, stencil = _block(dom, b)
+            blocks.append((u.values[b.chart][box].copy(), stencil))
+        measured.append((trials, balls))
+    target = items[0][0].target if items else None
+    solves = zip(relax_blocks(blocks, target, s, 1.0, 1.0), (v for v, _ in blocks))
+    return [(trials, {b: next(solves) for b in balls}) for trials, balls in measured]
 
 
-def energy_improvement(u: DiscreteMap, m: dm.Measure, eps: float,
-                       budget: SamplerBudget = None, s: SolverSettings = None):
-    """Largest measured energy drop from replacement on half-scaled sampled
-    families with contained energy at most eps, the family that gave it
-    (None when no family drops the energy), and the trial solves: a triple
-    (drop, family, solves).  m is u's Measure, which the families come from.
+def energy_improvement(items, eps: float, budget: SamplerBudget = None,
+                       s: SolverSettings = None):
+    """Per (u, m) item, the largest measured energy drop from replacement
+    on half-scaled sampled families of u with contained energy at most
+    eps, the family that gave it (None when no family drops the energy),
+    and the trial solves: a triple (drop, family, solves).  m is u's
+    Measure, which the families come from.
 
-    The families are measured by `trial_replacements` at scale 1/2, which
-    leaves out a family over the energy gate or not independent there.  A
-    family's drop is the sum of its balls' drops in ball order, the drop
+    One `trial_replacements` call measures every item's families at scale
+    1/2, leaving out a family over the energy gate or not independent there.
+    A family's drop is the sum of its balls' drops in ball order, the drop
     `harmonic_replace(u, fam, 0.5, s)` measures, bit for bit.  `solves`
     holds one SolveInfo per distinct ball, in order of first appearance.
     """
     budget = budget or SamplerBudget()
     s = s or SolverSettings()
-    fams = [fam for _, fam in propose_families(u, m, eps, budget)]
-    trials, solved = trial_replacements(u, m, fams, 0.5, s)
-    best = 0.0
-    best_fam = None
-    for fam, half in trials:
-        drop = sum(solved[b][0].energy_drop for b in half)
-        if drop > best:
-            best, best_fam = drop, fam
-    return best, best_fam, [info for info, _ in solved.values()]
+    out = []
+    for trials, solved in trial_replacements(
+            [(u, m, [fam for _, fam in propose_families(u, m, eps, budget)])
+             for u, m in items], 0.5, s):
+        best = 0.0
+        best_fam = None
+        for fam, half in trials:
+            drop = sum(solved[b][0].energy_drop for b in half)
+            if drop > best:
+                best, best_fam = drop, fam
+        out.append((best, best_fam, [info for info, _ in solved.values()]))
+    return out

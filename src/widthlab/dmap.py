@@ -9,7 +9,8 @@ the sphere between the two charts.
 
 `measure` differentiates a map once per chart into a `Measure` record,
 which the tightening loop reads; its densities sum the components of the
-differential with `manifold.row_dot`.  A ball family's energy has one
+differential with `manifold.row_dot`, three per chart, which the energy
+and Jacobian densities share.  A ball family's energy has one
 formula, `family_energy`, the energy density summed over its nodes; `energy`
 of a family differentiates only each ball's box, widened by two nodes.
 
@@ -214,9 +215,11 @@ def _box_density(u: DiscreteMap, c: int, box):
 def jacobian_density(ux, uy):
     """Pointwise Jacobian |du/dX ^ du/dY| of a chart differential; at most
     the energy density, with equality exactly where du is conformal."""
-    a = row_dot(ux, ux)
-    b = row_dot(uy, uy)
-    cc = row_dot(ux, uy)
+    return _jacobian(row_dot(ux, ux), row_dot(uy, uy), row_dot(ux, uy))
+
+
+def _jacobian(a, b, cc):
+    """The Jacobian from the row_dots a = |ux|^2, b = |uy|^2, cc = ux.uy."""
     return np.sqrt(np.maximum(a * b - cc * cc, 0.0))
 
 
@@ -242,12 +245,14 @@ class Measure:
 
 
 def measure(u: DiscreteMap) -> Measure:
-    """The map's Measure, from one `chart_differential` per chart."""
+    """The map's Measure, from one `chart_differential` per chart and its
+    three row_dots, shared by both densities."""
     ed, jd = [], []
     for c in range(u.n_charts):
-        du = chart_differential(u, c)
-        ed.append(energy_density(*du))
-        jd.append(jacobian_density(*du))
+        ux, uy = chart_differential(u, c)
+        a, b = row_dot(ux, ux), row_dot(uy, uy)
+        ed.append(0.5 * (a + b))
+        jd.append(_jacobian(a, b, row_dot(ux, uy)))
     return Measure(tuple(ed), tuple(jd), _integral(u.domain, ed),
                    _integral(u.domain, jd))
 

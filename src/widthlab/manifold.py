@@ -51,15 +51,15 @@ def row_dot(a, b):
     """Sum over the last axis of a * b, bit for bit np.sum(a * b, -1).
 
     numpy sums a row of fewer than 8 terms left to right after 0.0, one
-    row at a time; here the columns are added in that order, all rows at
-    once.  Rows of 8 or more terms, which numpy sums in another order,
-    go to numpy."""
-    if a.shape[-1] >= 8:
-        return np.add.reduce(a * b, axis=-1)
-    out = a[..., 0] * b[..., 0]
-    out += 0.0  # np.sum starts from 0.0, which turns a -0.0 into 0.0
-    for k in range(1, a.shape[-1]):
-        out += a[..., k] * b[..., k]
+    row at a time; here the product is taken once and its columns are
+    added in that order, all rows at once.  Rows of 8 or more terms, which
+    numpy sums in another order, go to numpy."""
+    p = a * b
+    if p.shape[-1] >= 8:
+        return np.add.reduce(p, axis=-1)
+    out = p[..., 0] + 0.0  # np.sum starts from 0.0, which turns -0.0 into 0.0
+    for k in range(1, p.shape[-1]):
+        out += p[..., k]
     return out
 
 
@@ -72,11 +72,15 @@ class RoundSphere(EmbeddedManifold):
 
     def project(self, x):
         x = np.asarray(x, float)
-        r = np.sqrt(row_dot(x, x))  # np.linalg.norm(x, axis=-1), bit for bit
+        if x.ndim == 1:  # one point: a row of one, so r below is an array
+            return self.project(x[None])[0]
+        r = row_dot(x, x)
+        np.sqrt(r, out=r)  # np.linalg.norm(x, axis=-1), bit for bit
         inner = self.radius - self.tubular_radius
-        if (r <= inner).any():
+        if r.size and np.fmin.reduce(r, axis=None) <= inner:  # NaN passes, as by <=
             raise OutsideTube(f"point(s) within {inner:.3g} of the center")
-        return x * (self.radius / r)[..., None]
+        np.divide(self.radius, r, out=r)
+        return x * r[..., None]
 
     def distance(self, x):
         x = np.asarray(x, float)

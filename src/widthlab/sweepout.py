@@ -93,9 +93,9 @@ class BallSchedule:
     families: list           # BallFamily per stage
     envelopes: list          # Envelope per stage
     improvements: list       # measured half-family drop at the seed slice
-    solves: list             # the sampler's trial SolveInfos, call by call;
-                             # per call one per distinct trial ball, in
-                             # order of first appearance
+    solves: list             # the sampler's trial SolveInfos of each
+                             # uncovered slice in turn: one per distinct
+                             # trial ball, in order of first appearance
 
 
 @dataclass
@@ -250,10 +250,12 @@ def select_ball_schedule(s: Sweepout, eps1: float,
                          settings: dr.SolverSettings) -> BallSchedule:
     """Families plus radius envelopes covering the high-energy slices.
 
-    For every uncovered high-energy slice, the replacement sampler proposes
-    a family whose measured half-scale drop is positive; the family's
-    interval grows while the drop persists at half strength and the family
-    energy stays under eps1/3.  The finite cover is pruned so each closed
+    The replacement sampler measures every high-energy slice in one call.
+    Then, most energetic first, each slice that no earlier interval covers
+    takes its family whose measured half-scale drop is positive; the
+    family's interval grows while the drop persists at half strength and
+    the family energy stays under eps1/3.  A covered slice's trial solves
+    are dropped, not reported.  The finite cover is pruned so each closed
     interval meets at most two others, and envelope supports are truncated
     so at most two radii are positive at any t.  Every slice is read
     through its record.  With no improving family the schedule has no
@@ -269,11 +271,11 @@ def select_ball_schedule(s: Sweepout, eps1: float,
     intervals = []  # (a_idx, b_idx, fam, seed_drop)
     covered = np.zeros(s.n_slices, bool)
     solves = []
-    for i in high:
+    sampled = dr.energy_improvement([(s.slices[i], s.measure(i)) for i in high],
+                                    eps1 / 4.0, budget, settings)
+    for i, (drop, fam, trials) in zip(high, sampled):
         if covered[i]:
             continue
-        drop, fam, trials = dr.energy_improvement(s.slices[i], s.measure(i),
-                                                  eps1 / 4.0, budget, settings)
         solves += trials
         if fam is None or drop <= tol:
             continue  # harmonic at tolerance: exempt
@@ -530,7 +532,8 @@ def almost_harmonic_check(u: DiscreteMap) -> AlmostHarmonicReport:
     m = dm.measure(u)
     fams = [fam for _, fam in dr.propose_families(u, m, ALMOST_HARMONIC_EPS0,
                                                   dr.SamplerBudget())]
-    trials, solved = dr.trial_replacements(u, m, fams, 0.125, dr.SolverSettings())
+    [(trials, solved)] = dr.trial_replacements([(u, m, fams)], 0.125,
+                                               dr.SolverSettings())
     worst = 0.0
     witness = None
     pairs = []

@@ -422,12 +422,21 @@ def test_width_cli_latitude_fails_a_rising_width_series(monkeypatch, tmp_path):
     assert code == 2
 
 
-def test_bubble_cli_passes_and_writes_the_same_bytes_twice(tmp_path):
+def test_bubble_cli_passes_and_writes_the_same_bytes_twice(monkeypatch, tmp_path):
     """At the defaults `bubble` passes its checks, and the same (config,
-    seed) gives the same bytes."""
+    seed) gives the same bytes; each run builds each bubble once."""
+    from widthlab import varifold as vf
+    bubble_example, built = vf.bubble_example, []
+
+    def counting(j, dom):
+        built.append(j)
+        return bubble_example(j, dom)
+
+    monkeypatch.setattr(vf, "bubble_example", counting)
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         assert run(["bubble", "--out", str(out)]) == 0
+    assert built == [1, 2, 4, 8] * 2
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == ["bubble-summary.json", "bubble-varifold-j8.csv", "bubble.csv",
                      "manifest.json"]

@@ -197,11 +197,12 @@ def test_convexity_boundary_mismatch(dom, s2, bump_map):
 
 def test_improvement_constant_zero(dom, s2):
     u = constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
-    assert dr.energy_improvement(u, dm.measure(u), 0.5)[0] == 0.0
+    assert dr.energy_improvement([(u, dm.measure(u))], 0.5)[0][0] == 0.0
 
 
 def test_improvement_identity_tolerance(identity_map):
-    assert dr.energy_improvement(identity_map, dm.measure(identity_map), 0.5)[0] <= 1e-6
+    assert dr.energy_improvement([(identity_map, dm.measure(identity_map))], 0.5)[0][0] \
+        <= 1e-6
 
 
 def test_improvement_bump_positive_and_budget_monotone(dom, s2, bump_map):
@@ -210,8 +211,8 @@ def test_improvement_bump_positive_and_budget_monotone(dom, s2, bump_map):
     big = dr.SamplerBudget(center_stride=12, radii=(0.22, 0.16, 0.11, 0.08),
                            max_families=10, excess_seeds=3)
     m = dm.measure(bump_map)
-    e_small = dr.energy_improvement(bump_map, m, 0.5, small)[0]
-    e_big = dr.energy_improvement(bump_map, m, 0.5, big)[0]
+    [(e_small, _, _)] = dr.energy_improvement([(bump_map, m)], 0.5, small)
+    [(e_big, _, _)] = dr.energy_improvement([(bump_map, m)], 0.5, big)
     assert e_small > 0
     assert e_big >= e_small - 1e-12
 
@@ -219,8 +220,8 @@ def test_improvement_bump_positive_and_budget_monotone(dom, s2, bump_map):
 def test_improvement_monotone_in_eps(dom, s2, bump_map):
     budget = dr.SamplerBudget(max_families=10**9)  # no cap: same sample set
     m = dm.measure(bump_map)
-    lo = dr.energy_improvement(bump_map, m, 0.25, budget)[0]
-    hi = dr.energy_improvement(bump_map, m, 0.5, budget)[0]
+    [(lo, _, _)] = dr.energy_improvement([(bump_map, m)], 0.25, budget)
+    [(hi, _, _)] = dr.energy_improvement([(bump_map, m)], 0.5, budget)
     assert hi >= lo - 1e-12
 
 
@@ -660,6 +661,101 @@ def test_relax_blocks_periodic_equals_each_cylinder_alone(name):
         assert _bits(info) == _bits(ref_info)
 
 
+def _row_scatter_relax_blocks(blocks, target, settings, wx, wy):
+    """`relax_blocks` as it was before its half-sweep wrote a colour through
+    flat indices: the same layout bookkeeping, with the row-fancy scatter
+    `f[c[0]] = new`."""
+    layout = dr._Layout(blocks)
+    f = np.concatenate([np.reshape(v, (-1, v.shape[-1])) for v, _ in blocks])
+    n = len(blocks)
+    edges = layout.edges(range(n))
+    e0 = layout.energies(f, edges, wx, wy)
+    converged = np.array([st[0].shape[1] + st[1].shape[1] == 0 for _, st in blocks])
+    residual = np.zeros(n)
+    sweeps = np.zeros(n, dtype=int)
+    running = np.flatnonzero(~converged)
+    om = settings.overrelax
+    denom = 2.0 * (wx + wy)
+    small = settings.residual_target * om / (denom * np.sqrt(f.shape[1]))
+    sweep = 0
+    while len(running):
+        colours = [(c, split) for c, _, split in layout.colours(running, f.shape[1])]
+        done = np.zeros(len(running), dtype=bool)
+        stop = running[:0]
+        while sweep < settings.max_sweeps and not done.any():
+            moved = np.zeros(len(running))
+            for c, split in colours:
+                if c.shape[1] == 0:
+                    continue
+                g = f.take(c, axis=0)
+                upd = (wx * (g[1] + g[2]) + wy * (g[3] + g[4])) / denom
+                if om != 1.0:
+                    upd = (1.0 - om) * g[0] + om * upd
+                new = target.project(upd)
+                f[c[0]] = new
+                new = np.abs(new - g[0])
+                if split is None:
+                    moved[0] = max(moved[0], new.max())
+                else:
+                    has, starts = split
+                    moved[has] = np.maximum(
+                        moved[has], np.maximum.reduceat(new, starts).max(axis=1))
+            sweep += 1
+            stop = running[moved <= small]
+            if len(stop):
+                residual[stop] = layout.residuals(f, stop, target, wx, wy)
+                converged[stop] = residual[stop] <= settings.residual_target
+                done = converged[running]
+        if sweep >= settings.max_sweeps:
+            cut = running[~done & ~np.isin(running, stop)]
+            if len(cut):
+                residual[cut] = layout.residuals(f, cut, target, wx, wy)
+            done[:] = True
+        sweeps[running[done]] = sweep
+        running = running[~done]
+    drop = e0 - layout.energies(f, edges, wx, wy)
+    for (v, _), o in zip(blocks, layout.offsets):
+        v[...] = f[o:o + v.shape[0] * v.shape[1]].reshape(v.shape)
+    return [dr.SolveInfo(int(sweeps[k]), bool(converged[k]), float(residual[k]),
+                         float(drop[k])) for k in range(n)]
+
+
+@pytest.mark.parametrize("overrelax", [1.0, 1.8])
+def test_flat_scatter_equals_the_row_scatter(dom, bump_map, overrelax):
+    """The half-sweep's flat-index scatter gives the bytes and SolveInfos
+    of the row-fancy one, on ball blocks with one that has no interior and
+    on periodic cylinders, by Gauss-Seidel and over-relaxed."""
+    s = dr.SolverSettings(overrelax=overrelax, max_sweeps=400)
+    balls = [BALL, Ball(0, (0.06, -0.1), 0.03), Ball(1, (0.4, 0.3), 0.08)]
+    entries = [(bump_map.values[b.chart][dr._ball_block(dom, b)[0]],
+                dr._ball_block(dom, b)[1]) for b in balls]
+    entries.insert(1, (bump_map.values[0][:5, :7], np.zeros((5, 7), bool)))
+    cyl, s2, vals, interior = _cylinder_map()
+    _, _, wide, wide_interior = _cylinder_map(n_t=11, n_theta=16, seed=1)
+    cases = [(entries, False, bump_map.target, 1.0, 1.0),
+             ([(vals, interior), (wide, wide_interior)], True, s2,
+              1.0 / cyl.h_t**2, 1.0 / cyl.h_theta**2)]
+    for group, periodic, target, wx, wy in cases:
+        got = [(v.copy(), dr.block_stencil(m, periodic)) for v, m in group]
+        want = [(v.copy(), dr.block_stencil(m, periodic)) for v, m in group]
+        infos = dr.relax_blocks(got, target, s, wx, wy)
+        assert _bits(infos) == _bits(_row_scatter_relax_blocks(want, target, s, wx, wy))
+        assert all(g.tobytes() == w.tobytes() for (g, _), (w, _) in zip(got, want))
+        if not periodic:  # the empty block leaves at once, the others apart
+            assert infos[1].sweeps == 0 and len({i.sweeps for i in infos}) >= 3
+
+
+def test_row_sums_of_a_gather_equal_np_sum_of_each_row():
+    """What `_by_count` rests on: `.sum(axis=1)` of a gathered (balls,
+    count) array is, row by row, the np.sum of that row's gather alone, at
+    every node count a candidate ball of the flagship grid can have."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(4096) * np.exp(rng.uniform(-20, 20, 4096))
+    for count in range(1, 1538):
+        idx = rng.integers(0, len(x), (3, count))
+        assert x[idx].sum(axis=1).tolist() == [float(np.sum(x[i])) for i in idx]
+
+
 def test_relax_balls_equals_solve_dirichlet_on_each_pair(dom, s3, bump_map):
     """Balls with boxes of distinct shapes, one on chart 1 and one with no
     interior node, each on its own map, relaxed in lock step: every map's
@@ -718,7 +814,7 @@ def test_energy_improvement_equals_the_replacement_loop(s3, n, gate, overrelax):
     # lowest multi-ball families, so one is measured and one is skipped
     small = 1.5 * (multi[0] + multi[1]) if gate else 2.0
     s = dr.SolverSettings(small_energy=small, overrelax=overrelax)
-    got = dr.energy_improvement(u, dm.measure(u), eps, budget, s)
+    [got] = dr.energy_improvement([(u, dm.measure(u))], eps, budget, s)
     want, gated, balls = _reference_improvement(u, eps, budget, s)
     assert (gated > 0) == gate
     assert got[1] is not None and got[0] > 0.0
@@ -754,7 +850,7 @@ def test_energy_improvement_leaves_out_a_dependent_family(monkeypatch, s2):
     want, _, _ = _reference_improvement(u, 0.5, budget, s)
     monkeypatch.setattr(dr, "propose_families",
                         lambda *a: [singles[0], (0.0, pair), singles[1]])
-    got = dr.energy_improvement(u, dm.measure(u), 0.5, budget, s)
+    [got] = dr.energy_improvement([(u, dm.measure(u))], 0.5, budget, s)
     assert _bits(got) == _bits(want) and len(got[2]) == 2
 
 
@@ -769,8 +865,8 @@ def test_energy_improvement_sums_independent_balls_solved_alone(monkeypatch, s2)
     assert dr._independent(dom, half)
     monkeypatch.setattr(dr, "propose_families", lambda *a: [(0.0, fam)])
     s = dr.SolverSettings()
-    drop, best, solves = dr.energy_improvement(u, dm.measure(u), 0.5,
-                                               dr.SamplerBudget(), s)
+    [(drop, best, solves)] = dr.energy_improvement([(u, dm.measure(u))], 0.5,
+                                                   dr.SamplerBudget(), s)
     alone = []
     for b in half:
         box, sub = dr._ball_block(dom, b)
@@ -779,6 +875,19 @@ def test_energy_improvement_sums_independent_balls_solved_alone(monkeypatch, s2)
     assert _bits(solves) == _bits(alone)
     assert _bits(drop) == _bits(sum(i.energy_drop for i in alone))
     assert _bits(drop) == _bits(dr.harmonic_replace(u, fam, 0.5, s).energy_drop)
+
+
+def test_trial_replacements_take_maps_into_one_target(dom, s2, s3):
+    """The trial balls of all maps relax in one call, which projects to one
+    target: maps into two targets are refused, and no map gives no pair."""
+    s = dr.SolverSettings()
+    round2 = constant_sphere_map(dom, s2, (0.0, 0.0, -1.0))
+    round3 = constant_sphere_map(dom, s3, (0.0, 0.0, 0.0, -1.0))
+    assert dr.trial_replacements([], 0.5, s) == []
+    assert dr.trial_replacements([(round2, None, []), (round2, None, [])], 0.5, s) == \
+        [([], {}), ([], {})]
+    with pytest.raises(ValueError):
+        dr.trial_replacements([(round2, None, []), (round3, None, [])], 0.5, s)
 
 
 def test_energy_improvement_solves_each_distinct_ball_in_one_call(monkeypatch, s3):
@@ -800,5 +909,5 @@ def test_energy_improvement_solves_each_distinct_ball_in_one_call(monkeypatch, s
     monkeypatch.setattr(dr, "relax_blocks", counting)
     monkeypatch.setattr(dr, "_sync_cap", lambda *a: pytest.fail("refreshed a cap"))
     monkeypatch.setattr(dm.DiscreteMap, "copy", lambda *a: pytest.fail("copied u"))
-    _, _, solves = dr.energy_improvement(u, m, 0.5, budget, dr.SolverSettings())
+    [(_, _, solves)] = dr.energy_improvement([(u, m)], 0.5, budget, dr.SolverSettings())
     assert calls == [len(set(balls))] and len(solves) == len(set(balls)) < len(balls)

@@ -138,3 +138,28 @@ def test_d_axis_equals_the_moveaxis_form(n, axis):
         got, want = d_axis(arr, 0.37, axis), _moveaxis_d_axis(arr, 0.37, axis)
         assert got.strides == want.strides
         assert got.tobytes() == want.tobytes()
+
+
+def test_flat_d_axis_equals_the_moveaxis_form_on_charts_and_windows(bump_map):
+    """The flat-buffer stencil on a whole 129 x 129 x 4 chart, its Fortran
+    copy, a window sliced out of it the way `dmap._box_density` slices one
+    (a ball's box widened by two nodes, clipped to the grid), a window
+    reversed along an axis, and the (slices, n, n, 4) stack that
+    `sweepout.numerical_degree` differentiates: bytes and strides of the
+    moveaxis form."""
+    rng = np.random.default_rng(1)
+    chart = np.concatenate([bump_map.values[0],
+                            rng.standard_normal(bump_map.values[0].shape[:2] + (1,))],
+                           axis=-1)
+    assert chart.shape == (129, 129, 4)
+    windows = [chart[slice(max(a - 2, 0), b + 2), slice(c - 2, min(d + 2, 129))]
+               for a, b, c, d in [(60, 75, 40, 58), (0, 9, 120, 129), (3, 8, 10, 14)]]
+    stack = np.stack([chart, chart[::-1], 2.0 * chart])
+    arrays = [(chart, (0, 1)), (np.asfortranarray(chart), (0, 1)),
+              *((w, (0, 1)) for w in windows), (windows[0][::-1], (0, 1)),
+              (stack, (1, 2))]
+    for arr, axes in arrays:
+        for axis in axes:
+            got, want = d_axis(arr, 0.0195, axis), _moveaxis_d_axis(arr, 0.0195, axis)
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()

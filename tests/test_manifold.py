@@ -242,3 +242,35 @@ def test_row_dot_is_numpy_row_sum_bit_for_bit(cols, rows, layout, seed):
         assert np.sqrt(row_dot(a, a)).tobytes() == np.linalg.norm(a, axis=-1).tobytes()
         stacked = np.stack([a, b])  # a leading axis
         assert row_dot(stacked, stacked).tobytes() == np.sum(stacked * stacked, -1).tobytes()
+
+
+def _reference_round_projection(m, x):
+    return x * (m.radius / np.linalg.norm(x, axis=-1))[..., None]
+
+
+@pytest.mark.parametrize("shape", [(4,), (0, 4), (193, 4), (33, 33, 4), (0, 5, 4)])
+def test_round_projection_keeps_its_bytes_on_every_shape(s3, shape):
+    """The in-place square root and reciprocal and the one-pass tube test
+    give the bytes of the norm form on one point, on empty arrays, on rows
+    and on a chart; a point inside the tube raises, wherever it sits, also
+    next to a NaN row, which the tube test passes over as a comparison
+    does."""
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape)
+    x[..., -1] += 3.0  # every point well off the centre
+    got = s3.project(x)
+    assert got.shape == shape
+    assert got.tobytes() == _reference_round_projection(s3, x).tobytes()
+    if not x.size:
+        return
+    inside = x.copy()
+    inside.reshape(-1, 4)[-1] = 0.01
+    with pytest.raises(OutsideTube):
+        s3.project(inside)
+    nan = x.copy()
+    nan.reshape(-1, 4)[0] = np.nan
+    assert s3.project(nan).tobytes() == _reference_round_projection(s3, nan).tobytes()
+    if nan.ndim > 1 and len(nan.reshape(-1, 4)) > 1:
+        nan.reshape(-1, 4)[-1] = 0.01
+        with pytest.raises(OutsideTube):
+            s3.project(nan)

@@ -168,6 +168,63 @@ def test_schedule_empty_for_constant(dom, s3):
     assert len(sched.solves) > 0  # the trials ran and report their solves
 
 
+def _schedule_with_counted_trials(monkeypatch, swp):
+    """select_ball_schedule on swp with a counting `relax_blocks`: the
+    schedule and the block count of each call."""
+    relax_blocks = dr.relax_blocks
+    calls = []
+
+    def counting(blocks, *args):
+        calls.append(len(blocks))
+        return relax_blocks(blocks, *args)
+
+    monkeypatch.setattr(dr, "relax_blocks", counting)
+    sched = sw.select_ball_schedule(swp, 2.0, BUDGET, SETTINGS)
+    monkeypatch.setattr(dr, "relax_blocks", relax_blocks)
+    return sched, calls
+
+
+def _per_slice_solves(swp, slices):
+    """The trial solves of one sampler call per slice, in the given order."""
+    return [info for i in slices for info in dr.energy_improvement(
+        [(swp.slices[i], swp.measure(i))], 0.5, BUDGET, SETTINGS)[0][2]]
+
+
+def _high_slices(swp):
+    """The slices schedule selection samples, in the order it walks them."""
+    es = np.array([swp.measure(i).energy for i in range(swp.n_slices)])
+    return sorted(np.flatnonzero(es >= es.max() / 2).tolist(), key=lambda i: (-es[i], i))
+
+
+def test_schedule_solves_every_trial_ball_in_one_call(monkeypatch, s3):
+    """One `relax_blocks` call per schedule, with a block per distinct
+    trial ball of every high slice; the schedule's solves are, field for
+    field, those of one sampler call per slice, slice by slice."""
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                               n_slices=8, amp=0.3)
+    high = _high_slices(swp)
+    sched, calls = _schedule_with_counted_trials(monkeypatch, swp)
+    want = _per_slice_solves(swp, high)
+    assert len(high) > 1 and sched.families
+    assert calls == [len(want)]
+    assert [repr(astuple(i)) for i in sched.solves] == [repr(astuple(i)) for i in want]
+
+
+def test_schedule_drops_the_trials_of_a_covered_slice(monkeypatch, s3):
+    """When the first slice's family transfers to every slice, the other
+    high slices are covered: their trials still ran in the one call, but
+    only the first slice's solves are reported."""
+    swp = sw.standard_sweepout("perturbed-latitude-s3", s3, SphereDomain(n=33),
+                               n_slices=8, amp=0.3)
+    high = _high_slices(swp)
+    monkeypatch.setattr(sw, "_transfers", lambda *a: True)
+    sched, calls = _schedule_with_counted_trials(monkeypatch, swp)
+    first = _per_slice_solves(swp, high[:1])
+    assert len(sched.families) == 1
+    assert calls == [len(_per_slice_solves(swp, high))] and calls[0] > len(first)
+    assert [repr(astuple(i)) for i in sched.solves] == [repr(astuple(i)) for i in first]
+
+
 # ---------------------------------------------------------------------------
 # tightening
 
